@@ -3,7 +3,7 @@
 //! Install [`CountingAllocator`] as the `#[global_allocator]` of a test or
 //! binary, then wrap the region of interest in [`count_allocations`]: it
 //! returns how many heap allocations (`alloc` + `realloc`) the closure
-//! performed on the current thread's process-wide counter.
+//! performed on the calling thread.
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -16,25 +16,40 @@
 //! assert_eq!(allocs, 0);
 //! ```
 //!
-//! The counter is process-global (an atomic), so tests using it must run
-//! the measured region single-threaded (`cargo test -- --test-threads=1`,
-//! or measure in a test binary with one test).
+//! The counter is thread-local and armed only inside [`count_allocations`],
+//! so allocations made by other threads (parallel tests, a harness's worker
+//! threads) never leak into a measured region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether the current thread is inside [`count_allocations`].
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on the current thread while armed.
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
 
-/// A `System`-backed allocator that counts every allocation.
+/// Counts one allocation when the current thread is armed. `try_with`
+/// keeps the allocator usable while the thread's locals are torn down.
+#[inline]
+fn record() {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+        }
+    });
+}
+
+/// A `System`-backed allocator that counts the allocations of threads
+/// inside [`count_allocations`].
 pub struct CountingAllocator;
 
-// SAFETY: delegates every operation to `System`, only adding relaxed atomic
-// counter updates.
+// SAFETY: delegates every operation to `System`, only adding updates to
+// const-initialized thread-local cells (which never allocate).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        record();
         unsafe { System.alloc(layout) }
     }
 
@@ -43,29 +58,32 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        record();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Heap allocations performed since process start.
-pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Disarms the thread on drop, so a panicking closure leaves no armed state.
+struct Armed {
+    was_armed: bool,
 }
 
-/// Heap bytes requested since process start.
-pub fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
+impl Drop for Armed {
+    fn drop(&mut self) {
+        ARMED.with(|a| a.set(self.was_armed));
+    }
 }
 
-/// Runs `f` and returns `(f(), allocations performed during f)`.
+/// Runs `f` and returns `(f(), allocations performed by this thread during f)`.
 ///
 /// Only meaningful when [`CountingAllocator`] is installed as the global
-/// allocator and no other thread allocates concurrently.
+/// allocator; otherwise the count is always 0. Calls may nest.
 pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = allocation_count();
+    let _armed = Armed {
+        was_armed: ARMED.with(|a| a.replace(true)),
+    };
+    let before = COUNT.with(Cell::get);
     let result = f();
-    let after = allocation_count();
+    let after = COUNT.with(Cell::get);
     (result, after - before)
 }

@@ -58,20 +58,21 @@ fn median_ns(mut op: impl FnMut(), batch: u32, samples: u32) -> f64 {
 /// counting allocator is installed.
 fn allocs_per_call(mut op: impl FnMut(), calls: u32) -> Option<f64> {
     // Detect whether the counting allocator is live: force an allocation.
-    let before_probe = alloc_counter::allocation_count();
-    std::hint::black_box(Vec::<u64>::with_capacity(16));
-    if alloc_counter::allocation_count() == before_probe {
+    let ((), probe) = alloc_counter::count_allocations(|| {
+        std::hint::black_box(Vec::<u64>::with_capacity(16));
+    });
+    if probe == 0 {
         return None;
     }
     for _ in 0..16 {
         op(); // warm-up to steady state
     }
-    let before = alloc_counter::allocation_count();
-    for _ in 0..calls {
-        op();
-    }
-    let after = alloc_counter::allocation_count();
-    Some((after - before) as f64 / f64::from(calls))
+    let ((), allocs) = alloc_counter::count_allocations(|| {
+        for _ in 0..calls {
+            op();
+        }
+    });
+    Some(allocs as f64 / f64::from(calls))
 }
 
 fn json_f64(value: f64) -> String {

@@ -18,11 +18,16 @@
 //!
 //! * `lt_∪(t) = Σᵢ owned_before_i(ltᵢ(t))` — the distinct-union rank of `t`
 //!   (each `ltᵢ` is an O(log n) rank descent, [`OrderedCqIndex::prefix_bounds`]);
-//! * [`RankedUcq::ordered_access`]`(k)` binary-searches each member's
-//!   positions for the first answer whose union `le`-rank exceeds `k` and
-//!   takes the order-minimum candidate — O(m² log² n);
-//! * [`RankedUcq::ordered_inverted_access`] and
-//!   [`RankedUcq::range_count`] are single sweeps of rank descents.
+//! * [`RankedUcq::ordered_access`]`(k)` makes (m−1) member searches:
+//!   members 1..m are binary-searched for their first answer whose union
+//!   `le`-rank exceeds `k`, and their owned prefixes `cᵢ` are summed.
+//!   Member 0 owns every answer it contains, so it is positioned
+//!   arithmetically at `k − Σ cᵢ`. The order-minimum candidate is the
+//!   answer — O(m² log² n), a single core access when m = 1;
+//! * [`RankedUcq::ordered_inverted_access`] is one Algorithm 4 hash probe
+//!   per member that contains the answer and a rank descent per member
+//!   that lacks it;
+//! * [`RankedUcq::range_count`] is a single sweep of rank descents.
 //!
 //! Non-owned positions are discovered by a pairwise *leapfrog* walk over
 //! the ordered indexes: both cursors jump via rank descents, so a pair
@@ -64,6 +69,7 @@ use crate::Result;
 use rae_data::{Database, Symbol, Value};
 use rae_faults::{degrade, Budget};
 use rae_query::{QueryError, UnionQuery};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -123,14 +129,31 @@ pub struct RankedUcq {
     shared: Option<OrderedMcUcqIndex>,
 }
 
-/// Reusable buffers for [`RankedUcq`]'s allocation-free accessors: three
-/// [`AccessScratch`]es (candidate probes, best-candidate re-access, and the
-/// returned answer), sized on first use.
+/// Reusable buffers for [`RankedUcq`]'s allocation-free accessors: two
+/// [`AccessScratch`]es, sized on first use — `probe` for search probes,
+/// challenger candidates and the inverted hash probes, `out` for the best
+/// candidate, which is the returned answer.
 #[derive(Debug, Default)]
 pub struct RankedScratch {
     probe: AccessScratch,
-    best: AccessScratch,
     out: AccessScratch,
+}
+
+impl RankedScratch {
+    /// Runs `f` over the calling thread's own scratch, so one-shot
+    /// accessors (the allocating wrappers here and in the serving layer)
+    /// reuse warm buffers instead of sizing fresh ones on every call. A
+    /// nested call, while the thread's scratch is lent out, gets a fresh
+    /// one.
+    pub fn with_thread_local<T>(f: impl FnOnce(&mut RankedScratch) -> T) -> T {
+        thread_local! {
+            static LOCAL: RefCell<RankedScratch> = RefCell::default();
+        }
+        LOCAL.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => f(&mut scratch),
+            Err(_) => f(&mut RankedScratch::default()),
+        })
+    }
 }
 
 impl RankedUcq {
@@ -330,11 +353,11 @@ impl RankedUcq {
     }
 
     /// The `k`-th distinct union answer under the order, or `None` when
-    /// `k ≥ count()` — O(m² log² n).
+    /// `k ≥ count()` — (m−1) member searches of O(m log² n) each, member 0
+    /// positioned arithmetically: O(m² log² n), one O(log n) access when
+    /// m = 1.
     pub fn ordered_access(&self, k: Weight) -> Option<Vec<Value>> {
-        let mut scratch = RankedScratch::default();
-        self.ordered_access_into(k, &mut scratch)
-            .map(<[Value]>::to_vec)
+        RankedScratch::with_thread_local(|s| self.ordered_access_into(k, s).map(<[Value]>::to_vec))
     }
 
     /// Allocation-free [`RankedUcq::ordered_access`]: writes into `scratch`
@@ -358,13 +381,19 @@ impl RankedUcq {
             scratch.out.answer_mut().clone_from_slice(&ans);
             return Some(scratch.out.answer());
         }
-        // Per member: the first position whose answer's union le-rank
-        // exceeds k (the union rank is monotone along the member's order).
-        // The owner of the k-th union answer lands exactly on it; every
-        // other member's candidate compares ≥, so the order-minimum
-        // candidate is the answer.
-        let mut best: Option<(usize, Weight)> = None;
-        for (i, member) in self.members.iter().enumerate() {
+        // Per member i ≥ 1: the first position whose answer's union
+        // le-rank exceeds k (the union rank is monotone along the member's
+        // order). Its `c_i` owned answers before that position are exactly
+        // member i's owned answers below the k-th union answer u_k, and
+        // every union answer below u_k has one owner, so member 0 owns
+        // `k − Σ c_i` of them. Member 0 owns every answer it contains, so
+        // that count is also the position of its first answer ≥ u_k — no
+        // search. The owner of u_k lands exactly on it; every other
+        // member's candidate compares ≥, so the order-minimum candidate is
+        // the answer. `scratch.out` holds the best candidate so far.
+        let mut below: Weight = 0;
+        let mut best = false;
+        for (i, member) in self.members.iter().enumerate().skip(1) {
             let count = member.count();
             let (mut lo, mut hi) = (0 as Weight, count);
             while lo < hi {
@@ -382,47 +411,82 @@ impl RankedUcq {
                     lo = mid + 1;
                 }
             }
-            if lo == count {
-                continue; // every answer of this member ranks ≤ k
+            below += self.owned_before(i, lo);
+            if lo < count {
+                self.offer(member, lo, &mut best, scratch);
             }
-            best = match best {
-                None => Some((i, lo)),
-                Some((bi, bp)) => {
-                    let cand = member
-                        .ordered_access_into(lo, &mut scratch.probe)
-                        .expect("lo < count");
-                    let cur = self.members[bi]
-                        .ordered_access_into(bp, &mut scratch.best)
-                        .expect("recorded candidate in range");
-                    if self.order_cmp(cand, cur) == Ordering::Less {
-                        Some((i, lo))
-                    } else {
-                        Some((bi, bp))
-                    }
-                }
-            };
         }
-        let (bi, bp) = best.expect("k < count guarantees an owner member");
-        self.members[bi].ordered_access_into(bp, &mut scratch.out)
+        // Σ c_i ≤ k: the c_i count distinct union answers below u_k.
+        let p0 = k - below;
+        if p0 < self.members[0].count() {
+            self.offer(&self.members[0], p0, &mut best, scratch);
+        }
+        debug_assert!(best, "k < count guarantees an owner member");
+        best.then_some(scratch.out.answer())
+    }
+
+    /// Materializes `member`'s answer at `pos` as a candidate: it becomes
+    /// `scratch.out` when there is none yet (`!*best`) or when it compares
+    /// below the current one.
+    fn offer(
+        &self,
+        member: &OrderedCqIndex,
+        pos: Weight,
+        best: &mut bool,
+        scratch: &mut RankedScratch,
+    ) {
+        if !*best {
+            *best = true;
+            member
+                .ordered_access_into(pos, &mut scratch.out)
+                .expect("candidate position in range");
+            return;
+        }
+        let cand = member
+            .ordered_access_into(pos, &mut scratch.probe)
+            .expect("candidate position in range");
+        if self.order_cmp(cand, scratch.out.answer()) == Ordering::Less {
+            std::mem::swap(&mut scratch.probe, &mut scratch.out);
+        }
     }
 
     /// The rank of `answer` (head order) among the distinct union answers,
-    /// or `None` when no member contains it — O(m log n), allocation-free.
+    /// or `None` when no member contains it — one hash probe per member,
+    /// plus an O(log n) rank descent per member that lacks the answer.
     pub fn ordered_inverted_access(&self, answer: &[Value]) -> Option<Weight> {
+        RankedScratch::with_thread_local(|s| self.ordered_inverted_access_of(answer, s))
+    }
+
+    /// Allocation-free [`RankedUcq::ordered_inverted_access`] over the
+    /// buffers in `scratch`.
+    ///
+    /// A member containing the answer gives its exact position by
+    /// Algorithm 4 ([`OrderedCqIndex::ordered_inverted_access_of`]: hash
+    /// probes on dictionary codes); only members that lack it fall back to
+    /// a rank descent for the number of their answers below it.
+    pub fn ordered_inverted_access_of(
+        &self,
+        answer: &[Value],
+        scratch: &mut RankedScratch,
+    ) -> Option<Weight> {
         if answer.len() != self.head().len() {
             return None;
         }
         if let Some(mc) = &self.shared {
             return mc.ordered_inverted_access(answer);
         }
-        // Membership falls out of the same rank descents: a member contains
-        // the tuple iff its (lt, le) bracket is non-empty. The checked sums
-        // are build-guarded (Σ member counts fits the rank space); a trip
-        // would mean a corrupted structure and degrades to "not found".
+        // The checked sums are build-guarded (Σ member counts fits the rank
+        // space); a trip would mean a corrupted structure and degrades to
+        // "not found".
         let (mut lt, mut contained) = (0 as Weight, false);
         for (i, m) in self.members.iter().enumerate() {
-            let (l, e) = m.tuple_bounds(answer).ok()?;
-            contained |= e > l;
+            let l = match m.ordered_inverted_access_of(answer, &mut scratch.probe) {
+                Some(pos) => {
+                    contained = true;
+                    pos
+                }
+                None => m.tuple_bounds(answer).ok()?.0,
+            };
             lt = lt.checked_add(self.owned_before(i, l))?;
         }
         contained.then_some(lt)
@@ -768,6 +832,9 @@ mod tests {
         let ranked = RankedUcq::build(u, db, &syms).unwrap();
         let expected = sorted_union(u, db, order);
         assert_eq!(ranked.count() as usize, expected.len(), "count");
+        // One scratch across every call: candidate swaps must not leak
+        // state from one access into the next.
+        let mut scratch = RankedScratch::default();
         for (k, row) in expected.iter().enumerate() {
             assert_eq!(
                 ranked.ordered_access(k as Weight).as_ref(),
@@ -775,12 +842,25 @@ mod tests {
                 "rank {k} under {order:?}"
             );
             assert_eq!(
+                ranked.ordered_access_into(k as Weight, &mut scratch),
+                Some(row.as_slice()),
+                "scratch rank {k} under {order:?}"
+            );
+            assert_eq!(
                 ranked.ordered_inverted_access(row),
                 Some(k as Weight),
                 "inverted rank {k}"
             );
+            assert_eq!(
+                ranked.ordered_inverted_access_of(row, &mut scratch),
+                Some(k as Weight),
+                "scratch inverted rank {k}"
+            );
         }
         assert!(ranked.ordered_access(ranked.count()).is_none());
+        assert!(ranked
+            .ordered_access_into(ranked.count(), &mut scratch)
+            .is_none());
         let merged: Vec<Vec<Value>> = ranked.enumerate().collect();
         assert_eq!(merged, expected, "merge vs ranks");
     }
@@ -856,6 +936,87 @@ mod tests {
         let syms = [Symbol::new("x")];
         let ranked = RankedUcq::build(&u, &db, &syms).unwrap();
         assert_eq!(ranked.count(), 3);
+    }
+
+    /// A union of single-relation members `Qi(x, y) :- Ri(x, y)`, one per
+    /// row list.
+    fn member_union(members: &[&[&[i64]]]) -> (UnionQuery, Database) {
+        let mut db = Database::new();
+        let mut text = String::new();
+        for (i, rows) in members.iter().enumerate() {
+            add(&mut db, &format!("R{i}"), rel_int(&["a", "b"], rows));
+            text.push_str(&format!("Q{i}(x, y) :- R{i}(x, y). "));
+        }
+        (ucq(text.trim_end()), db)
+    }
+
+    /// Member 0 is positioned by arithmetic on the other members' owned
+    /// prefixes; these shapes stress every term of that sum.
+    #[test]
+    fn union_access_edge_shapes_match_naive() {
+        let shapes: [&[&[&[i64]]]; 6] = [
+            // Member 0 empty: every answer is member 1's.
+            &[&[], &[&[1, 1], &[2, 0], &[3, 5]]],
+            // Member 0 ⊂ member 1: member 1 owns only the rest.
+            &[
+                &[&[2, 2], &[4, 4]],
+                &[&[1, 1], &[2, 2], &[3, 3], &[4, 4], &[5, 5]],
+            ],
+            // Member 1 ⊂ member 0: member 1 owns nothing.
+            &[&[&[1, 1], &[2, 2], &[3, 3]], &[&[1, 1], &[3, 3]]],
+            // Member 0 wholly below, then wholly above, member 1.
+            &[&[&[1, 1], &[1, 2]], &[&[5, 0], &[6, 1]]],
+            &[&[&[5, 0], &[6, 1]], &[&[1, 1], &[1, 2]]],
+            // Three overlapping members.
+            &[
+                &[&[1, 1], &[2, 2], &[3, 3]],
+                &[&[2, 2], &[3, 3], &[4, 4]],
+                &[&[1, 1], &[4, 4], &[5, 5], &[3, 1]],
+            ],
+        ];
+        for members in shapes {
+            let (u, db) = member_union(members);
+            check_ranked(&u, &db, &["x", "y"]);
+            check_ranked(&u, &db, &["y", "x"]);
+        }
+        let (u, db) = member_union(shapes[2]);
+        let ranked = RankedUcq::build(&u, &db, &syms(&["x", "y"])).unwrap();
+        assert_eq!(
+            ranked.non_owned[1].len() as Weight,
+            ranked.members()[1].count(),
+            "member 1 should own nothing"
+        );
+    }
+
+    #[test]
+    fn inverted_access_edge_answers() {
+        let (u, db) = member_union(&[
+            &[&[1, 1], &[2, 2]],
+            &[&[2, 2], &[3, 3]],
+            &[&[0, 9], &[3, 3]],
+        ]);
+        let ranked = RankedUcq::build(&u, &db, &syms(&["x", "y"])).unwrap();
+        let mut scratch = RankedScratch::default();
+        let int = |a: i64, b: i64| [Value::Int(a), Value::Int(b)];
+        let unseen = [Value::str("ranked-ucq-value-never-interned"), Value::Int(1)];
+        // The union is (0,9) < (1,1) < (2,2) < (3,3).
+        let cases: [(&[Value], Option<Weight>); 7] = [
+            (&int(0, 9), Some(0)), // only in the last member
+            (&int(3, 3), Some(3)), // only in later members
+            (&int(2, 2), Some(2)), // shared by members 0 and 1
+            (&int(1, 2), None),    // known values, in no member
+            (&unseen, None),       // a value the dictionary never saw
+            (&[Value::Int(1)], None),
+            (&[Value::Int(1), Value::Int(1), Value::Int(1)], None),
+        ];
+        for (answer, rank) in cases {
+            assert_eq!(ranked.ordered_inverted_access(answer), rank, "{answer:?}");
+            assert_eq!(
+                ranked.ordered_inverted_access_of(answer, &mut scratch),
+                rank,
+                "{answer:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::Result;
 use crate::ServeError;
-use rae_core::{DeletableSet, RankedUcq, Weight};
+use rae_core::{DeletableSet, RankedScratch, RankedUcq, Weight};
 use rae_data::{Generation, GenerationPin, Symbol, Value};
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
@@ -132,19 +132,43 @@ impl Snapshot {
     }
 
     /// The `k`-th live answer under the order, or `None` when
-    /// `k ≥ count()` — O(m² log² n + |T| log |T|).
+    /// `k ≥ count()` — a tombstone rank translation (O(|T| log |T|) worst
+    /// case) plus the union access: (m−1) member searches, member 0 (the
+    /// base) positioned arithmetically, so a folded snapshot reads one core
+    /// access and an overlay snapshot searches only the delta.
     pub fn ordered_access(&self, k: Weight) -> Option<Vec<Value>> {
+        RankedScratch::with_thread_local(|s| self.ordered_access_into(k, s).map(<[Value]>::to_vec))
+    }
+
+    /// Allocation-free [`Snapshot::ordered_access`]: writes into `scratch`
+    /// and returns a borrow.
+    pub fn ordered_access_into<'s>(
+        &self,
+        k: Weight,
+        scratch: &'s mut RankedScratch,
+    ) -> Option<&'s [Value]> {
         if k >= self.count() {
             return None;
         }
-        self.union.ordered_access(self.union_rank(k))
+        self.union.ordered_access_into(self.union_rank(k), scratch)
     }
 
     /// The live rank of `answer`, or `None` if it is not a live answer
     /// (unknown tuples and tombstoned answers are indistinguishable here,
-    /// exactly as deletion semantics require).
+    /// exactly as deletion semantics require). One hash probe per member
+    /// that contains the answer, a rank descent per member that lacks it.
     pub fn ordered_inverted_access(&self, answer: &[Value]) -> Option<Weight> {
-        let u = self.union.ordered_inverted_access(answer)?;
+        RankedScratch::with_thread_local(|s| self.ordered_inverted_access_of(answer, s))
+    }
+
+    /// Allocation-free [`Snapshot::ordered_inverted_access`] over the
+    /// buffers in `scratch`.
+    pub fn ordered_inverted_access_of(
+        &self,
+        answer: &[Value],
+        scratch: &mut RankedScratch,
+    ) -> Option<Weight> {
+        let u = self.union.ordered_inverted_access_of(answer, scratch)?;
         let below = self.tombstone_ranks.partition_point(|&r| r < u);
         if self.tombstone_ranks.get(below) == Some(&u) {
             return None;
@@ -158,15 +182,33 @@ impl Snapshot {
     /// access pair; rank-sensitive callers use
     /// [`Snapshot::ordered_access`].
     pub fn select(&self, k: Weight) -> Option<Vec<Value>> {
+        RankedScratch::with_thread_local(|s| self.select_into(k, s).map(<[Value]>::to_vec))
+    }
+
+    /// Allocation-free [`Snapshot::select`].
+    pub fn select_into<'s>(
+        &self,
+        k: Weight,
+        scratch: &'s mut RankedScratch,
+    ) -> Option<&'s [Value]> {
         let u = self.live.select(k)?;
-        self.union.ordered_access(u)
+        self.union.ordered_access_into(u, scratch)
     }
 
     /// Uniform sample over the live answers (with replacement), or `None`
     /// when the snapshot is empty.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Option<Vec<Value>> {
+        RankedScratch::with_thread_local(|s| self.sample_into(rng, s).map(<[Value]>::to_vec))
+    }
+
+    /// Allocation-free [`Snapshot::sample`].
+    pub fn sample_into<'s, R: Rng>(
+        &self,
+        rng: &mut R,
+        scratch: &'s mut RankedScratch,
+    ) -> Option<&'s [Value]> {
         let u = self.live.sample(rng)?;
-        self.union.ordered_access(u)
+        self.union.ordered_access_into(u, scratch)
     }
 
     /// How many live answers match a prefix of order values — two rank

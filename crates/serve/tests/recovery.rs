@@ -7,6 +7,7 @@
 //! Folds sweep the process-global dictionary generation, so every test
 //! serializes on [`lock`] like the main serving suite.
 
+use rae_core::RankedScratch;
 use rae_data::{Database, Relation, Schema, Symbol, Value};
 use rae_query::ConjunctiveQuery;
 use rae_serve::{AdmissionPolicy, Batch, FoldEvent, ServeWriter, ServingIndex};
@@ -122,6 +123,40 @@ fn recovery_restores_the_newest_fold_exactly() {
         let row = snap.ordered_access(k).unwrap();
         assert_eq!(snap.ordered_inverted_access(&row), Some(k));
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A base recovered zero-copy from a mapped snapshot file builds its
+/// inverted-access lookup tables lazily from the borrowed node tables on
+/// the first probe; every live rank must round-trip through them. The
+/// union's inverted access reports an answer only when a member's hash
+/// probe finds it, so a round trip proves the recovered tables work.
+#[test]
+fn recovered_borrowed_base_round_trips_inverted_access() {
+    let _guard = lock();
+    let dir = scratch("borrowed");
+    let (mut writer, _index) = setup();
+    writer.persist_folds_to(&dir);
+    let mut batch = Batch::new();
+    for o in 3..40 {
+        batch.insert("R", iv(&[o, 10 * o]));
+        batch.insert("S", iv(&[o, o % 7]));
+        batch.insert("S", iv(&[o, 100 + o]));
+    }
+    writer.commit(&batch).unwrap();
+    writer.fold_now().unwrap();
+
+    let (recovered, meta) = ServingIndex::recover(&dir).unwrap();
+    assert!(meta.borrowed, "recovery should serve from the mapping here");
+    let snap = recovered.snapshot();
+    assert_eq!(snap.count(), 2 + 37 * 2);
+    let mut scratch = RankedScratch::default();
+    for k in 0..snap.count() {
+        let row = snap.ordered_access(k).unwrap();
+        assert_eq!(snap.ordered_inverted_access(&row), Some(k), "rank {k}");
+        assert_eq!(snap.ordered_inverted_access_of(&row, &mut scratch), Some(k));
+    }
+    assert_eq!(snap.ordered_inverted_access(&iv(&[1, 10, 8])), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 

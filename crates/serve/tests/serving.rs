@@ -6,7 +6,7 @@
 //! every test serializes on [`lock`] — concurrent sweeps from parallel
 //! tests would stale each other's relations mid-build.
 
-use rae_core::{OrderedCqIndex, Weight};
+use rae_core::{OrderedCqIndex, RankedScratch, Weight};
 use rae_data::{Database, Relation, Schema, Symbol, Value};
 use rae_query::ConjunctiveQuery;
 use rae_serve::{enumeration_digest, AdmissionPolicy, Batch, ServeError, ServeWriter};
@@ -100,12 +100,24 @@ fn check_snapshot(snap: &rae_serve::Snapshot, cq: &ConjunctiveQuery, m: &Mirror)
         snap.epoch()
     );
     let n = snap.count();
-    // ordered_access ↔ ordered_inverted_access are inverse bijections.
+    // ordered_access ↔ ordered_inverted_access are inverse bijections, and
+    // the scratch variants (one scratch reused throughout) agree with them.
+    let mut scratch = RankedScratch::default();
     for k in 0..n {
         let t = snap.ordered_access(k).expect("rank in range");
         assert_eq!(snap.ordered_inverted_access(&t), Some(k), "rank {k}");
+        assert_eq!(
+            snap.ordered_access_into(k, &mut scratch),
+            Some(t.as_slice())
+        );
+        assert_eq!(snap.ordered_inverted_access_of(&t, &mut scratch), Some(k));
+        assert_eq!(
+            snap.select_into(k, &mut scratch).map(<[Value]>::to_vec),
+            snap.select(k)
+        );
     }
     assert_eq!(snap.ordered_access(n), None);
+    assert_eq!(snap.ordered_access_into(n, &mut scratch), None);
     // select() is a bijection onto the same answer set.
     let mut selected: Vec<Vec<Value>> = (0..n).map(|k| snap.select(k).unwrap()).collect();
     selected.sort();
@@ -203,6 +215,65 @@ fn overlay_matches_rebuild_oracle_through_churn() {
     assert_eq!(folded.delta_count(), 0);
     assert_eq!(w.pending_ops(), 0);
     check_snapshot(&folded, &cq, &m);
+}
+
+/// An overlay whose delta answers all sort on one side of every base
+/// answer (`o` below or above the base's 10..14), with tombstones from a
+/// base deletion: the base, member 0 of the union, is then positioned
+/// entirely by the delta's owned prefix.
+fn check_delta_at_one_end(delta_o: std::ops::Range<i64>) {
+    let cq = join_query();
+    let base_r: Vec<[i64; 2]> = (10..14).map(|o| [o, o * 10]).collect();
+    let base_s: Vec<[i64; 2]> = (10..14)
+        .flat_map(|o| [[o, o * 100], [o, o * 100 + 1]])
+        .collect();
+    let mut m = Mirror {
+        r: base_r.iter().map(|row| iv(row)).collect(),
+        s: base_s.iter().map(|row| iv(row)).collect(),
+    };
+    let (mut w, idx) = ServeWriter::new(
+        cq.clone(),
+        &two_rel_db(&base_r, &base_s),
+        &order(),
+        AdmissionPolicy::default(),
+    )
+    .unwrap();
+    let mut b = Batch::new();
+    for o in delta_o.clone() {
+        for row in [("R", iv(&[o, o * 10])), ("S", iv(&[o, o * 100]))] {
+            b.insert(row.0, row.1.clone());
+            m.insert(row.0, row.1);
+        }
+    }
+    b.delete("S", iv(&[12, 1200]));
+    m.delete("S", &iv(&[12, 1200]));
+    w.commit(&b).unwrap();
+    let snap = idx.snapshot();
+    assert_eq!(snap.delta_count(), delta_o.clone().count() as Weight);
+    assert_eq!(snap.tombstone_count(), 1);
+    let n = snap.count();
+    let (first, last) = (
+        snap.ordered_access(0).unwrap(),
+        snap.ordered_access(n - 1).unwrap(),
+    );
+    if delta_o.start < 10 {
+        assert!(delta_o.contains(&first[0].as_int().unwrap()), "{first:?}");
+    } else {
+        assert!(delta_o.contains(&last[0].as_int().unwrap()), "{last:?}");
+    }
+    check_snapshot(&snap, &cq, &m);
+}
+
+#[test]
+fn delta_answers_all_before_the_base_round_trip() {
+    let _g = lock();
+    check_delta_at_one_end(1..5);
+}
+
+#[test]
+fn delta_answers_all_after_the_base_round_trip() {
+    let _g = lock();
+    check_delta_at_one_end(50..54);
 }
 
 #[test]

@@ -663,4 +663,47 @@ proptest! {
             None
         );
     }
+
+    // Random small unions of two or three same-shape members (often
+    // overlapping, sometimes empty — member 0 included): every rank and the
+    // past-the-end rank through one reused scratch, every inverted rank, and
+    // absent answers, against naive sort-dedup.
+    #[test]
+    fn random_small_unions_match_naive_at_every_rank(
+        r0 in edges_strategy(),
+        r1 in edges_strategy(),
+        r2 in edges_strategy(),
+        three in 0usize..2,
+        flip in 0usize..2,
+    ) {
+        let mut db = Database::new();
+        let mut text = String::new();
+        for (i, edges) in [&r0, &r1, &r2].into_iter().take(2 + three).enumerate() {
+            db.add_relation(format!("R{i}"), edge_relation(edges)).unwrap();
+            text.push_str(&format!("Q{i}(x, y) :- R{i}(x, y). "));
+        }
+        let union: UnionQuery = text.trim_end().parse().unwrap();
+        let ords = [["x", "y"], ["y", "x"]];
+        let order: Vec<Symbol> = ords[flip].iter().map(Symbol::new).collect();
+        let ranked = RankedUcq::build(&union, &db, &order).unwrap();
+        let perm: Vec<usize> = if flip == 0 { vec![0, 1] } else { vec![1, 0] };
+        let naive = naive_eval_union(&union, &db).unwrap();
+        let mut rows: Vec<Vec<Value>> = naive.rows().map(<[Value]>::to_vec).collect();
+        sort_rows_by(&mut rows, &perm);
+        prop_assert_eq!(ranked.count() as usize, rows.len());
+        let mut scratch = RankedScratch::default();
+        for (k, expected) in rows.iter().enumerate() {
+            let k = k as Weight;
+            prop_assert_eq!(
+                ranked.ordered_access_into(k, &mut scratch),
+                Some(expected.as_slice())
+            );
+            prop_assert_eq!(ranked.ordered_inverted_access_of(expected, &mut scratch), Some(k));
+        }
+        prop_assert!(ranked.ordered_access_into(ranked.count(), &mut scratch).is_none());
+        for absent in [[5, 5], [-1, 0]] {
+            let absent = [Value::Int(absent[0]), Value::Int(absent[1])];
+            prop_assert_eq!(ranked.ordered_inverted_access_of(&absent, &mut scratch), None);
+        }
+    }
 }

@@ -3,14 +3,18 @@
 //! sampler's `attempt_into` must perform **zero** heap allocations per
 //! answer, measured by a counting global allocator.
 //!
-//! All measurements run inside single tests (the counter is process-global),
-//! and every path gets one warm-up call first so scratch buffers and lazy
-//! lookup tables reach their steady state.
+//! The counter is thread-local (allocations of tests running in parallel
+//! never reach a measured region), and every path gets a warm-up first so
+//! scratch buffers and lazy lookup tables reach their steady state.
 
 use rae::prelude::*;
 use rae_bench::alloc_counter::{count_allocations, CountingAllocator};
+use rae_serve::{AdmissionPolicy, Batch, ServeWriter, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -44,8 +48,45 @@ fn index() -> CqIndex {
     CqIndex::build(&q, &skewed_db()).unwrap()
 }
 
-/// One combined test so no other test's allocations interleave with the
-/// measured regions.
+/// The gate itself: a measured region reads 0 while another thread
+/// allocates in a loop, and still counts the measuring thread's own
+/// allocations.
+#[test]
+fn allocation_counter_ignores_other_threads() {
+    let stop = AtomicBool::new(false);
+    let noise = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                black_box(vec![0u8; 64]);
+                noise.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        while noise.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        // Hold the region open until the other thread has allocated
+        // a thousand times inside it (or a generous timeout passes).
+        let ((), allocs) = count_allocations(|| {
+            let (start, from) = (Instant::now(), noise.load(Ordering::Relaxed));
+            while noise.load(Ordering::Relaxed) < from + 1000
+                && start.elapsed() < Duration::from_secs(10)
+            {
+                std::hint::spin_loop();
+            }
+        });
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(allocs, 0, "another thread's allocations were counted");
+    });
+    assert!(
+        noise.load(Ordering::Relaxed) > 1000,
+        "the noisy thread stalled"
+    );
+    let (v, allocs) = count_allocations(|| black_box(vec![1u8; 16]));
+    assert_eq!(v.len(), 16);
+    assert_eq!(allocs, 1, "the measuring thread's allocation was missed");
+}
+
 #[test]
 fn steady_state_answer_paths_do_not_allocate() {
     let idx = index();
@@ -399,17 +440,24 @@ fn ranked_union_paths_do_not_allocate() {
     });
     assert_eq!(allocs, 0, "RankedUcq::ordered_access_into allocated");
 
-    // --- union inverted access (membership + rank via descents) -----------
+    // --- union inverted access (hash probes + descents) --------------------
     let owned: Vec<Vec<Value>> = (0..32)
         .map(|k| ranked.ordered_access(k * (n / 32)).unwrap())
         .collect();
-    std::hint::black_box(ranked.ordered_inverted_access(&owned[0])); // warm-up
+    for m in ranked.members() {
+        m.index().prepare_inverted_access();
+    }
+    std::hint::black_box(ranked.ordered_inverted_access_of(&owned[0], &mut scratch)); // warm-up
     let ((), allocs) = count_allocations(|| {
         for answer in &owned {
-            std::hint::black_box(ranked.ordered_inverted_access(answer).unwrap());
+            std::hint::black_box(
+                ranked
+                    .ordered_inverted_access_of(answer, &mut scratch)
+                    .unwrap(),
+            );
         }
     });
-    assert_eq!(allocs, 0, "RankedUcq::ordered_inverted_access allocated");
+    assert_eq!(allocs, 0, "RankedUcq::ordered_inverted_access_of allocated");
 
     // --- union rank descent (range_count / prefix_bounds) ------------------
     let prefixes: Vec<Vec<Value>> = owned
@@ -562,4 +610,75 @@ fn borrowed_snapshot_answer_paths_do_not_allocate() {
 
     drop(idx);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The served read paths over a caller-owned scratch: ordered access,
+/// inverted access, select and sample perform zero heap allocations on a
+/// folded snapshot (the base alone) and on an overlay snapshot (base ⊎
+/// delta with tombstones). No fold runs here: folds sweep the process-wide
+/// dictionary generation, which this binary's parallel tests must not see.
+#[test]
+fn served_snapshot_paths_do_not_allocate() {
+    let q: ConjunctiveQuery = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
+    let order: Vec<Symbol> = ["z", "y", "x"].iter().map(Symbol::new).collect();
+    let (mut writer, index) =
+        ServeWriter::new(q, &skewed_db(), &order, AdmissionPolicy::default()).unwrap();
+    let folded = index.snapshot();
+    assert_eq!(folded.delta_count(), 0);
+    check_served_reads(&folded, "folded");
+
+    let mut batch = Batch::new();
+    batch
+        .insert("R", vec![Value::Int(9_000), Value::Int(3)])
+        .insert("S", vec![Value::Int(5), Value::Int(9_001)])
+        .delete("R", vec![Value::Int(5), Value::Int(5)]);
+    writer.commit(&batch).unwrap();
+    let overlay = index.snapshot();
+    assert!(
+        overlay.delta_count() > 0,
+        "the batch should add delta answers"
+    );
+    assert!(
+        overlay.tombstone_count() > 0,
+        "the batch should tombstone answers"
+    );
+    check_served_reads(&overlay, "overlay");
+}
+
+fn check_served_reads(snap: &Snapshot, label: &str) {
+    let n = snap.count();
+    assert!(n > 100);
+    let answers: Vec<Vec<Value>> = (0..n).map(|k| snap.ordered_access(k).unwrap()).collect();
+    let mut scratch = RankedScratch::default();
+    let mut rng = StdRng::seed_from_u64(61);
+    // Warm-up over every rank and answer: sizes both scratch buffers and
+    // builds every member's lazy lookup tables.
+    for (k, answer) in answers.iter().enumerate() {
+        let k = k as Weight;
+        assert_eq!(
+            snap.ordered_access_into(k, &mut scratch),
+            Some(answer.as_slice())
+        );
+        assert_eq!(
+            snap.ordered_inverted_access_of(answer, &mut scratch),
+            Some(k)
+        );
+        snap.select_into(k, &mut scratch).unwrap();
+    }
+    snap.sample_into(&mut rng, &mut scratch).unwrap();
+    let ((), allocs) = count_allocations(|| {
+        for _ in 0..500 {
+            let k = rng.gen_range(0..n);
+            black_box(snap.ordered_access_into(k, &mut scratch).unwrap());
+            black_box(snap.select_into(k, &mut scratch).unwrap());
+            black_box(snap.sample_into(&mut rng, &mut scratch).unwrap());
+        }
+        for answer in answers.iter().step_by(7) {
+            black_box(
+                snap.ordered_inverted_access_of(answer, &mut scratch)
+                    .unwrap(),
+            );
+        }
+    });
+    assert_eq!(allocs, 0, "{label} snapshot reads allocated");
 }
