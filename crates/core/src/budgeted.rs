@@ -14,7 +14,8 @@
 //! enumeration yields in tens of nanoseconds) converge to a probe every 64
 //! answers — two clock/atomic reads amortized over 64 items, preserving the
 //! constant-delay guarantee — while expensive streams (a `RankedUcq` access
-//! is O(m² log² n) per item) converge to a probe per item, bounding
+//! can make O(log s) probes of m rank descents each per item) converge to a
+//! probe per item, bounding
 //! cancellation latency by roughly one item instead of 64. A fixed cadence
 //! probed every 64th item regardless, so cancelling a ranked drain could
 //! take 64 × the per-item cost to surface.

@@ -18,16 +18,28 @@
 //!
 //! * `lt_∪(t) = Σᵢ owned_before_i(ltᵢ(t))` — the distinct-union rank of `t`
 //!   (each `ltᵢ` is an O(log n) rank descent, [`OrderedCqIndex::prefix_bounds`]);
-//! * [`RankedUcq::ordered_access`]`(k)` makes (m−1) member searches:
-//!   members 1..m are binary-searched for their first answer whose union
-//!   `le`-rank exceeds `k`, and their owned prefixes `cᵢ` are summed.
-//!   Member 0 owns every answer it contains, so it is positioned
-//!   arithmetically at `k − Σ cᵢ`. The order-minimum candidate is the
-//!   answer — O(m² log² n), a single core access when m = 1;
+//! * [`RankedUcq::ordered_access`]`(k)` locates, in each member `i ≥ 1`, the
+//!   first answer whose union `le`-rank exceeds `k`. Preprocessing stored
+//!   *fences* — the union `le`-ranks of member `i`'s answers at positions
+//!   `0, sᵢ, 2sᵢ, …` — so the search is one binary search over the fences
+//!   plus O(log sᵢ) probes inside the stride window the fences leave. If
+//!   that answer's `le`-rank is `k + 1` it *is* the `k`-th union answer and
+//!   is returned; otherwise its owned prefix `cᵢ` is summed. Member 0 owns
+//!   every answer it contains, so when no later member holds the answer it
+//!   sits in member 0 at `k − Σ cᵢ`. One member access in total; no rank
+//!   descent at all when every stride is 1;
 //! * [`RankedUcq::ordered_inverted_access`] is one Algorithm 4 hash probe
 //!   per member that contains the answer and a rank descent per member
 //!   that lacks it;
 //! * [`RankedUcq::range_count`] is a single sweep of rank descents.
+//!
+//! The stride is `sᵢ = ⌈nᵢ / rowsᵢ⌉`, where `rowsᵢ` is the total length of
+//! member `i`'s node relations, so member `i` keeps at most `rowsᵢ` fences
+//! and preprocessing stays linear in the input. A member whose output does
+//! not exceed its input (a single-atom index, e.g. the serving layer's
+//! delta) gets stride 1: every answer's union rank is stored and the access
+//! makes zero probes. Building a fence costs one member access plus a rank
+//! descent in each *other* member (member `i`'s own term is its position).
 //!
 //! Non-owned positions are discovered by a pairwise *leapfrog* walk over
 //! the ordered indexes: both cursors jump via rank descents, so a pair
@@ -118,6 +130,12 @@ pub struct RankedUcq {
     members: Vec<Arc<OrderedCqIndex>>,
     /// Per member: sorted ranks of answers owned by an earlier member.
     non_owned: Vec<Vec<Weight>>,
+    /// Per member: union `le`-ranks sampled at a fixed stride (module
+    /// docs). Empty for member 0 and under the shared backend.
+    fences: Vec<Fences>,
+    /// The most plan nodes of any member: both scratch buffers are sized
+    /// for it, so answers from any member land in them without growing.
+    max_nodes: usize,
     /// Order-significant head positions (shared by all members).
     cmp_positions: Vec<usize>,
     /// `|Q_1(D) ∪ … ∪ Q_m(D)|`.
@@ -129,10 +147,20 @@ pub struct RankedUcq {
     shared: Option<OrderedMcUcqIndex>,
 }
 
+/// Member `i`'s union `le`-ranks at positions `0, stride, 2·stride, …`:
+/// `ranks[j]` counts the distinct union answers at or below member `i`'s
+/// answer at position `j · stride`.
+#[derive(Debug, Default)]
+struct Fences {
+    stride: Weight,
+    ranks: Vec<Weight>,
+}
+
 /// Reusable buffers for [`RankedUcq`]'s allocation-free accessors: two
-/// [`AccessScratch`]es, sized on first use — `probe` for search probes,
-/// challenger candidates and the inverted hash probes, `out` for the best
-/// candidate, which is the returned answer.
+/// [`AccessScratch`]es — `probe` for in-window search probes and the
+/// inverted hash probes, `out` for the returned answer, which may come from
+/// any member. The access paths size both for the widest member on first
+/// use.
 #[derive(Debug, Default)]
 pub struct RankedScratch {
     probe: AccessScratch,
@@ -195,6 +223,8 @@ impl RankedUcq {
                 let total = mc.count();
                 return Ok(RankedUcq {
                     non_owned: vec![Vec::new(); members.len()],
+                    fences: Vec::new(),
+                    max_nodes: 0,
                     members,
                     cmp_positions,
                     total,
@@ -258,14 +288,56 @@ impl RankedUcq {
                 .zip(&non_owned)
                 .map(|(m, d)| m.count() - d.len() as Weight)
                 .sum();
-            Ok(RankedUcq {
+            let max_nodes = members
+                .iter()
+                .map(|m| m.index().node_count())
+                .max()
+                .unwrap_or(0);
+            let mut ranked = RankedUcq {
                 members,
                 non_owned,
+                fences: Vec::new(),
+                max_nodes,
                 cmp_positions,
                 total,
                 shared: None,
-            })
+            };
+            ranked.fences = ranked.build_fences(budget)?;
+            Ok(ranked)
         })
+    }
+
+    /// The fences of every member (member 0 gets none): member `i`'s union
+    /// `le`-ranks at stride `⌈nᵢ / rowsᵢ⌉`, at most `rowsᵢ` of them, each
+    /// one member access plus a rank descent in every other member. The
+    /// budget is checked once per 1024 fences.
+    fn build_fences(&self, budget: &Budget<'_>) -> Result<Vec<Fences>> {
+        let mut scratch = AccessScratch::new();
+        let mut out = Vec::with_capacity(self.members.len());
+        out.push(Fences::default());
+        for (i, member) in self.members.iter().enumerate().skip(1) {
+            let index = member.index();
+            let rows: usize = (0..index.node_count())
+                .map(|node| index.node_relation(node).len())
+                .sum();
+            let n = member.count();
+            let stride = n.div_ceil(rows.max(1) as Weight).max(1);
+            // At most `rows` fences, so the count fits a `usize`.
+            let len = n.div_ceil(stride) as usize;
+            let mut ranks = Vec::with_capacity(len);
+            for j in 0..len {
+                if j % 1024 == 0 {
+                    budget.check("ranked/fences")?;
+                }
+                let pos = j as Weight * stride;
+                let ans = member
+                    .ordered_access_into(pos, &mut scratch)
+                    .expect("pos < count");
+                ranks.push(self.member_union_le(i, pos, ans)?);
+            }
+            out.push(Fences { stride, ranks });
+        }
+        Ok(out)
     }
 
     /// The per-disjunct ordered indexes (shared handles; deref to
@@ -302,19 +374,19 @@ impl RankedUcq {
         p - self.non_owned[i].partition_point(|&x| x < p) as Weight
     }
 
-    /// The union's `(lt, le)` ranks of a full tuple (head order).
-    fn tuple_union_bounds(&self, tuple: &[Value]) -> Result<(Weight, Weight)> {
-        if let Some(mc) = &self.shared {
-            return mc.tuple_union_bounds(tuple);
-        }
+    /// The union `le`-rank of `ans`, member `i`'s answer at position `pos`:
+    /// member `i` contributes its owned answers among positions `0..=pos`
+    /// directly; only the other members pay a rank descent.
+    fn member_union_le(&self, i: usize, pos: Weight, ans: &[Value]) -> Result<Weight> {
         let over = || crate::error::rank_overflow("union rank sums");
-        let (mut lt, mut le) = (0 as Weight, 0 as Weight);
-        for (i, m) in self.members.iter().enumerate() {
-            let (l, e) = m.tuple_bounds(tuple)?;
-            lt = lt.checked_add(self.owned_before(i, l)).ok_or_else(over)?;
-            le = le.checked_add(self.owned_before(i, e)).ok_or_else(over)?;
+        let mut le = self.owned_before(i, pos + 1);
+        for (j, m) in self.members.iter().enumerate() {
+            if j != i {
+                let (_, e) = m.tuple_bounds(ans)?;
+                le = le.checked_add(self.owned_before(j, e)).ok_or_else(over)?;
+            }
         }
-        Ok((lt, le))
+        Ok(le)
     }
 
     /// The `(lt, le)` union ranks bracketing a prefix of order values:
@@ -353,9 +425,10 @@ impl RankedUcq {
     }
 
     /// The `k`-th distinct union answer under the order, or `None` when
-    /// `k ≥ count()` — (m−1) member searches of O(m log² n) each, member 0
-    /// positioned arithmetically: O(m² log² n), one O(log n) access when
-    /// m = 1.
+    /// `k ≥ count()` — per member `i ≥ 1` a binary search over its fences
+    /// and O(log sᵢ) probes of O(m log n) each, then one member access:
+    /// O(m log n) plus one core access when every stride is 1, a single
+    /// core access when m = 1.
     pub fn ordered_access(&self, k: Weight) -> Option<Vec<Value>> {
         RankedScratch::with_thread_local(|s| self.ordered_access_into(k, s).map(<[Value]>::to_vec))
     }
@@ -381,21 +454,29 @@ impl RankedUcq {
             scratch.out.answer_mut().clone_from_slice(&ans);
             return Some(scratch.out.answer());
         }
-        // Per member i ≥ 1: the first position whose answer's union
-        // le-rank exceeds k (the union rank is monotone along the member's
-        // order). Its `c_i` owned answers before that position are exactly
-        // member i's owned answers below the k-th union answer u_k, and
-        // every union answer below u_k has one owner, so member 0 owns
-        // `k − Σ c_i` of them. Member 0 owns every answer it contains, so
-        // that count is also the position of its first answer ≥ u_k — no
-        // search. The owner of u_k lands exactly on it; every other
-        // member's candidate compares ≥, so the order-minimum candidate is
-        // the answer. `scratch.out` holds the best candidate so far.
+        let arity = self.head().len();
+        scratch.probe.reserve_access(arity, self.max_nodes);
+        scratch.out.reserve_access(arity, self.max_nodes);
+        // Per member i ≥ 1: `lo`, the first position whose answer's union
+        // le-rank exceeds k (the union rank is strictly increasing along the
+        // member's order). If that answer's le-rank is exactly k + 1 it is
+        // the k-th union answer u_k. Otherwise u_k is not in member i, and
+        // its `c_i` owned answers before `lo` are exactly member i's owned
+        // answers below u_k. If no member i ≥ 1 holds u_k, member 0 owns it
+        // and every union answer below it has one owner, so member 0 owns
+        // `k − Σ c_i` answers below u_k — which, since member 0 owns all
+        // its answers, is u_k's position there.
         let mut below: Weight = 0;
-        let mut best = false;
         for (i, member) in self.members.iter().enumerate().skip(1) {
-            let count = member.count();
-            let (mut lo, mut hi) = (0 as Weight, count);
+            let Fences { stride, ranks } = &self.fences[i];
+            // Fence f−1 is at or below k and fence f above it, so `lo` lies
+            // in ((f−1)·s, f·s] — an empty window when s = 1.
+            let f = ranks.partition_point(|&le| le <= k) as Weight;
+            let mut lo = if f == 0 { 0 } else { (f - 1) * stride + 1 };
+            let mut hi = (f * stride).min(member.count());
+            // The le-rank at `hi`; 0 (never k + 1) when `hi` is past the
+            // member's last answer.
+            let mut le_hi = ranks.get(f as usize).copied().unwrap_or(0);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 let ans = member
@@ -404,50 +485,21 @@ impl RankedUcq {
                 // Build-checked: Σ member counts fits the rank space and
                 // bounds every union sum, so the checked arithmetic cannot
                 // trip on a successfully built structure.
-                let (_, le) = self.tuple_union_bounds(ans).ok()?;
+                let le = self.member_union_le(i, mid, ans).ok()?;
                 if le > k {
                     hi = mid;
+                    le_hi = le;
                 } else {
                     lo = mid + 1;
                 }
             }
-            below += self.owned_before(i, lo);
-            if lo < count {
-                self.offer(member, lo, &mut best, scratch);
+            if le_hi == k + 1 {
+                return member.ordered_access_into(lo, &mut scratch.out);
             }
+            below += self.owned_before(i, lo);
         }
         // Σ c_i ≤ k: the c_i count distinct union answers below u_k.
-        let p0 = k - below;
-        if p0 < self.members[0].count() {
-            self.offer(&self.members[0], p0, &mut best, scratch);
-        }
-        debug_assert!(best, "k < count guarantees an owner member");
-        best.then_some(scratch.out.answer())
-    }
-
-    /// Materializes `member`'s answer at `pos` as a candidate: it becomes
-    /// `scratch.out` when there is none yet (`!*best`) or when it compares
-    /// below the current one.
-    fn offer(
-        &self,
-        member: &OrderedCqIndex,
-        pos: Weight,
-        best: &mut bool,
-        scratch: &mut RankedScratch,
-    ) {
-        if !*best {
-            *best = true;
-            member
-                .ordered_access_into(pos, &mut scratch.out)
-                .expect("candidate position in range");
-            return;
-        }
-        let cand = member
-            .ordered_access_into(pos, &mut scratch.probe)
-            .expect("candidate position in range");
-        if self.order_cmp(cand, scratch.out.answer()) == Ordering::Less {
-            std::mem::swap(&mut scratch.probe, &mut scratch.out);
-        }
+        self.members[0].ordered_access_into(k - below, &mut scratch.out)
     }
 
     /// The rank of `answer` (head order) among the distinct union answers,
@@ -863,6 +915,69 @@ mod tests {
             .is_none());
         let merged: Vec<Vec<Value>> = ranked.enumerate().collect();
         assert_eq!(merged, expected, "merge vs ranks");
+        check_fences(&ranked);
+    }
+
+    /// Every member `i ≥ 1` keeps at most `rowsᵢ` fences, one per stride,
+    /// each the union `le`-rank of the answer it samples; member 0 keeps
+    /// none.
+    fn check_fences(ranked: &RankedUcq) {
+        if ranked.uses_shared_backend() {
+            assert!(ranked.fences.is_empty());
+            return;
+        }
+        assert!(ranked.fences[0].ranks.is_empty(), "member 0 has no fences");
+        for (i, m) in ranked.members().iter().enumerate().skip(1) {
+            let Fences { stride, ranks } = &ranked.fences[i];
+            let index = m.index();
+            let rows: usize = (0..index.node_count())
+                .map(|node| index.node_relation(node).len())
+                .sum();
+            assert!(ranks.len() <= rows, "member {i}: {} fences", ranks.len());
+            assert_eq!(*stride, m.count().div_ceil(rows.max(1) as Weight).max(1));
+            assert_eq!(ranks.len() as Weight, m.count().div_ceil(*stride));
+            for (j, &le) in ranks.iter().enumerate() {
+                let ans = m.ordered_access(j as Weight * stride).unwrap();
+                assert_eq!(Some(le - 1), ranked.ordered_inverted_access(&ans));
+            }
+        }
+    }
+
+    /// A member whose output exceeds its input rows gets stride > 1, so
+    /// access binary-searches inside the window between two fences.
+    #[test]
+    fn stride_windows_match_naive() {
+        let int_rel = |attrs: &[&str], rows: Vec<Vec<i64>>| {
+            let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+            rel_int(attrs, &rows)
+        };
+        let mut db = Database::new();
+        add(
+            &mut db,
+            "A",
+            int_rel(&["a"], (0..7).map(|v| vec![v]).collect()),
+        );
+        add(
+            &mut db,
+            "B",
+            int_rel(&["a"], (0..5).map(|v| vec![v]).collect()),
+        );
+        // P meets A × B on some pairs and adds answers outside it.
+        let p = (0..9).map(|v| vec![v, (v * 3) % 6]).collect();
+        add(&mut db, "P", int_rel(&["a", "b"], p));
+        let unions = [
+            "Q1(x, y) :- P(x, y). Q2(x, y) :- A(x), B(y).",
+            "Q1(x, y) :- A(x), B(y). Q2(x, y) :- P(x, y).",
+            "Q1(x, y) :- P(x, y). Q2(x, y) :- A(x), B(y). Q3(x, y) :- B(x), A(y).",
+        ];
+        for text in unions {
+            let u = ucq(text);
+            check_ranked(&u, &db, &["x", "y"]);
+            check_ranked(&u, &db, &["y", "x"]);
+        }
+        let ranked = RankedUcq::build(&ucq(unions[0]), &db, &syms(&["x", "y"])).unwrap();
+        // 35 answers over 12 rows.
+        assert_eq!(ranked.fences[1].stride, 3);
     }
 
     #[test]

@@ -71,6 +71,22 @@ impl AccessScratch {
         }
     }
 
+    /// Grows the buffers [`crate::CqIndex::access_into`] uses to fit an
+    /// access over any index of `arity` head values and at most `nodes`
+    /// plan nodes (the descent stack holds each node at most once), so
+    /// accesses alternating between such indexes never reallocate.
+    #[inline]
+    pub(crate) fn reserve_access(&mut self, arity: usize, nodes: usize) {
+        fn fit<T>(v: &mut Vec<T>, n: usize) {
+            if v.capacity() < n {
+                v.reserve(n - v.len());
+            }
+        }
+        fit(&mut self.answer, arity);
+        fit(&mut self.stack, nodes);
+        fit(&mut self.digits, nodes);
+    }
+
     /// Mutable view of the (already sized) answer buffer, for writers like
     /// [`crate::CqIndex::write_row_values`].
     #[inline]

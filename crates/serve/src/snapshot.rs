@@ -117,25 +117,31 @@ impl Snapshot {
         self.union.order()
     }
 
-    /// Translates a live rank `k` to its union rank: the least fixpoint of
-    /// `c ↦ |{t ∈ T : t ≤ k + c}|`, one binary search per iteration (at
-    /// most `|T|+1` iterations, in practice 1–2).
+    /// Translates a live rank `k` to its union rank in one binary search.
+    /// `t_j − j` counts the live ranks below tombstone `t_j` and never
+    /// decreases in `j`; the first `j` with `t_j − j > k` is the number of
+    /// tombstones below the `k`-th live answer, whose union rank is `k + j`.
     fn union_rank(&self, k: Weight) -> Weight {
-        let mut c: Weight = 0;
-        loop {
-            let c2 = self.tombstone_ranks.partition_point(|&r| r <= k + c) as Weight;
-            if c2 == c {
-                return k + c;
+        let t = &self.tombstone_ranks;
+        let (mut lo, mut hi) = (0usize, t.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            // Sorted distinct ranks: t_j ≥ j.
+            if t[mid] - mid as Weight <= k {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
-            c = c2;
         }
+        k + lo as Weight
     }
 
     /// The `k`-th live answer under the order, or `None` when
-    /// `k ≥ count()` — a tombstone rank translation (O(|T| log |T|) worst
-    /// case) plus the union access: (m−1) member searches, member 0 (the
-    /// base) positioned arithmetically, so a folded snapshot reads one core
-    /// access and an overlay snapshot searches only the delta.
+    /// `k ≥ count()` — a tombstone rank translation (one O(log |T|) binary
+    /// search) plus the union access ([`RankedUcq::ordered_access`]): a
+    /// folded snapshot reads one core access; an overlay snapshot searches
+    /// the delta's fences (stride 1 for the single-atom delta, so no
+    /// probes) and then makes one member access.
     pub fn ordered_access(&self, k: Weight) -> Option<Vec<Value>> {
         RankedScratch::with_thread_local(|s| self.ordered_access_into(k, s).map(<[Value]>::to_vec))
     }

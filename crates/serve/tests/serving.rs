@@ -13,7 +13,7 @@ use rae_serve::{enumeration_digest, AdmissionPolicy, Batch, ServeError, ServeWri
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -50,6 +50,12 @@ fn order() -> Vec<Symbol> {
 /// Fold-and-rebuild oracle: a fresh index over the given row sets,
 /// enumerated and digested exactly like a snapshot.
 fn oracle_digest(cq: &ConjunctiveQuery, r: &[Vec<Value>], s: &[Vec<Value>]) -> u64 {
+    let rows = oracle_rows(cq, r, s);
+    enumeration_digest(rows.iter().map(Vec::as_slice))
+}
+
+/// The fold-and-rebuild oracle's answers, in enumeration order.
+fn oracle_rows(cq: &ConjunctiveQuery, r: &[Vec<Value>], s: &[Vec<Value>]) -> Vec<Vec<Value>> {
     let mut db = Database::new();
     db.add_relation(
         "R",
@@ -67,7 +73,7 @@ fn oracle_digest(cq: &ConjunctiveQuery, r: &[Vec<Value>], s: &[Vec<Value>]) -> u
     while let Some(row) = e.next_ref() {
         rows.push(row.to_vec());
     }
-    enumeration_digest(rows.iter().map(Vec::as_slice))
+    rows
 }
 
 /// Mirror of the served state kept by the tests: plain row vectors.
@@ -274,6 +280,58 @@ fn delta_answers_all_before_the_base_round_trip() {
 fn delta_answers_all_after_the_base_round_trip() {
     let _g = lock();
     check_delta_at_one_end(50..54);
+}
+
+/// Deleting an order tombstones all of its answers, which are adjacent
+/// under `[o, t, p]`: runs of ≥ 64 contiguous tombstoned ranks at the
+/// front, in the middle and at the end of the base, beside delta answers.
+/// Every live rank translates through the runs to the oracle's answer.
+#[test]
+fn tombstone_runs_translate_every_live_rank() {
+    let _g = lock();
+    let cq = join_query();
+    let base_r: Vec<[i64; 2]> = (0..64).map(|o| [o, o + 1000]).collect();
+    let base_s: Vec<[i64; 2]> = (0..64).flat_map(|o| (0..8).map(move |p| [o, p])).collect();
+    let mut m = Mirror {
+        r: base_r.iter().map(|row| iv(row)).collect(),
+        s: base_s.iter().map(|row| iv(row)).collect(),
+    };
+    let (mut w, idx) = ServeWriter::new(
+        cq.clone(),
+        &two_rel_db(&base_r, &base_s),
+        &order(),
+        AdmissionPolicy::default(),
+    )
+    .unwrap();
+    let mut b = Batch::new();
+    for o in (0..8).chain(28..38).chain(56..64) {
+        let row = iv(&[o, o + 1000]);
+        b.delete("R", row.clone());
+        m.delete("R", &row);
+    }
+    // Delta answers between the runs, which stay contiguous in union ranks.
+    for o in [20, 45] {
+        let row = iv(&[o, o + 2000]);
+        b.insert("R", row.clone());
+        m.insert("R", row);
+    }
+    w.commit(&b).unwrap();
+    let snap = idx.snapshot();
+    assert_eq!(snap.tombstone_count(), (8 + 10 + 8) * 8);
+    assert_eq!(snap.delta_count(), 2 * 8);
+    let expected = oracle_rows(&cq, &m.r, &m.s);
+    assert_eq!(snap.count(), expected.len() as Weight);
+    let mut scratch = RankedScratch::default();
+    for (k, row) in expected.iter().enumerate() {
+        let k = k as Weight;
+        assert_eq!(snap.ordered_access(k).as_ref(), Some(row), "rank {k}");
+        assert_eq!(
+            snap.ordered_access_into(k, &mut scratch),
+            Some(row.as_slice())
+        );
+        assert_eq!(snap.ordered_inverted_access(row), Some(k), "rank {k}");
+    }
+    check_snapshot(&snap, &cq, &m);
 }
 
 #[test]
@@ -566,16 +624,21 @@ fn concurrent_readers_see_monotone_epochs_under_churn() {
     let db = two_rel_db(&r, &s);
     let (mut w, idx) = ServeWriter::new(cq, &db, &order(), AdmissionPolicy::default()).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
+    // Every reader completes one op before the first commit, so a reader
+    // first scheduled after the writer finishes still reports ops > 0.
+    const READERS: usize = 4;
+    let started = Arc::new(Barrier::new(READERS + 1));
     let mut readers = Vec::new();
-    for seed in 0..4u64 {
+    for seed in 0..READERS as u64 {
         let stop = Arc::clone(&stop);
+        let started = Arc::clone(&started);
         let idx = idx.clone();
         readers.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
             let mut reader = idx.reader();
             let mut last_epoch = 0u64;
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let snap = reader.refresh();
                 assert!(
                     snap.epoch() >= last_epoch,
@@ -590,10 +653,17 @@ fn concurrent_readers_see_monotone_epochs_under_churn() {
                     assert!(snap.select(rng.gen_range(0..n)).is_some());
                 }
                 ops += 1;
+                if ops == 1 {
+                    started.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             ops
         }));
     }
+    started.wait();
     let mut rng = StdRng::seed_from_u64(99);
     for i in 0..60i64 {
         let mut b = Batch::new();
