@@ -5,23 +5,17 @@
 //!
 //! commands:
 //!   fig1 fig2 fig3 fig4a fig4b fig5 fig6 fig7 fig8
-//!   rs-note ablation-delete ablation-binary
+//!   rs-note ablation-delete ablation-binary ablation-fold
 //!   all          every figure + ablations (at the configured scale)
 //! ```
 //!
 //! The default scale factor is 0.01 (≈130k tuples, seconds per figure);
 //! the paper used sf 5 on a large server. Shapes, not absolute numbers, are
-//! the reproduction target — see EXPERIMENTS.md.
+//! the reproduction target.
 
-use rae_bench::alloc_counter::CountingAllocator;
 use rae_bench::figures::{ablation, fig1, fig23, fig4, fig5, rs_note};
 use rae_bench::BenchConfig;
 use std::io::Write;
-
-/// Counting allocator so `bench-json` can report exact per-answer
-/// allocation counts (one relaxed atomic increment per alloc; negligible).
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
 
 fn main() {
     let mut cfg = BenchConfig::default();
@@ -70,76 +64,6 @@ fn run_command(command: &str, cfg: &BenchConfig) -> String {
         "fig7" => fig23::fig7(cfg),
         "fig8" => fig1::fig8(cfg),
         "rs-note" => rs_note::rs_note(cfg),
-        "bench-json" => {
-            let json = rae_bench::perf_report::bench_json(cfg);
-            std::fs::write("BENCH_1.json", &json).expect("write BENCH_1.json");
-            eprintln!("[repro] wrote BENCH_1.json");
-            json
-        }
-        "preprocessing" => {
-            // Measures the sort-based build pipeline (radix vs comparison,
-            // serial vs parallel) and asserts serial/parallel determinism —
-            // a digest divergence panics, failing the CI smoke step.
-            let json = rae_bench::preprocessing::preprocessing_json(cfg);
-            std::fs::write("BENCH_3.json", &json).expect("write BENCH_3.json");
-            eprintln!("[repro] wrote BENCH_3.json");
-            json
-        }
-        "churn" => {
-            // Runs last-in-process safely: each command builds its own
-            // database, so the generation sweeps cannot stale-out other
-            // commands' relations retroactively — but keep it isolated from
-            // `all` regardless.
-            let churn_cfg = rae_tpch::ChurnConfig {
-                seed: cfg.seed,
-                ..Default::default()
-            };
-            let json = rae_bench::churn::churn_json(&churn_cfg);
-            std::fs::write("BENCH_2.json", &json).expect("write BENCH_2.json");
-            eprintln!("[repro] wrote BENCH_2.json");
-            json
-        }
-        "robustness" => {
-            // The zero-cost-when-disabled proof: re-measures the
-            // instrumented access/build paths (failpoints compiled out in
-            // this binary) against the recorded BENCH_1/BENCH_3 figures and
-            // times the amortized budget probes.
-            let json = rae_bench::robustness::robustness_json(cfg);
-            std::fs::write("BENCH_4.json", &json).expect("write BENCH_4.json");
-            eprintln!("[repro] wrote BENCH_4.json");
-            json
-        }
-        "serving" => {
-            // Multi-threaded serving over the churn workload: throughput
-            // scaling, tail latency under churn, and the seeded chaos
-            // variant (armed only when this binary carries `failpoints`).
-            // Invariant breaks (torn snapshot, digest divergence) panic.
-            let json = rae_bench::serving::serving_json(cfg);
-            std::fs::write("BENCH_5.json", &json).expect("write BENCH_5.json");
-            eprintln!("[repro] wrote BENCH_5.json");
-            json
-        }
-        "persistence" => {
-            // Cold-start load vs full rebuild of Q3's ordered index at two
-            // scales, plus snapshot size and the checksum-validation share
-            // of the load. A loaded digest diverging from the in-memory
-            // build panics, failing the CI step.
-            let json = rae_bench::persistence::persistence_json(cfg);
-            std::fs::write("BENCH_6.json", &json).expect("write BENCH_6.json");
-            eprintln!("[repro] wrote BENCH_6.json");
-            json
-        }
-        "weighted" => {
-            // Weighted ranked access (DESIGN.md §17): build overhead of the
-            // block directory over the ordered index, per-op costs for the
-            // weighted rank operations, and the materialize-then-sort
-            // baseline they replace. A rank diverging from that baseline
-            // panics, failing the CI step.
-            let json = rae_bench::weighted::weighted_json(cfg);
-            std::fs::write("BENCH_7.json", &json).expect("write BENCH_7.json");
-            eprintln!("[repro] wrote BENCH_7.json");
-            json
-        }
         "ablation-delete" => ablation::ablation_delete(cfg),
         "ablation-fold" => ablation::ablation_fold(cfg),
         "ablation-binary" => ablation::ablation_binary(cfg),
@@ -178,11 +102,7 @@ fn usage(message: &str) -> ! {
     eprintln!(
         "usage: repro [--sf <scale>] [--seed <seed>] <command> [<command> ...]\n\
          commands: fig1 fig2 fig3 fig4a fig4b fig5 fig6 fig7 fig8\n\
-         \u{20}         rs-note ablation-delete ablation-binary ablation-fold\n\
-         \u{20}         bench-json (writes BENCH_1.json) churn (writes BENCH_2.json)\n\
-         \u{20}         preprocessing (writes BENCH_3.json) robustness (writes BENCH_4.json)\n\
-         \u{20}         serving (writes BENCH_5.json) persistence (writes BENCH_6.json)\n\
-         \u{20}         weighted (writes BENCH_7.json) all"
+         \u{20}         rs-note ablation-delete ablation-binary ablation-fold all"
     );
     std::process::exit(if message.is_empty() { 0 } else { 2 });
 }

@@ -18,30 +18,17 @@
 //! | Figure 7 (appendix tables) | [`figures::fig23`] | `fig7` |
 //! | Figure 8 (appendix) | [`figures::fig1`] (OE variant) | `fig8` |
 //! | §B.2.3 RS note | [`figures::rs_note`] | `rs-note` |
-//! | Ablations (DESIGN.md §7) | [`figures::ablation`] | `ablation-delete`, `ablation-binary` |
-//! | Churn boundedness (DESIGN.md §9) | [`churn`] | `churn` (writes `BENCH_2.json`) |
-//! | Preprocessing pipeline (DESIGN.md §10) | [`preprocessing`] | `preprocessing` (writes `BENCH_3.json`) |
-//! | Concurrent serving (DESIGN.md §14) | [`serving`] | `serving` (writes `BENCH_5.json`) |
-//! | Weighted ranked access (DESIGN.md §17) | [`weighted`] | `weighted` (writes `BENCH_7.json`) |
+//! | Ablations (DESIGN.md §7) | [`figures::ablation`] | `ablation-delete`, `ablation-binary`, `ablation-fold` |
 //!
 //! Absolute numbers are machine- and scale-dependent; the *shapes* (who
 //! wins, by what factor, where crossovers fall) are the reproduction target.
-//! See EXPERIMENTS.md for paper-vs-measured notes.
+//! The library's performance is measured by `perfbench/`, not here.
 
-pub mod alloc_counter;
-pub mod baseline;
-pub mod churn;
 pub mod delays;
 pub mod figures;
-pub mod perf_report;
-pub mod persistence;
-pub mod preprocessing;
-pub mod robustness;
-pub mod serving;
 pub mod setup;
 pub mod stats;
 pub mod table;
-pub mod weighted;
 
 pub use setup::BenchConfig;
 pub use stats::BoxStats;

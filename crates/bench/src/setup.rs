@@ -7,7 +7,7 @@ use rae_tpch::{generate, prepare_selections, TpchScale};
 ///
 /// The paper ran at TPC-H scale factor 5 on a 496 GB server; the default
 /// here is a laptop-scale 0.01 (≈130k tuples), adjustable via `repro --sf`.
-/// Curve *shapes* are scale-invariant; see EXPERIMENTS.md.
+/// Curve *shapes* are scale-invariant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchConfig {
     /// TPC-H-style scale factor.
@@ -23,7 +23,7 @@ impl Default for BenchConfig {
 }
 
 impl BenchConfig {
-    /// A very small configuration for smoke tests and criterion runs.
+    /// A very small configuration for smoke tests.
     pub fn smoke() -> Self {
         BenchConfig {
             sf: 0.001,

@@ -113,11 +113,6 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Formats seconds with 3 decimal places.
-pub fn fmt_s(seconds: f64) -> String {
-    format!("{seconds:.3}")
-}
-
 /// Formats a duration adaptively: seconds ≥ 0.1 s, milliseconds below.
 pub fn fmt_dur(d: std::time::Duration) -> String {
     let s = d.as_secs_f64();

@@ -26,8 +26,9 @@
 //!
 //! The expensive phases of a build (sorting, semijoin reduction, weight
 //! aggregation) are all absent from this path, which is why a cold-start
-//! load is an order of magnitude cheaper than a rebuild (`BENCH_6.json`)
-//! — and why the borrowed path, which skips the table copies as well, is
+//! load is an order of magnitude cheaper than a rebuild (`perfbench`'s
+//! `store.*` metrics against `yannakakis.reduce_s` + `core.build_s`) — and
+//! why the borrowed path, which skips the table copies as well, is
 //! cheaper still.
 
 use crate::column::Col;

@@ -66,7 +66,7 @@ pub use renum_cq::CqShuffle;
 pub use renum_ucq::{OrderedUcq, OrderedUnionEnumeration, UcqEvent, UcqShuffle};
 pub use scratch::AccessScratch;
 pub use shuffle::LazyShuffle;
-pub use weight::{combine_index, split_index, Weight};
+pub use weight::{split_index, Weight};
 pub use weighted::{OrderStyle, RankWindow, WeightedCqIndex};
 
 /// Crate-level result alias.

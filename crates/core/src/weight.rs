@@ -36,9 +36,9 @@ pub fn split_index(mut index: Weight, radices: &[Weight], out: &mut Vec<Weight>)
 }
 
 /// Recombines digits into an index (the paper's `CombineIndex`); inverse of
-/// [`split_index`].
-#[inline]
-pub fn combine_index(radices: &[Weight], digits: &[Weight]) -> Weight {
+/// [`split_index`]. Test-only: inverted access folds the digits in place.
+#[cfg(test)]
+fn combine_index(radices: &[Weight], digits: &[Weight]) -> Weight {
     debug_assert_eq!(radices.len(), digits.len());
     let mut index: Weight = 0;
     for (&radix, &digit) in radices.iter().zip(digits.iter()) {

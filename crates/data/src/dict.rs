@@ -17,8 +17,7 @@
 //! `RwLock`-protected map. A code packs `(local slot, shard)` into one
 //! `u32`: `code = (local << SHARD_BITS) | shard`. Two threads interning
 //! values that land in different shards never contend, which is what makes
-//! parallel ingest ([`intern_all`] with `threads > 1`) scale; see the churn
-//! benchmark in `rae-bench`.
+//! parallel ingest ([`intern_all`] with `threads > 1`) scale.
 //!
 //! ## Generations and the relation lifecycle
 //!

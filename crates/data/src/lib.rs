@@ -33,8 +33,7 @@
 //! The hash maps exported from [`fxhash`] use a small hand-rolled FxHash
 //! implementation (the classic Firefox/rustc hash) because hashing tuples of
 //! values is on the hot path of preprocessing and inverted access, and the
-//! default SipHash is measurably slower there (see the `ablation_hash`
-//! benchmark in `rae-bench`).
+//! default SipHash is slower there.
 
 pub mod codemap;
 pub mod database;

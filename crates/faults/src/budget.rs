@@ -6,8 +6,7 @@ use std::time::{Duration, Instant};
 
 /// A resource envelope threaded through preprocessing and long-running
 /// enumerations. All three limits are optional; the default budget is
-/// unlimited and every check on it is a pair of `Option` tests (measured
-/// `<2%` of build time in `BENCH_4.json`).
+/// unlimited and every check on it is a pair of `Option` tests.
 ///
 /// Budgets are checked *cooperatively* at phase boundaries and chunked row
 /// intervals — breaching one returns a structured [`BudgetExceeded`] naming

@@ -7,8 +7,7 @@
 //! 1. **Failpoints** ([`fail_point!`]): named fault-injection sites compiled
 //!    into the hot paths of `rae-data`/`rae-core`/`rae-yannakakis`/
 //!    `rae-sampler`. Without the `failpoints` feature the macro expands to
-//!    nothing — instrumented code is byte-identical to uninstrumented code
-//!    (`BENCH_4.json` records the proof). With the feature, a seeded
+//!    nothing, so a disarmed site costs nothing. With the feature, a seeded
 //!    `FaultSchedule` decides deterministically which hit of which site
 //!    fails and how ([`FaultKind::Error`] or [`FaultKind::Panic`]), so every
 //!    chaos run is replayable from its seed.

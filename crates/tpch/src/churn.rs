@@ -7,7 +7,7 @@
 //! generational dictionary each cycle's sweep
 //! ([`rae_data::Database::advance_generation`]) reclaims the previous
 //! cohort, so the slot high-water mark is bounded by one live cohort —
-//! the property the `rae-bench` churn workload records in `BENCH_2.json`.
+//! the property `tests/churn.rs` checks across eleven cycles.
 //!
 //! Each cycle's cohort is deliberately value-fresh: integer keys are
 //! offset by a per-cycle stride and string tags embed the cycle number, so
@@ -149,7 +149,7 @@ pub fn drop_and_reclaim(db: &mut Database) -> Result<u64> {
 /// Each cycle: drop the previous cohort, sweep (generation advance), ingest
 /// a fresh cohort. Note the sweep invalidates indexes built in earlier
 /// cycles — `rae-core` detects that via its generation stamp; callers
-/// rebuild per cycle (see the churn workload in `rae-bench`).
+/// rebuild per cycle (as `tests/churn.rs` does).
 pub fn run_churn(db: &mut Database, cfg: &ChurnConfig) -> Result<Vec<CycleStats>> {
     let mut stats = Vec::with_capacity(cfg.cycles);
     for cycle in 0..cfg.cycles {

@@ -10,9 +10,9 @@
 //!    panic-form failpoints (`dict/sweep`, `dict/shard_write`) model a
 //!    genuinely crashing mutator — and those must leave the dictionary
 //!    recoverable (poison recovery, generation never half-advanced).
-//! 2. **Post-retry digest-identical artifacts** — once a build eventually
-//!    succeeds under chaos, its `artifact_digest` equals a fault-free build
-//!    over the same database state, including runs where the build silently
+//! 2. **Post-retry identical artifacts** — once a build eventually succeeds
+//!    under chaos, every artifact it exposes equals a fault-free build over
+//!    the same database state, including runs where the build silently
 //!    degraded (radix→comparison sort, parallel→serial).
 //! 3. **No stale answers** — answers after recovery match naive evaluation
 //!    of the current database.
@@ -25,12 +25,17 @@
 #![cfg(feature = "failpoints")]
 
 use rae::prelude::*;
-use rae_bench::alloc_counter::{count_allocations, CountingAllocator};
-use rae_bench::preprocessing::artifact_digest;
 use rae_faults::{install, FaultKind, FaultSchedule};
 use rae_tpch::churn::{self, ChurnConfig, CHURN_QUERY};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
+
+#[path = "support/alloc_counter.rs"]
+mod alloc_counter;
+#[path = "support/artifacts.rs"]
+mod artifacts;
+use alloc_counter::{count_allocations, CountingAllocator};
+use artifacts::assert_identical_artifacts;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -160,7 +165,6 @@ fn chaos_churn_lifecycle_recovers_with_identical_artifacts() {
         // hits per attempt) converges fast, high enough that faults fire.
         let guard = install(FaultSchedule::chaos(seed, 0.002));
 
-        let mut chaotic_digest = 0u64;
         let mut chaotic_index: Option<CqIndex> = None;
         for cycle in 0..cfg.cycles {
             persist("drop_and_reclaim", || {
@@ -172,7 +176,6 @@ fn chaos_churn_lifecycle_recovers_with_identical_artifacts() {
             // Builds must never unwind: no catch_unwind here — a panic
             // escaping `CqIndex::build` fails the whole test (invariant 1).
             let idx = persist("CqIndex::build", || core_attempt(CqIndex::build(&q, &db)));
-            chaotic_digest = artifact_digest(&idx);
             chaotic_index = Some(idx);
         }
         total_fired += rae_faults::fired().len();
@@ -180,16 +183,12 @@ fn chaos_churn_lifecycle_recovers_with_identical_artifacts() {
 
         // Invariant 2: the eventually-successful chaotic build is
         // artifact-identical to a fault-free build of the same state.
+        let idx = chaotic_index.unwrap();
         let clean = CqIndex::build(&q, &db).unwrap();
-        assert_eq!(
-            artifact_digest(&clean),
-            chaotic_digest,
-            "seed {seed}: post-retry artifacts must be digest-identical"
-        );
+        assert_identical_artifacts(&format!("seed {seed}: post-retry build"), &clean, &idx);
 
         // Invariant 3: no stale answers — the chaotic index agrees with
         // naive evaluation of the database as it stands now.
-        let idx = chaotic_index.unwrap();
         let expected = naive_eval(&q, &db).unwrap();
         assert_eq!(idx.count(), expected.len() as u128, "seed {seed}");
         for row in expected.rows() {
@@ -353,7 +352,7 @@ fn killed_sweep_never_half_advances_the_generation() {
 
 /// Forced degradations (radix→comparison sort, parallel→serial build) must
 /// be observable in the degrade counters and *artifact-invisible*: the
-/// degraded build digests identically to the unfaulted one.
+/// degraded build's artifacts equal the unfaulted one's.
 #[test]
 fn forced_degradations_are_artifact_invisible() {
     let _s = serial();
@@ -361,7 +360,7 @@ fn forced_degradations_are_artifact_invisible() {
     let q: ConjunctiveQuery = CHURN_QUERY.parse().unwrap();
     let mut db = Database::new();
     churn::ingest_cycle(&mut db, 0, &churn_config(21)).unwrap();
-    let clean_digest = artifact_digest(&CqIndex::build(&q, &db).unwrap());
+    let clean = CqIndex::build(&q, &db).unwrap();
 
     rae_faults::degrade::reset();
     {
@@ -371,11 +370,7 @@ fn forced_degradations_are_artifact_invisible() {
                 .always("build/spawn", FaultKind::Error),
         );
         let degraded = CqIndex::build(&q, &db).unwrap();
-        assert_eq!(
-            artifact_digest(&degraded),
-            clean_digest,
-            "degraded builds must produce byte-identical artifacts"
-        );
+        assert_identical_artifacts("degraded build", &clean, &degraded);
     }
     assert!(
         rae_faults::degrade::count("sort/scratch") > 0,

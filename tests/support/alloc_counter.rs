@@ -1,16 +1,17 @@
 //! A counting global allocator for verifying the zero-allocation claims.
 //!
-//! Install [`CountingAllocator`] as the `#[global_allocator]` of a test or
-//! binary, then wrap the region of interest in [`count_allocations`]: it
-//! returns how many heap allocations (`alloc` + `realloc`) the closure
-//! performed on the calling thread.
+//! Test support, not a test target: a test binary includes it with
+//! `#[path = "support/alloc_counter.rs"] mod alloc_counter;`, installs
+//! [`CountingAllocator`] as its `#[global_allocator]`, then wraps the region
+//! of interest in [`count_allocations`]: it returns how many heap
+//! allocations (`alloc` + `realloc`) the closure performed on the calling
+//! thread.
 //!
 //! ```ignore
 //! #[global_allocator]
-//! static ALLOC: rae_bench::alloc_counter::CountingAllocator =
-//!     rae_bench::alloc_counter::CountingAllocator;
+//! static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
 //!
-//! let (result, allocs) = rae_bench::alloc_counter::count_allocations(|| {
+//! let (result, allocs) = alloc_counter::count_allocations(|| {
 //!     index.access_into(7, &mut scratch).map(<[_]>::to_vec)
 //! });
 //! assert_eq!(allocs, 0);

@@ -8,13 +8,16 @@
 //! scratch buffers and lazy lookup tables reach their steady state.
 
 use rae::prelude::*;
-use rae_bench::alloc_counter::{count_allocations, CountingAllocator};
 use rae_serve::{AdmissionPolicy, Batch, ServeWriter, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+#[path = "support/alloc_counter.rs"]
+mod alloc_counter;
+use alloc_counter::{count_allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
