@@ -8,8 +8,8 @@
 //! # rae-data
 //!
 //! In-memory relational substrate used throughout the `rae` workspace: typed
-//! [`Value`]s, interned [`Symbol`]s, flat row-major [`Relation`]s, hash
-//! indexes, and a named-relation [`Database`].
+//! [`Value`]s, interned [`Symbol`]s, flat row-major [`Relation`]s, and a
+//! named-relation [`Database`].
 //!
 //! The representation is deliberately simple: a relation is a schema (ordered
 //! attribute names) plus a flat `Vec<Value>` of rows. All higher layers
@@ -40,7 +40,6 @@ pub mod database;
 pub mod dict;
 pub mod error;
 pub mod fxhash;
-pub mod index;
 pub mod relation;
 pub mod schema;
 pub mod sort;
@@ -54,7 +53,6 @@ pub use database::Database;
 pub use dict::{Generation, GenerationPin, ValueCode};
 pub use error::DataError;
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use index::HashIndex;
 pub use relation::{key_of, Relation, RowKey};
 pub use schema::Schema;
 pub use sort::{with_sort_scratch, SortAlgorithm, SortScratch};

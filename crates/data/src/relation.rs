@@ -579,6 +579,27 @@ impl Relation {
     /// Projects onto the given columns (no dedup; combine with
     /// [`Relation::sort_dedup`] for set projection).
     pub fn project(&self, cols: &[usize], attrs: Schema) -> Result<Self> {
+        self.select_project(&[], &[], cols, attrs)
+    }
+
+    /// Selection and projection on dictionary codes: keeps the rows whose
+    /// code at `col` is `code` for every `(col, code)` in `const_codes` and
+    /// whose codes at `a` and `b` agree for every `(a, b)` in `eq_cols`, and
+    /// projects them onto `cols` (in that order) under `attrs`. No dedup.
+    ///
+    /// Values are cloned and codes copied from the mirror; nothing is
+    /// re-interned. The result carries this relation's generation, so
+    /// `const_codes` must be codes of that generation. Filtering keeps row
+    /// order: a schema-prefix projection of a relation in full-row order is
+    /// itself in full-row order and keeps that fingerprint, which turns a
+    /// following [`Relation::sort_dedup`] into one linear dedup pass.
+    pub fn select_project(
+        &self,
+        const_codes: &[(usize, ValueCode)],
+        eq_cols: &[(usize, usize)],
+        cols: &[usize],
+        attrs: Schema,
+    ) -> Result<Self> {
         if cols.len() != attrs.arity() {
             return Err(DataError::ArityMismatch {
                 context: "projection schema".into(),
@@ -587,15 +608,31 @@ impl Relation {
             });
         }
         let mut out = Relation::new(attrs);
-        if out.arity() == 0 {
-            for _ in 0..self.len() {
-                out.push_row(Vec::new())?;
-            }
-            return Ok(out);
+        let width = cols.len();
+        if const_codes.is_empty() && eq_cols.is_empty() {
+            // Every row survives: size the output exactly, once.
+            out.data.reserve_exact(self.len() * width.max(1));
+            out.codes.reserve_exact(self.len() * width.max(1));
         }
-        for i in 0..self.len() {
-            let (row, row_codes) = (self.row(i), self.row_codes(i));
-            // Codes are copied straight from the mirror — no re-interning.
+        'rows: for i in 0..self.len() {
+            let row_codes = self.row_codes(i);
+            for &(col, code) in const_codes {
+                if row_codes[col] != code {
+                    continue 'rows;
+                }
+            }
+            for &(a, b) in eq_cols {
+                if row_codes[a] != row_codes[b] {
+                    continue 'rows;
+                }
+            }
+            if width == 0 {
+                // Arity-0 rows are sentinels (see `push_row`).
+                out.data.push(Value::Int(0));
+                out.codes.push(0);
+                continue;
+            }
+            let row = self.row(i);
             for &c in cols {
                 out.data.push(row[c].clone());
                 out.codes.push(row_codes[c]);
@@ -603,6 +640,9 @@ impl Relation {
         }
         // Copied codes carry the source's generation, not the current one.
         out.generation = self.generation;
+        if width > 0 && Self::is_schema_prefix(cols) && self.is_sorted_by(&[]) {
+            out.sorted_by = Some(Box::from(&[][..]));
+        }
         Ok(out)
     }
 

@@ -11,11 +11,16 @@
 //! 4. build a GYO join tree of the projected hypergraph (free-connexity
 //!    guarantees acyclicity; re-verified defensively);
 //! 5. fold nodes whose bag is contained in their parent's bag into the
-//!    parent (they only filter), and full-reduce once more.
+//!    parent (they only filter), and full-reduce once more if a fold
+//!    removed a row (DESIGN.md §3 argues it never does).
+//!
+//! Every step works on the relations' dictionary codes: instantiation
+//! selects and copies codes, a projection keeping every column reuses its
+//! relation, and semijoins merge sorted code keys.
 
 use crate::instantiate::instantiate_atom;
+use crate::merge::merge_semijoin_filter;
 use crate::reduce::full_reduce;
-use crate::semijoin::semijoin_filter;
 use crate::Result;
 use rae_data::{Database, Relation, Schema, Symbol};
 use rae_query::{
@@ -154,18 +159,25 @@ pub fn reduce_to_full_acyclic_with(
 
     // 3. Project every atom onto its free variables; drop atoms whose free
     //    bag is empty (after reduction they are pure filters, already
-    //    accounted for — including the all-empty case handled above).
+    //    accounted for — including the all-empty case handled above). An
+    //    atom whose variables are all free keeps its relation as it is:
+    //    already in bag order, sorted and duplicate-free.
     let mut proj_bags: Vec<BTreeSet<Symbol>> = Vec::new();
     let mut proj_rels: Vec<Relation> = Vec::new();
-    for (bag, rel) in body_bags.iter().zip(rels.iter()) {
+    for (bag, rel) in body_bags.iter().zip(rels) {
         let free_bag: BTreeSet<Symbol> = bag.intersection(&head_set).cloned().collect();
         if free_bag.is_empty() {
             continue;
         }
-        let schema = Schema::new(free_bag.iter().cloned())?;
-        let cols = rel.schema().positions(schema.attrs())?;
-        let mut projected = rel.project(&cols, schema)?;
-        projected.sort_dedup();
+        let projected = if free_bag.len() == bag.len() {
+            rel
+        } else {
+            let schema = Schema::new(free_bag.iter().cloned())?;
+            let cols = rel.schema().positions(schema.attrs())?;
+            let mut projected = rel.project(&cols, schema)?;
+            projected.sort_dedup();
+            projected
+        };
         proj_bags.push(free_bag);
         proj_rels.push(projected);
     }
@@ -186,6 +198,7 @@ pub fn reduce_to_full_acyclic_with(
     //    the node only filters the parent — semijoin and remove it.
     let n = proj_bags.len();
     let mut removed = vec![false; n];
+    let mut filtered = false;
     let mut changed = options.fold_subset_nodes;
     while changed {
         changed = false;
@@ -214,7 +227,9 @@ pub fn reduce_to_full_acyclic_with(
                     let (l, r) = proj_rels.split_at_mut(i);
                     (&r[0] as &Relation, &mut l[p])
                 };
-                semijoin_filter(parent_rel, &parent_cols, child_rel, &child_cols);
+                let before = parent_rel.len();
+                merge_semijoin_filter(parent_rel, &parent_cols, child_rel, &child_cols);
+                filtered |= parent_rel.len() != before;
                 // Reattach i's children to p and drop i.
                 for q in parent.iter_mut() {
                     if *q == Some(i) {
@@ -248,14 +263,15 @@ pub fn reduce_to_full_acyclic_with(
 
     let plan = TreePlan::new(bags, parent)?;
 
-    // 6. Defensive second reduction: projections of a globally consistent
-    //    database are already consistent (DESIGN.md §3), but the subset folds
-    //    above may have filtered parents, so re-reduce to restore the
-    //    invariant cheaply.
-    full_reduce(&plan, &mut relations)?;
-    if relations.iter().any(Relation::is_empty) {
-        for r in &mut relations {
-            r.retain_rows(|_| false);
+    // 6. Projections of a globally consistent database are consistent, and
+    //    a fold over them removes nothing (DESIGN.md §3). Re-reduce only if
+    //    a fold did filter a parent, to restore the invariant.
+    if filtered {
+        full_reduce(&plan, &mut relations)?;
+        if relations.iter().any(Relation::is_empty) {
+            for r in &mut relations {
+                r.retain_rows(|_| false);
+            }
         }
     }
 

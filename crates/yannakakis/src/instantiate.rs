@@ -1,8 +1,9 @@
 //! Atom instantiation: from an atom over a stored relation to a materialized
-//! relation over the atom's *variables*.
+//! relation over the atom's *variables*, selected and projected on
+//! dictionary codes.
 
 use crate::Result;
-use rae_data::{Database, Relation, Schema, Value};
+use rae_data::{dict, Database, Relation, Schema};
 use rae_query::{Atom, QueryError, Term};
 
 /// Materializes the sub-relation of `db` matched by `atom`:
@@ -13,6 +14,14 @@ use rae_query::{Atom, QueryError, Term};
 ///   variables in **sorted variable order** (the canonical bag layout used
 ///   by join-tree plans),
 /// * duplicates are removed (set semantics).
+///
+/// Everything runs on the stored relation's code mirror
+/// ([`Relation::select_project`]): a constant resolves once through
+/// [`dict::code_of`] and is never interned (an unknown constant matches no
+/// row), repeated variables compare codes, and surviving rows are copied
+/// code by code rather than re-interned. A source made stale by another
+/// database's sweep is rehydrated on a copy first, so its codes and the
+/// constants' codes share one generation.
 ///
 /// Self-joins are handled naturally: each atom instantiates its own copy.
 pub fn instantiate_atom(atom: &Atom, db: &Database) -> Result<Relation> {
@@ -29,58 +38,45 @@ pub fn instantiate_atom(atom: &Atom, db: &Database) -> Result<Relation> {
     let vars = atom.var_set();
     let schema = Schema::new(vars.iter().cloned())?;
 
-    // For each output variable, the first column of the atom where it occurs.
-    let var_first_col: Vec<usize> = schema
-        .attrs()
-        .iter()
-        .map(|v| {
-            atom.terms
-                .iter()
-                .position(|t| t.as_var() == Some(v))
-                .expect("schema variables come from the atom")
-        })
-        .collect();
+    // The first column of the atom where a variable occurs.
+    let first_col = |v| {
+        atom.terms
+            .iter()
+            .position(|t| t.as_var() == Some(v))
+            .expect("variables come from the atom")
+    };
+    let cols: Vec<usize> = schema.attrs().iter().map(first_col).collect();
 
-    // Constant checks: (column, value).
-    let const_checks: Vec<(usize, &Value)> = atom
-        .terms
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| match t {
-            Term::Const(c) => Some((i, c)),
-            Term::Var(_) => None,
-        })
-        .collect();
+    let rehydrated;
+    let stored = if stored.is_current() {
+        stored
+    } else {
+        let mut copy = stored.clone();
+        copy.rehydrate()?;
+        rehydrated = copy;
+        &rehydrated
+    };
 
-    // Repeated-variable checks: (first column, other column).
-    let mut eq_checks: Vec<(usize, usize)> = Vec::new();
+    // Constant checks as (column, code) and repeated-variable checks as
+    // (first column, other column).
+    let mut const_codes = Vec::new();
+    let mut eq_cols = Vec::new();
     for (i, t) in atom.terms.iter().enumerate() {
-        if let Term::Var(v) = t {
-            let first = atom
-                .terms
-                .iter()
-                .position(|u| u.as_var() == Some(v))
-                .expect("var occurs");
-            if first != i {
-                eq_checks.push((first, i));
+        match t {
+            Term::Const(c) => match dict::code_of(c) {
+                Some(code) => const_codes.push((i, code)),
+                None => return Ok(Relation::new(schema)),
+            },
+            Term::Var(v) => {
+                let first = first_col(v);
+                if first != i {
+                    eq_cols.push((first, i));
+                }
             }
         }
     }
 
-    let mut out = Relation::new(schema);
-    'rows: for row in stored.rows() {
-        for &(col, value) in &const_checks {
-            if &row[col] != value {
-                continue 'rows;
-            }
-        }
-        for &(a, b) in &eq_checks {
-            if row[a] != row[b] {
-                continue 'rows;
-            }
-        }
-        out.push_row(var_first_col.iter().map(|&c| row[c].clone()).collect())?;
-    }
+    let mut out = stored.select_project(&const_codes, &eq_cols, &cols, schema)?;
     out.sort_dedup();
     Ok(out)
 }
@@ -88,8 +84,7 @@ pub fn instantiate_atom(atom: &Atom, db: &Database) -> Result<Relation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rae_data::Symbol;
-    use rae_query::Term;
+    use rae_data::{Symbol, Value};
 
     fn db() -> Database {
         let mut db = Database::new();

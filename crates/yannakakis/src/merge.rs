@@ -1,16 +1,18 @@
 //! Merge (sort-based) semijoin over dictionary-code projections.
 //!
-//! The hash semijoin ([`crate::semijoin_filter`]) pays one hash probe per
-//! left row and one insert per right row, each touching a hash table in
-//! random order. The merge semijoin instead radix-sorts both sides' key
-//! projections by raw code order (any fixed total order on codes works for
-//! equality matching) and resolves membership with a single linear merge:
-//! every memory access after the sort is sequential, and consecutive equal
-//! keys on either side are consumed as a run (run-length dedup), so
-//! duplicate keys cost one comparison per run, not per row.
+//! A hash semijoin pays one hash probe per left row and one insert per
+//! right row, each touching a hash table in random order. The merge
+//! semijoin instead radix-sorts both sides' key projections by raw code
+//! order (any fixed total order on codes works for equality matching) and
+//! resolves membership with a single linear merge: every memory access
+//! after the sort is sequential, and consecutive equal keys on either side
+//! are consumed as a run (run-length dedup), so duplicate keys cost one
+//! comparison per run, not per row.
 //!
-//! This is the semijoin used by [`crate::full_reduce`] — the sort-based
-//! preprocessing pipeline of DESIGN.md §10.
+//! This is the one semijoin of the build path: [`crate::full_reduce`], the
+//! subset folds of the Proposition 4.2 pipeline and the consistency check
+//! all use it (DESIGN.md §10). The hash variant survives only as this
+//! module's differential-test oracle.
 
 use rae_data::{with_sort_scratch, Relation, ValueCode};
 use std::cell::RefCell;
@@ -34,9 +36,10 @@ thread_local! {
 /// the keys of `right` at `right_cols` — the semijoin `left ⋉ right` — via
 /// sort-merge on dictionary codes.
 ///
-/// Produces exactly the same relation state as [`crate::semijoin_filter`]
-/// (surviving rows keep their order, so the left relation's sort fingerprint
-/// stays valid). When `left` is empty no right-side work happens at all.
+/// Surviving rows keep their order, so the left relation's sort fingerprint
+/// stays valid; the result equals a hash semijoin's exactly (the
+/// differential test below checks this). When `left` is empty no
+/// right-side work happens at all.
 ///
 /// # Panics
 /// Panics if the column lists have different lengths.

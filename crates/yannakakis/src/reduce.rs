@@ -1,7 +1,6 @@
 //! Yannakakis full reduction over a join-tree plan.
 
 use crate::merge::merge_semijoin_filter;
-use crate::semijoin::semijoin_filter;
 use crate::Result;
 use rae_data::{Relation, Symbol};
 use rae_query::TreePlan;
@@ -104,12 +103,12 @@ pub fn is_globally_consistent(plan: &TreePlan, rels: &[Relation]) -> bool {
             // Every child tuple must have a matching parent tuple and vice
             // versa (pairwise consistency in both directions).
             let mut child = rels[i].clone();
-            semijoin_filter(&mut child, &child_cols, &rels[p], &parent_cols);
+            merge_semijoin_filter(&mut child, &child_cols, &rels[p], &parent_cols);
             if child.len() != rels[i].len() {
                 return false;
             }
             let mut parent = rels[p].clone();
-            semijoin_filter(&mut parent, &parent_cols, &rels[i], &child_cols);
+            merge_semijoin_filter(&mut parent, &parent_cols, &rels[i], &child_cols);
             if parent.len() != rels[p].len() {
                 return false;
             }

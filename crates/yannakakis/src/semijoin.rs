@@ -1,4 +1,5 @@
-//! Semijoin filters.
+//! The hash semijoin, kept as the differential-test oracle of
+//! [`crate::merge`]: the build path uses the merge semijoin only.
 
 use rae_data::{CodeKeyMap, Relation};
 

@@ -4,6 +4,10 @@
 
 use proptest::prelude::*;
 use rae::prelude::*;
+use rae::rae_query::RootPreference;
+use rae::rae_yannakakis::reduce::is_globally_consistent;
+use rae::rae_yannakakis::{reduce_to_full_acyclic_with, ReduceOptions};
+use rae_tpch::{generate, prepare_selections, TpchScale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,6 +56,58 @@ fn portfolio() -> Vec<ConjunctiveQuery> {
     .into_iter()
     .map(|text| text.parse().expect("portfolio query parses"))
     .collect()
+}
+
+/// Every layout of the Proposition 4.2 pipeline: both root preferences,
+/// with and without subset folding.
+fn layouts() -> Vec<ReduceOptions> {
+    let mut out = Vec::new();
+    for root_preference in [RootPreference::LargestAtom, RootPreference::SmallestAtom] {
+        for fold_subset_nodes in [true, false] {
+            out.push(ReduceOptions {
+                root_preference,
+                fold_subset_nodes,
+            });
+        }
+    }
+    out
+}
+
+/// The pipeline's output must be globally consistent and materialize to
+/// the naive answers under every layout — in particular without the second
+/// full reduction, which runs only after a fold that removed a row.
+fn check_consistent_reduction(cq: &ConjunctiveQuery, db: &Database, expected: &Relation) {
+    for options in layouts() {
+        let fj = reduce_to_full_acyclic_with(cq, db, options).expect("reduces");
+        assert!(
+            is_globally_consistent(&fj.plan, &fj.relations),
+            "{cq} under {options:?} is not globally consistent"
+        );
+        assert_eq!(
+            &fj.materialize().expect("materializes"),
+            expected,
+            "{cq} under {options:?}"
+        );
+    }
+}
+
+#[test]
+fn tpch_reductions_are_consistent_under_every_layout() {
+    let mut db = generate(&TpchScale::tiny(), 0xC0DE);
+    prepare_selections(&mut db).unwrap();
+    let mut cqs: Vec<ConjunctiveQuery> = rae_tpch::queries::all_cqs()
+        .into_iter()
+        .map(|(_, cq)| cq)
+        .collect();
+    for (_, ucq) in rae_tpch::queries::all_ucqs() {
+        cqs.extend(ucq.disjuncts().iter().cloned());
+    }
+    for cq in &cqs {
+        // Some union members are empty on the tiny instance: that checks
+        // the pipeline's empty path.
+        let expected = naive_eval(cq, &db).unwrap();
+        check_consistent_reduction(cq, &db, &expected);
+    }
 }
 
 fn edges_strategy() -> impl Strategy<Value = Edges> {
@@ -158,6 +214,19 @@ proptest! {
                 materialized, expected,
                 "Proposition 4.2 mismatch for {}", cq
             );
+        }
+    }
+
+    #[test]
+    fn reduction_is_consistent_under_every_layout(
+        r in edges_strategy(),
+        s in edges_strategy(),
+        t in edges_strategy(),
+    ) {
+        let db = db_from(&r, &s, &t);
+        for cq in portfolio() {
+            let expected = naive_eval(&cq, &db).expect("naive evaluates");
+            check_consistent_reduction(&cq, &db, &expected);
         }
     }
 }

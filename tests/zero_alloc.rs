@@ -685,3 +685,44 @@ fn check_served_reads(snap: &Snapshot, label: &str) {
     });
     assert_eq!(allocs, 0, "{label} snapshot reads allocated");
 }
+
+/// Proposition 4.2's reduction copies dictionary codes: its allocations are
+/// per relation and per plan node, not per row. Warmed up at each scale,
+/// quadrupling the TPC-H database adds at most a few reallocations of
+/// buffers that grow by doubling, and the Q3 reduction allocates under once
+/// per 100 input rows.
+#[test]
+fn reduction_allocations_do_not_grow_with_rows() {
+    let q = rae_tpch::queries::q3();
+    let measure = |sf: f64| {
+        let db = rae_tpch::generate(&rae_tpch::TpchScale::from_sf(sf), 1);
+        let rows_in: usize = q
+            .body()
+            .iter()
+            .map(|a| db.relation(&a.relation).unwrap().len())
+            .sum();
+        black_box(reduce_to_full_acyclic(&q, &db).unwrap()); // warm-up
+        let (fj, allocs) = count_allocations(|| reduce_to_full_acyclic(&q, &db).unwrap());
+        assert!(
+            fj.relations.iter().all(|r| !r.is_empty()),
+            "sf {sf}: Q3 is empty"
+        );
+        (allocs, rows_in)
+    };
+    let (small, small_rows) = measure(0.001);
+    let (large, large_rows) = measure(0.004);
+    assert!(large_rows >= 3 * small_rows);
+    println!("reduce(Q3): {small} allocations at {small_rows} rows, {large} at {large_rows}");
+    assert!(
+        large <= small + 64,
+        "the reduction's allocations grew with the data: {small} at {small_rows} rows, \
+         {large} at {large_rows}"
+    );
+    // At sf 0.001 the fixed cost (classification and two GYO join trees,
+    // about 160 allocations) still outweighs 1% of the 7.5k rows; at sf 0.004
+    // it does not, while one allocation per row would exceed it 100-fold.
+    assert!(
+        (large as usize) * 100 < large_rows,
+        "{large} allocations for {large_rows} input rows: not below one per 100 rows"
+    );
+}
