@@ -11,15 +11,14 @@
 //! 4. build a GYO join tree of the projected hypergraph (free-connexity
 //!    guarantees acyclicity; re-verified defensively);
 //! 5. fold nodes whose bag is contained in their parent's bag into the
-//!    parent (they only filter), and full-reduce once more if a fold
-//!    removed a row (DESIGN.md §3 argues it never does).
+//!    parent: the projected relations are globally consistent, so such a
+//!    node filters nothing and is simply dropped (DESIGN.md §3).
 //!
 //! Every step works on the relations' dictionary codes: instantiation
 //! selects and copies codes, a projection keeping every column reuses its
-//! relation, and semijoins merge sorted code keys.
+//! relation, and the one full reduction merges sorted code keys.
 
 use crate::instantiate::instantiate_atom;
-use crate::merge::merge_semijoin_filter;
 use crate::reduce::full_reduce;
 use crate::Result;
 use rae_data::{Database, Relation, Schema, Symbol};
@@ -195,10 +194,11 @@ pub fn reduce_to_full_acyclic_with(
     let mut parent = proj_forest.parent;
 
     // 5. Fold subset nodes into their parents: if bag(i) ⊆ bag(parent(i)),
-    //    the node only filters the parent — semijoin and remove it.
+    //    node i could only filter the parent, and the projected relations
+    //    are globally consistent, so it filters nothing (DESIGN.md §3).
+    //    Reattach i's children to p and drop i.
     let n = proj_bags.len();
     let mut removed = vec![false; n];
-    let mut filtered = false;
     let mut changed = options.fold_subset_nodes;
     while changed {
         changed = false;
@@ -209,28 +209,6 @@ pub fn reduce_to_full_acyclic_with(
             let Some(p) = parent[i] else { continue };
             debug_assert!(!removed[p]);
             if proj_bags[i].is_subset(&proj_bags[p]) {
-                // Filter the parent by this node on all of bag(i).
-                let child_cols: Vec<usize> = (0..proj_rels[i].arity()).collect();
-                let parent_cols: Vec<usize> = {
-                    let parent_schema = proj_rels[p].schema().clone();
-                    proj_rels[i]
-                        .schema()
-                        .attrs()
-                        .iter()
-                        .map(|a| parent_schema.position(a).expect("subset bag"))
-                        .collect()
-                };
-                let (child_rel, parent_rel) = if i < p {
-                    let (l, r) = proj_rels.split_at_mut(p);
-                    (&l[i], &mut r[0])
-                } else {
-                    let (l, r) = proj_rels.split_at_mut(i);
-                    (&r[0] as &Relation, &mut l[p])
-                };
-                let before = parent_rel.len();
-                merge_semijoin_filter(parent_rel, &parent_cols, child_rel, &child_cols);
-                filtered |= parent_rel.len() != before;
-                // Reattach i's children to p and drop i.
                 for q in parent.iter_mut() {
                     if *q == Some(i) {
                         *q = Some(p);
@@ -245,15 +223,12 @@ pub fn reduce_to_full_acyclic_with(
     // Compact the surviving nodes.
     let mut remap = vec![usize::MAX; n];
     let mut bags = Vec::new();
-    let mut relations: Vec<Relation> = Vec::new();
-    for i in 0..n {
+    let mut relations = Vec::new();
+    for (i, (bag, rel)) in proj_bags.into_iter().zip(proj_rels).enumerate() {
         if !removed[i] {
             remap[i] = bags.len();
-            bags.push(proj_bags[i].clone());
-            relations.push(std::mem::replace(
-                &mut proj_rels[i],
-                Relation::new(Schema::new(Vec::<Symbol>::new())?),
-            ));
+            bags.push(bag);
+            relations.push(rel);
         }
     }
     let parent: Vec<Option<usize>> = (0..n)
@@ -261,22 +236,8 @@ pub fn reduce_to_full_acyclic_with(
         .map(|i| parent[i].map(|p| remap[p]))
         .collect();
 
-    let plan = TreePlan::new(bags, parent)?;
-
-    // 6. Projections of a globally consistent database are consistent, and
-    //    a fold over them removes nothing (DESIGN.md §3). Re-reduce only if
-    //    a fold did filter a parent, to restore the invariant.
-    if filtered {
-        full_reduce(&plan, &mut relations)?;
-        if relations.iter().any(Relation::is_empty) {
-            for r in &mut relations {
-                r.retain_rows(|_| false);
-            }
-        }
-    }
-
     Ok(FullAcyclicJoin {
-        plan,
+        plan: TreePlan::new(bags, parent)?,
         relations,
         head,
     })
