@@ -377,7 +377,7 @@ mod tests {
     fn subset_bags_are_folded() {
         // Q(x,y) :- R(x,y), S2(x,y), with S2 having the same variables: the
         // plan should fold to a single node whose relation is the
-        // intersection.
+        // intersection the body reduction left.
         let mut db = Database::new();
         db.add_relation("R", rel(&["a", "b"], &[&[1, 2], &[3, 4]]))
             .unwrap();

@@ -9,10 +9,9 @@
 //! are consumed as a run (run-length dedup), so duplicate keys cost one
 //! comparison per run, not per row.
 //!
-//! This is the one semijoin of the build path: [`crate::full_reduce`], the
-//! subset folds of the Proposition 4.2 pipeline and the consistency check
-//! all use it (DESIGN.md §10). The hash variant survives only as this
-//! module's differential-test oracle.
+//! This is the one semijoin of the build path: [`crate::full_reduce`] and
+//! the consistency check both use it (DESIGN.md §10). The hash variant
+//! survives only as this module's differential-test oracle.
 
 use rae_data::{with_sort_scratch, Relation, ValueCode};
 use std::cell::RefCell;

@@ -74,8 +74,9 @@ fn layouts() -> Vec<ReduceOptions> {
 }
 
 /// The pipeline's output must be globally consistent and materialize to
-/// the naive answers under every layout — in particular without the second
-/// full reduction, which runs only after a fold that removed a row.
+/// the naive answers under every layout — in particular with subset folds,
+/// which drop a contained node with no semijoin and no second full
+/// reduction.
 fn check_consistent_reduction(cq: &ConjunctiveQuery, db: &Database, expected: &Relation) {
     for options in layouts() {
         let fj = reduce_to_full_acyclic_with(cq, db, options).expect("reduces");
