@@ -273,10 +273,12 @@ impl CqIndex {
     ///
     /// Every bag attribute must be a head attribute and vice versa (the
     /// structure enumerates distinct full-join tuples, so non-head bag
-    /// attributes would produce duplicate answers). Relations are reduced
-    /// and canonically sorted here, so any consistent input is accepted —
-    /// this is the entry point the mc-UCQ builder uses with intersected
-    /// relations.
+    /// attributes would produce duplicate answers). Relations are
+    /// canonically sorted here, and fully reduced unless they all share one
+    /// consistency witness ([`Relation::mark_consistent`]), as the output of
+    /// `reduce_to_full_acyclic` does. Any input is therefore accepted: the
+    /// mc-UCQ builder passes intersected relations, which carry no witness
+    /// and are reduced here.
     pub fn from_parts(plan: TreePlan, relations: Vec<Relation>, head: Vec<Symbol>) -> Result<Self> {
         Self::from_parts_with(plan, relations, head, BuildOptions::default())
     }
@@ -452,13 +454,11 @@ impl CqIndex {
         });
 
         // Phase 2 — global consistency via merge semijoins (edge-sequential:
-        // each semijoin consumes its predecessor's reduction).
+        // each semijoin consumes its predecessor's reduction). Relations one
+        // reduction already left consistent share its witness and skip it.
         budget.check("build/reduce")?;
-        full_reduce(&plan, &mut relations)?;
-        if relations.iter().any(Relation::is_empty) {
-            for r in &mut relations {
-                r.retain_rows(|_| false);
-            }
+        if !Relation::share_consistency_witness(&relations) {
+            full_reduce(&plan, &mut relations)?;
         }
 
         let n = plan.node_count();

@@ -15,6 +15,7 @@ use crate::value::Value;
 use crate::Result;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// An owned row used as a hash-map key (bucket keys, inverted access).
 pub type RowKey = Box<[Value]>;
@@ -51,6 +52,10 @@ pub struct Relation {
     /// Lets downstream passes skip redundant re-sorts; invalidated by any
     /// mutation that can reorder or insert rows.
     sorted_by: Option<Box<[usize]>>,
+    /// Consistency witness: relations holding the same token (compared by
+    /// `Arc::ptr_eq`) are globally consistent as a set. See
+    /// [`Relation::mark_consistent`] for which operations keep it.
+    witness: Option<Arc<()>>,
 }
 
 /// The empty arity-0 relation (useful as a `std::mem::take` placeholder).
@@ -61,7 +66,8 @@ impl Default for Relation {
 }
 
 /// Equality is value equality: the code mirror is derived state and the
-/// generation stamp is lifecycle metadata, so neither participates.
+/// generation stamp and consistency witness are lifecycle metadata, so none
+/// of them participates.
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema && self.data == other.data
@@ -79,6 +85,7 @@ impl Relation {
             codes: Vec::new(),
             generation: dict::current_generation(),
             sorted_by: None,
+            witness: None,
         }
     }
 
@@ -153,6 +160,7 @@ impl Relation {
             codes,
             generation,
             sorted_by: None,
+            witness: None,
         })
     }
 
@@ -284,6 +292,46 @@ impl Relation {
         self.generation = generation;
     }
 
+    /// Stamps one fresh consistency witness on every relation of
+    /// `relations`. The caller asserts that they are globally consistent as
+    /// a set: every tuple of every relation extends to a tuple of their
+    /// natural join (a cross product across relations sharing no
+    /// attribute), so one empty relation means all are empty. A reduction
+    /// that just established this is the intended caller.
+    ///
+    /// The witness survives exactly the operations that keep a consistent
+    /// set consistent: `clone`, [`Relation::sort_dedup`],
+    /// [`Relation::sort_by_key_then_row`], [`Relation::rehydrate`], and
+    /// [`Relation::select_project`] with no selection and no renamed
+    /// column (a projection of a consistent set is consistent under any
+    /// join tree of the projected bags; DESIGN.md §3). Adding rows
+    /// ([`Relation::push_row`]), removing them ([`Relation::retain_rows`],
+    /// [`Relation::retain_by_index`]), intersecting, selecting or renaming
+    /// drops it. Two calls never mint the same witness.
+    pub fn mark_consistent(relations: &mut [Relation]) {
+        let witness = Arc::new(());
+        for rel in relations {
+            rel.witness = Some(Arc::clone(&witness));
+        }
+    }
+
+    /// Whether `relations` is non-empty and every relation carries one
+    /// shared consistency witness (see [`Relation::mark_consistent`]), so
+    /// the set is known to be globally consistent.
+    pub fn share_consistency_witness(relations: &[Relation]) -> bool {
+        let Some(Some(first)) = relations.first().map(|r| &r.witness) else {
+            return false;
+        };
+        relations
+            .iter()
+            .all(|r| r.witness.as_ref().is_some_and(|w| Arc::ptr_eq(w, first)))
+    }
+
+    /// Drops this relation's consistency witness, if any.
+    pub fn clear_consistency_witness(&mut self) {
+        self.witness = None;
+    }
+
     /// Iterator over every stored value (row-major). Arity-0 relations
     /// yield nothing: their storage holds sentinels, not dictionary values.
     pub fn values(&self) -> impl Iterator<Item = &Value> + '_ {
@@ -305,6 +353,7 @@ impl Relation {
             });
         }
         self.sorted_by = None;
+        self.witness = None;
         if self.arity() == 0 {
             // Represent an arity-0 row with a sentinel so len() works.
             self.data.push(Value::Int(0));
@@ -538,6 +587,7 @@ impl Relation {
 
     /// Keeps only rows satisfying `pred`.
     pub fn retain_rows(&mut self, mut pred: impl FnMut(&[Value]) -> bool) {
+        self.witness = None;
         let a = self.arity();
         if a == 0 {
             if !self.data.is_empty() && !pred(&[]) {
@@ -592,7 +642,9 @@ impl Relation {
     /// `const_codes` must be codes of that generation. Filtering keeps row
     /// order: a schema-prefix projection of a relation in full-row order is
     /// itself in full-row order and keeps that fingerprint, which turns a
-    /// following [`Relation::sort_dedup`] into one linear dedup pass.
+    /// following [`Relation::sort_dedup`] into one linear dedup pass. A
+    /// plain projection (no selection, every kept column under its own
+    /// name) keeps the consistency witness; anything else drops it.
     pub fn select_project(
         &self,
         const_codes: &[(usize, ValueCode)],
@@ -607,7 +659,16 @@ impl Relation {
                 actual: attrs.arity(),
             });
         }
+        let plain = const_codes.is_empty()
+            && eq_cols.is_empty()
+            && cols
+                .iter()
+                .zip(attrs.attrs())
+                .all(|(&c, a)| self.schema.attrs().get(c) == Some(a));
         let mut out = Relation::new(attrs);
+        if plain {
+            out.witness.clone_from(&self.witness);
+        }
         let width = cols.len();
         if const_codes.is_empty() && eq_cols.is_empty() {
             // Every row survives: size the output exactly, once.
@@ -824,6 +885,90 @@ mod tests {
         r.sort_dedup();
         assert_eq!(r.len(), 1);
         assert_eq!(r.row(0), &[] as &[Value]);
+    }
+
+    /// Whether `a` and `b` share one consistency witness.
+    fn share(a: &Relation, b: &Relation) -> bool {
+        Relation::share_consistency_witness(&[a.clone(), b.clone()])
+    }
+
+    fn marked_pair() -> (Relation, Relation) {
+        let mut rels = [
+            rel(&["x", "y"], &[&[2, 1], &[1, 1], &[2, 1]]),
+            rel(&["y", "z"], &[&[1, 7], &[1, 8]]),
+        ];
+        Relation::mark_consistent(&mut rels);
+        let [a, b] = rels;
+        (a, b)
+    }
+
+    #[test]
+    fn witness_survives_clone_sort_rehydrate_and_plain_projection() {
+        let (mut a, b) = marked_pair();
+        assert!(share(&a, &b));
+        assert!(share(&a.clone(), &b));
+        a.sort_dedup();
+        assert!(share(&a, &b));
+        a.sort_by_key_then_row(&[1]);
+        assert!(share(&a, &b));
+        a.rehydrate().unwrap();
+        assert!(share(&a, &b));
+        // Same names, any column order, no selection.
+        let p = a
+            .project(&[1, 0], Schema::new(["y", "x"]).unwrap())
+            .unwrap();
+        assert!(share(&p, &b));
+        let p = a.project(&[1], Schema::new(["y"]).unwrap()).unwrap();
+        assert!(share(&p, &b));
+    }
+
+    #[test]
+    fn witness_is_dropped_by_every_filtering_or_renaming_operation() {
+        let (a, b) = marked_pair();
+        let mut pushed = a.clone();
+        pushed.push_row(vec![Value::Int(9), Value::Int(9)]).unwrap();
+        assert!(!share(&pushed, &b));
+        let mut pushed = a.clone();
+        pushed
+            .push_row_slice(&[Value::Int(9), Value::Int(9)])
+            .unwrap();
+        assert!(!share(&pushed, &b));
+        // Even a filter that removes nothing drops it.
+        let mut kept = a.clone();
+        kept.retain_rows(|_| true);
+        assert!(!share(&kept, &b));
+        let mut kept = a.clone();
+        kept.retain_by_index(&vec![true; a.len()]);
+        assert!(!share(&kept, &b));
+        let i = a.intersect(&a).unwrap();
+        assert!(!share(&i, &b));
+        let one = dict::code_of(&Value::Int(1)).unwrap();
+        let schema = || Schema::new(["x", "y"]).unwrap();
+        let selected = a
+            .select_project(&[(1, one)], &[], &[0, 1], schema())
+            .unwrap();
+        assert!(!share(&selected, &b));
+        let equal = a.select_project(&[], &[(0, 1)], &[0, 1], schema()).unwrap();
+        assert!(!share(&equal, &b));
+        let renamed = a
+            .project(&[0, 1], Schema::new(["u", "y"]).unwrap())
+            .unwrap();
+        assert!(!share(&renamed, &b));
+        let swapped = a.project(&[1, 0], schema()).unwrap();
+        assert!(!share(&swapped, &b));
+        let mut cleared = a.clone();
+        cleared.clear_consistency_witness();
+        assert!(!share(&cleared, &b));
+    }
+
+    #[test]
+    fn witnesses_of_two_marks_differ() {
+        let (a, _) = marked_pair();
+        let (_, b) = marked_pair();
+        assert!(!share(&a, &b));
+        assert!(!Relation::share_consistency_witness(&[]));
+        let unmarked = rel(&["x"], &[&[1]]);
+        assert!(!Relation::share_consistency_witness(&[unmarked]));
     }
 
     #[test]

@@ -24,11 +24,21 @@ use rae_store::{digest_of, recover_dir, save, ArtifactArchive, StoreError, SNAPS
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const DEFAULT_SEEDS: &str = "11,42,1337,12648430,7,2026,99991,424242";
 
 /// Environment variable naming the snapshot directory the child writes to.
 const DIR_ENV: &str = "RAE_CRASH_DIR";
+
+/// Fault schedules are process-wide: the torn test's `store/torn` schedule
+/// would also fire inside another test's fault-free `save`. Every test of
+/// this binary holds this lock for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn seeds() -> Vec<u64> {
     let raw = std::env::var("CRASH_SEEDS").unwrap_or_else(|_| DEFAULT_SEEDS.to_string());
@@ -109,6 +119,7 @@ fn mix(seed: u64) -> u64 {
 #[test]
 #[ignore = "child process role of the crash harness"]
 fn child_crash_writer() {
+    let _serial = lock();
     let Ok(dir) = std::env::var(DIR_ENV) else {
         return;
     };
@@ -139,6 +150,7 @@ fn run_child(dir: &Path, point: &str) {
 
 #[test]
 fn crash_at_every_protocol_point_recovers_old_or_new() {
+    let _serial = lock();
     let old = artifact_old();
     let new = artifact_new();
     let digest_old = digest_of(&old);
@@ -220,6 +232,7 @@ fn crash_at_every_protocol_point_recovers_old_or_new() {
 /// image, the recovered index must actually borrow its tables from it.
 #[test]
 fn crash_sweep_through_borrowed_recovery_serves_old_or_new() {
+    let _serial = lock();
     let old = artifact_old();
     let new = artifact_new();
     let digest_old = digest_of(&old);
@@ -267,6 +280,7 @@ fn crash_sweep_through_borrowed_recovery_serves_old_or_new() {
 
 #[test]
 fn crash_before_rename_with_no_prior_snapshot_reports_nothing_durable() {
+    let _serial = lock();
     let dir = scratch("empty");
     run_child(&dir, "after-fsync");
     match recover_dir(&dir) {
@@ -280,6 +294,7 @@ fn crash_before_rename_with_no_prior_snapshot_reports_nothing_durable() {
 
 #[test]
 fn crash_after_rename_with_no_prior_snapshot_recovers_the_new_one() {
+    let _serial = lock();
     let dir = scratch("first");
     run_child(&dir, "after-rename");
     let (_, _, meta) = recover_dir(&dir).unwrap();
@@ -299,6 +314,7 @@ mod torn {
 
     #[test]
     fn torn_final_file_is_quarantined_and_old_snapshot_served() {
+        let _serial = lock();
         let old = artifact_old();
         let new = artifact_new();
         let digest_old = digest_of(&old);

@@ -12,7 +12,10 @@
 //!    guarantees acyclicity; re-verified defensively);
 //! 5. fold nodes whose bag is contained in their parent's bag into the
 //!    parent: the projected relations are globally consistent, so such a
-//!    node filters nothing and is simply dropped (DESIGN.md §3).
+//!    node filters nothing and is simply dropped (DESIGN.md §3);
+//! 6. stamp one consistency witness on the output relations
+//!    ([`Relation::mark_consistent`]), so an index build over them can skip
+//!    its own reduction.
 //!
 //! Every step works on the relations' dictionary codes: instantiation
 //! selects and copies codes, a projection keeping every column reuses its
@@ -33,6 +36,12 @@ use std::collections::BTreeSet;
 /// `relations[i]` has schema exactly `plan.bag(i)` and the natural join over
 /// the plan's nodes (cross product across forest components) equals the
 /// original `Q(D)`, projected/ordered by `head`.
+///
+/// The relations leave [`reduce_to_full_acyclic_with`] sharing one
+/// consistency witness ([`Relation::mark_consistent`]): `CqIndex`'s build
+/// trusts them and skips its own full reduction. Cloning, sorting and
+/// plain projections keep the witness; editing a relation's rows drops it,
+/// and the build then reduces again.
 #[derive(Debug, Clone)]
 pub struct FullAcyclicJoin {
     /// The join-tree plan (a forest; components are cross-producted).
@@ -128,15 +137,6 @@ pub fn reduce_to_full_acyclic_with(
     let body_plan = TreePlan::from_forest(&body_h, &body_forest)?;
     full_reduce(&body_plan, &mut rels)?;
 
-    // Any empty relation ⇒ no answers at all (components without shared
-    // variables do not propagate emptiness through semijoins, so enforce the
-    // rule globally).
-    if rels.iter().any(Relation::is_empty) {
-        for r in &mut rels {
-            r.retain_rows(|_| false);
-        }
-    }
-
     let head: Vec<Symbol> = cq.head().to_vec();
     let head_set: BTreeSet<Symbol> = head.iter().cloned().collect();
 
@@ -149,16 +149,18 @@ pub fn reduce_to_full_acyclic_with(
             rel.push_row(vec![])?;
         }
         let plan = TreePlan::new(vec![BTreeSet::new()], vec![None])?;
+        let mut relations = vec![rel];
+        Relation::mark_consistent(&mut relations);
         return Ok(FullAcyclicJoin {
             plan,
-            relations: vec![rel],
+            relations,
             head,
         });
     }
 
     // 3. Project every atom onto its free variables; drop atoms whose free
     //    bag is empty (after reduction they are pure filters, already
-    //    accounted for — including the all-empty case handled above). An
+    //    accounted for — including the all-empty case `full_reduce` enforces). An
     //    atom whose variables are all free keeps its relation as it is:
     //    already in bag order, sorted and duplicate-free.
     let mut proj_bags: Vec<BTreeSet<Symbol>> = Vec::new();
@@ -236,6 +238,9 @@ pub fn reduce_to_full_acyclic_with(
         .map(|i| parent[i].map(|p| remap[p]))
         .collect();
 
+    // The surviving nodes are projections of the reduced body relations,
+    // so they are globally consistent as they stand (DESIGN.md §3).
+    Relation::mark_consistent(&mut relations);
     Ok(FullAcyclicJoin {
         plan: TreePlan::new(bags, parent)?,
         relations,

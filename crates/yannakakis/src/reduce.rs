@@ -11,8 +11,10 @@ use rae_query::TreePlan;
 ///
 /// After this call the relations are **globally consistent**: every remaining
 /// tuple participates in at least one answer of the full join over the plan.
-/// Runs in time linear in the total number of tuples (two semijoins per
-/// edge).
+/// Semijoins cannot carry emptiness between the components of a forest, so
+/// an empty relation anywhere then empties every relation (the join over a
+/// forest is the cross product of its components). Runs in time linear in
+/// the total number of tuples (two semijoins per edge).
 pub fn full_reduce(plan: &TreePlan, rels: &mut [Relation]) -> Result<()> {
     // Chaos site: fails the reduction before it filters anything, so the
     // caller sees a transient error with the relations untouched.
@@ -69,6 +71,11 @@ pub fn full_reduce(plan: &TreePlan, rels: &mut [Relation]) -> Result<()> {
         }
     }
 
+    if rels.iter().any(Relation::is_empty) {
+        for rel in rels.iter_mut() {
+            rel.retain_rows(|_| false);
+        }
+    }
     Ok(())
 }
 
@@ -85,13 +92,17 @@ fn borrow_two(rels: &mut [Relation], a: usize, b: usize) -> (&mut Relation, &mut
 }
 
 /// Checks global consistency: every tuple of every relation extends to a full
-/// answer of the join over the plan. Exponential fan-out in the worst case —
-/// tests only.
+/// answer of the join over the plan. On a join tree that is pairwise
+/// consistency of every edge, checked with two merge semijoins per edge on
+/// copies of the relations; across the components of a forest it also
+/// requires that the relations are all empty or all non-empty. Meant for
+/// tests and assertions: the copies cost a full pass over the data.
 pub fn is_globally_consistent(plan: &TreePlan, rels: &[Relation]) -> bool {
-    // A tuple of node i is consistent iff for every child c there is a tuple
-    // of c agreeing on the shared attributes that is itself (recursively)
-    // consistent, and symmetrically towards the parent. After a correct full
-    // reduction, it suffices to check each edge's pairwise consistency.
+    // Components share no attribute, so one empty component leaves the
+    // cross product empty and every tuple elsewhere dangling.
+    if rels.iter().any(Relation::is_empty) && !rels.iter().all(Relation::is_empty) {
+        return false;
+    }
     for i in 0..plan.node_count() {
         if let Some(p) = plan.parent(i) {
             let child_cols = plan.parent_shared_cols(i);
@@ -194,10 +205,20 @@ mod tests {
         let plan = TreePlan::new(vec![bag(&["a"]), bag(&["b"])], vec![None, None]).unwrap();
         let mut rels = vec![rel(&["a"], &[&[1]]), rel(&["b"], &[])];
         full_reduce(&plan, &mut rels).unwrap();
-        // No shared variables: reduction cannot propagate emptiness across
-        // components (callers handle the any-empty ⇒ all-empty rule).
-        assert_eq!(rels[0].len(), 1);
+        // No shared variables, so no semijoin carries the emptiness across;
+        // the empty component still empties the cross product.
+        assert!(rels[0].is_empty());
         assert!(rels[1].is_empty());
+        assert!(is_globally_consistent(&plan, &rels));
+    }
+
+    #[test]
+    fn forest_with_one_empty_component_is_inconsistent() {
+        let plan = TreePlan::new(vec![bag(&["a"]), bag(&["b"])], vec![None, None]).unwrap();
+        let rels = vec![rel(&["a"], &[&[1]]), rel(&["b"], &[])];
+        assert!(!is_globally_consistent(&plan, &rels));
+        let rels = vec![rel(&["a"], &[&[1]]), rel(&["b"], &[&[2]])];
+        assert!(is_globally_consistent(&plan, &rels));
     }
 
     #[test]

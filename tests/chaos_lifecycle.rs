@@ -278,6 +278,48 @@ fn mid_build_fault_leaves_database_and_dict_unchanged() {
 /// With `with_backoff` driving retries *while the schedule stays armed*, a
 /// first-hit fault (fail the 0th hit of `build/node`) is absorbed: attempt
 /// zero fails with a transient error, attempt one succeeds.
+/// An index build over a reduction's output runs no second reduction: with
+/// `yannakakis/reduce` armed only after `reduce_to_full_acyclic` returns,
+/// `CqIndex::from_parts_with` on the witnessed relations succeeds, while the
+/// same relations without their witness reach the failpoint. Deterministic:
+/// the schedule fires on every hit.
+#[test]
+fn witnessed_build_skips_the_second_reduction() {
+    let _s = serial();
+    let q: ConjunctiveQuery = CHURN_QUERY.parse().unwrap();
+    let mut db = Database::new();
+    churn::ingest_cycle(&mut db, 0, &churn_config(5)).unwrap();
+    let expected = naive_eval(&q, &db).unwrap();
+    let fj = reduce_to_full_acyclic(&q, &db).unwrap();
+    let mut unwitnessed = fj.relations.clone();
+    for rel in &mut unwitnessed {
+        rel.clear_consistency_witness();
+    }
+    let options = rae_core::BuildOptions::default();
+
+    let guard = install(FaultSchedule::new(1).always("yannakakis/reduce", FaultKind::Error));
+    let built = CqIndex::from_parts_with(fj.plan.clone(), fj.relations, fj.head.clone(), options);
+    let refused = CqIndex::from_parts_with(fj.plan, unwitnessed, fj.head, options);
+    drop(guard);
+
+    let idx = built.expect("witnessed relations must not be reduced again");
+    match refused {
+        Err(rae_core::CoreError::Query(rae_query::QueryError::Data(
+            rae_data::DataError::FaultInjected { site },
+        ))) => assert_eq!(site, "yannakakis/reduce"),
+        other => panic!("unwitnessed relations must be reduced: {other:?}"),
+    }
+    assert!(idx.count() > 0);
+    assert_eq!(idx.count() as usize, expected.len());
+    let mut answers: Vec<Vec<Value>> = (0..idx.count())
+        .map(|j| idx.access(j).expect("in range"))
+        .collect();
+    assert!(answers.iter().all(|a| expected.contains_row(a)));
+    answers.sort();
+    answers.dedup();
+    assert_eq!(answers.len(), expected.len(), "answers are distinct");
+}
+
 #[test]
 fn with_backoff_absorbs_first_hit_faults() {
     let _s = serial();
