@@ -65,6 +65,16 @@ pub enum DataError {
         /// Length of the value table.
         table: usize,
     },
+    /// A column index passed to a relation operation is not below the
+    /// relation's arity ([`crate::Relation::select_project`]).
+    ColumnOutOfRange {
+        /// Which argument named the column, e.g. `"projection column"`.
+        context: &'static str,
+        /// The offending column index.
+        column: usize,
+        /// The relation's arity.
+        arity: usize,
+    },
     /// A worker thread panicked during a parallel data-layer operation.
     /// The operation's partial effects are additive-only (e.g. some values
     /// of a batch interned), so retrying is safe.
@@ -88,6 +98,7 @@ impl rae_faults::Transient for DataError {
             | DataError::UnknownAttribute { .. }
             | DataError::DuplicateRelation(_)
             | DataError::ValueRefOutOfRange { .. }
+            | DataError::ColumnOutOfRange { .. }
             | DataError::DictionaryFull => false,
         }
     }
@@ -144,6 +155,14 @@ impl fmt::Display for DataError {
                 f,
                 "row column references value-table position {reference}, \
                  but the table holds {table} values"
+            ),
+            DataError::ColumnOutOfRange {
+                context,
+                column,
+                arity,
+            } => write!(
+                f,
+                "{context} {column} is out of range for a relation of arity {arity}"
             ),
             DataError::WorkerPanicked { context } => {
                 write!(f, "worker thread panicked during {context}")

@@ -627,7 +627,8 @@ impl Relation {
     }
 
     /// Projects onto the given columns (no dedup; combine with
-    /// [`Relation::sort_dedup`] for set projection).
+    /// [`Relation::sort_dedup`] for set projection). A column not below the
+    /// arity is a [`DataError::ColumnOutOfRange`].
     pub fn project(&self, cols: &[usize], attrs: Schema) -> Result<Self> {
         self.select_project(&[], &[], cols, attrs)
     }
@@ -645,6 +646,11 @@ impl Relation {
     /// following [`Relation::sort_dedup`] into one linear dedup pass. A
     /// plain projection (no selection, every kept column under its own
     /// name) keeps the consistency witness; anything else drops it.
+    ///
+    /// Every column index in `const_codes`, `eq_cols` and `cols` must be
+    /// below the arity, or the call is a [`DataError::ColumnOutOfRange`]
+    /// (checked before any row is read, so an empty relation refuses it
+    /// too).
     pub fn select_project(
         &self,
         const_codes: &[(usize, ValueCode)],
@@ -658,6 +664,25 @@ impl Relation {
                 expected: cols.len(),
                 actual: attrs.arity(),
             });
+        }
+        let arity = self.arity();
+        let columns = const_codes
+            .iter()
+            .map(|&(c, _)| ("selection column", c))
+            .chain(
+                eq_cols
+                    .iter()
+                    .flat_map(|&(a, b)| [("equality column", a), ("equality column", b)]),
+            )
+            .chain(cols.iter().map(|&c| ("projection column", c)));
+        for (context, column) in columns {
+            if column >= arity {
+                return Err(DataError::ColumnOutOfRange {
+                    context,
+                    column,
+                    arity,
+                });
+            }
         }
         let plain = const_codes.is_empty()
             && eq_cols.is_empty()
@@ -855,6 +880,43 @@ mod tests {
         let mut p = r.project(&[0], Schema::new(["x"]).unwrap()).unwrap();
         p.sort_dedup();
         assert_eq!(p.len(), 2);
+    }
+
+    /// `call` must refuse `column` as out of range, on an empty and on a
+    /// non-empty two-column relation alike.
+    fn assert_column_refused(
+        call: impl Fn(&Relation) -> Result<Relation>,
+        context: &'static str,
+        column: usize,
+    ) {
+        for r in [rel(&["x", "y"], &[]), rel(&["x", "y"], &[&[1, 5]])] {
+            let expected = DataError::ColumnOutOfRange {
+                context,
+                column,
+                arity: 2,
+            };
+            assert_eq!(call(&r).unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn out_of_range_projection_column_is_refused() {
+        let x = || Schema::new(["x"]).unwrap();
+        assert_column_refused(|r| r.project(&[2], x()), "projection column", 2);
+    }
+
+    #[test]
+    fn out_of_range_selection_column_is_refused() {
+        let x = || Schema::new(["x"]).unwrap();
+        let call = |r: &Relation| r.select_project(&[(5, 0)], &[], &[0], x());
+        assert_column_refused(call, "selection column", 5);
+    }
+
+    #[test]
+    fn out_of_range_equality_column_is_refused() {
+        let x = || Schema::new(["x"]).unwrap();
+        let call = |r: &Relation| r.select_project(&[], &[(0, 3)], &[0], x());
+        assert_column_refused(call, "equality column", 3);
     }
 
     #[test]

@@ -38,13 +38,28 @@ pub struct Snapshot {
     epoch: u64,
     /// The dictionary generation this snapshot was published at.
     generation: Generation,
-    /// Distinct values of the published state; the writer chains these
-    /// into the sweep live set while the snapshot is alive.
-    pub(crate) live_values: Arc<Vec<Value>>,
+    /// Values the dictionary sweep must keep while this snapshot is alive.
+    /// Only the writer that published the snapshot reads them: its
+    /// `retained` list chains them into the live set of every fold's
+    /// sweep. A recovered snapshot carries none, because no writer
+    /// published it, so no `retained` list holds it and nothing would read
+    /// the set.
+    pub(crate) live_values: Option<LiveValues>,
     /// Answers contributed by the delta member (0 for a folded snapshot).
     delta_count: Weight,
     /// Keeps the generation pinned for the lifetime of the snapshot.
     _pin: GenerationPin,
+}
+
+/// The values a writer-published snapshot may serve or be probed with.
+#[derive(Debug)]
+pub(crate) struct LiveValues {
+    /// Distinct values of the base rows: computed once per base (when the
+    /// writer starts and at each fold) and shared by every snapshot
+    /// published over that base.
+    pub(crate) base: Arc<Vec<Value>>,
+    /// Distinct values of the rows inserted since that base was built.
+    pub(crate) delta: Arc<Vec<Value>>,
 }
 
 impl Snapshot {
@@ -52,7 +67,7 @@ impl Snapshot {
         union: RankedUcq,
         mut tombstone_ranks: Vec<Weight>,
         epoch: u64,
-        live_values: Arc<Vec<Value>>,
+        live_values: Option<LiveValues>,
         delta_count: Weight,
     ) -> Result<Self> {
         tombstone_ranks.sort_unstable();
@@ -383,8 +398,13 @@ impl ServingIndex {
     /// epochs continue past the recovered one).
     ///
     /// Returns the serving handle together with the snapshot's validated
-    /// metadata (epoch, artifact digest, file path is
-    /// `meta`'s label/epoch naming).
+    /// metadata (epoch, artifact digest, and whether the base serves
+    /// zero-copy from the mapped file).
+    ///
+    /// Recovery reads and checksums the winning file once and decodes the
+    /// base from those bytes (see [`rae_store::recover_dir_with`]); it
+    /// computes no live-value set, since no writer sweeps on behalf of a
+    /// recovered snapshot.
     pub fn recover(dir: &std::path::Path) -> Result<(Self, rae_store::SnapshotMeta)> {
         // Zero-copy cold start: the recovered index serves straight from a
         // read-only mapping of the snapshot file, falling back to an owned
@@ -401,26 +421,10 @@ impl ServingIndex {
                 ),
             }));
         };
-        let base = Arc::new(base);
-        // Rebuild the epoch-0-style read state: the base alone, no
-        // tombstones, no delta. The live value set is collected from the
-        // base's own node relations (the same values `from_archive` just
-        // interned), so subsequent sweeps keep them alive.
-        let mut set: rae_data::FxHashSet<Value> = rae_data::FxHashSet::default();
-        for node in 0..base.index().node_count() {
-            for v in base.index().node_relation(node).values() {
-                set.insert(v.clone());
-            }
-        }
-        let values: Vec<Value> = set.into_iter().collect();
-        let union = RankedUcq::from_shared_members(vec![Arc::clone(&base)])?;
-        let snap = Arc::new(Snapshot::assemble(
-            union,
-            Vec::new(),
-            meta.epoch,
-            Arc::new(values),
-            0,
-        )?);
+        // The epoch-0-style read state: the base alone, no tombstones, no
+        // delta.
+        let union = RankedUcq::from_shared_members(vec![Arc::new(base)])?;
+        let snap = Arc::new(Snapshot::assemble(union, Vec::new(), meta.epoch, None, 0)?);
         let shared = Arc::new(Shared::new(snap));
         Ok((ServingIndex { shared }, meta))
     }

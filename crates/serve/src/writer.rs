@@ -22,7 +22,7 @@
 //! intact; retrying the publish is always safe (idempotent).
 
 use crate::delta::{delta_eligible, JoinCtx, JoinPlan};
-use crate::snapshot::{ServingIndex, Shared, Snapshot};
+use crate::snapshot::{LiveValues, ServingIndex, Shared, Snapshot};
 use crate::Result;
 use crate::ServeError;
 use rae_core::{BuildOptions, OrderedCqIndex, RankedUcq, Weight};
@@ -227,6 +227,9 @@ pub struct ServeWriter {
     atom_rel: Vec<usize>,
     /// The shared base index of the current fold generation.
     base: Arc<OrderedCqIndex>,
+    /// Distinct values of the base rows, computed once per base and
+    /// shared by every snapshot published over it.
+    base_values: Arc<Vec<Value>>,
     /// Seeded-join universe: base rows plus every row inserted since the
     /// last fold (superset of current; exact filters run on the results).
     ctx: JoinCtx,
@@ -299,23 +302,17 @@ impl ServeWriter {
         let realized = base.order().to_vec();
 
         // Epoch-0 snapshot: the base alone, no tombstones, no delta.
-        let values: Vec<Value> = {
-            let mut set: FxHashSet<Value> = FxHashSet::default();
-            for rel in &rels {
-                for row in &rel.base {
-                    for v in row {
-                        set.insert(v.clone());
-                    }
-                }
-            }
-            set.into_iter().collect()
+        let base_values = Arc::new(distinct_values(rels.iter().flat_map(|r| &r.base)));
+        let live_values = LiveValues {
+            base: Arc::clone(&base_values),
+            delta: Arc::default(),
         };
         let union = RankedUcq::from_shared_members(vec![Arc::clone(&base)])?;
         let snap = Arc::new(Snapshot::assemble(
             union,
             Vec::new(),
             0,
-            Arc::new(values),
+            Some(live_values),
             0,
         )?);
         let shared = Arc::new(Shared::new(Arc::clone(&snap)));
@@ -329,6 +326,7 @@ impl ServeWriter {
             rel_of,
             atom_rel,
             base,
+            base_values,
             ctx: JoinCtx::new(Vec::new()),
             in_ctx: Vec::new(),
             shared,
@@ -554,12 +552,11 @@ impl ServeWriter {
                     ))?,
             );
         }
-        let live_values = Arc::new(self.collect_values());
         self.swap_in(Snapshot::assemble(
             union,
             ranks,
             self.epoch + 1,
-            live_values,
+            Some(self.live_values()),
             delta_count,
         )?)
     }
@@ -575,27 +572,33 @@ impl ServeWriter {
     }
 
     /// Values of still-alive published snapshots, to keep in the sweep
-    /// live set (their pins already protect the code *slots*).
+    /// live set (their pins already protect the code *slots*): each shared
+    /// base set once (compared with `Arc::ptr_eq`), then every snapshot's
+    /// own delta values.
     fn retained_values(&self) -> Vec<Arc<Vec<Value>>> {
-        self.retained
-            .iter()
-            .filter_map(Weak::upgrade)
-            .map(|s| Arc::clone(&s.live_values))
-            .collect()
-    }
-
-    /// Distinct values of base ∪ delta rows — a superset of every value a
-    /// snapshot published from this state can serve or be probed with.
-    fn collect_values(&self) -> Vec<Value> {
-        let mut set: FxHashSet<Value> = FxHashSet::default();
-        for rel in &self.rels {
-            for row in rel.base.iter().chain(rel.delta.iter()) {
-                for v in row {
-                    set.insert(v.clone());
-                }
+        let mut out: Vec<Arc<Vec<Value>>> = Vec::new();
+        for snap in self.retained.iter().filter_map(Weak::upgrade) {
+            let Some(live) = &snap.live_values else {
+                continue;
+            };
+            if !out.iter().any(|vs| Arc::ptr_eq(vs, &live.base)) {
+                out.push(Arc::clone(&live.base));
+            }
+            if !live.delta.is_empty() {
+                out.push(Arc::clone(&live.delta));
             }
         }
-        set.into_iter().collect()
+        out
+    }
+
+    /// The live values of a snapshot published from the current state:
+    /// the shared base set plus the distinct values of the delta rows — a
+    /// superset of every value the snapshot can serve or be probed with.
+    fn live_values(&self) -> LiveValues {
+        LiveValues {
+            base: Arc::clone(&self.base_values),
+            delta: Arc::new(distinct_values(self.rels.iter().flat_map(|r| &r.delta))),
+        }
     }
 
     /// Rebuilds the seeded-join universe from the (new) base + delta.
@@ -739,13 +742,9 @@ impl ServeWriter {
         // values of still-pinned published snapshots and (b) the values
         // of rows inserted while the fold ran (they are not in X).
         let retained = self.retained_values();
-        let fresh: Vec<Value> = self
-            .rels
-            .iter()
-            .flat_map(|r| r.delta.iter().flat_map(|row| row.iter().cloned()))
-            .collect();
+        let fresh = self.rels.iter().flat_map(|r| r.delta.iter().flatten());
         db.advance_generation_with_extra_live(
-            retained.iter().flat_map(|vs| vs.iter()).chain(fresh.iter()),
+            retained.iter().flat_map(|vs| vs.iter()).chain(fresh),
         )?;
         // The worker built the index before this sweep, so its generation
         // stamp trails by one. That is fine for serving: snapshot access
@@ -783,17 +782,17 @@ impl ServeWriter {
                 rel.delta.clear();
             }
         }
+        self.base_values = Arc::new(distinct_values(self.rels.iter().flat_map(|r| &r.base)));
         self.rebuild_ctx();
         let epoch = match self.strategy {
             Strategy::DeltaOverlay => self.publish_overlay(),
             Strategy::RebuildPerPublish => {
                 let union = RankedUcq::from_shared_members(vec![Arc::clone(&self.base)])?;
-                let live_values = Arc::new(self.collect_values());
                 self.swap_in(Snapshot::assemble(
                     union,
                     Vec::new(),
                     self.epoch + 1,
-                    live_values,
+                    Some(self.live_values()),
                     0,
                 )?)
             }
@@ -840,5 +839,118 @@ impl ServeWriter {
     /// folds here instead of polling.
     pub fn on_fold(&mut self, hook: impl FnMut(&FoldEvent) + Send + 'static) {
         self.on_fold = Some(FoldHook(Box::new(hook)));
+    }
+}
+
+/// The distinct values of `rows`: the one place the serving lifecycle
+/// hashes every value of a row set (once per base, and per publish only
+/// over the delta rows).
+fn distinct_values<'a>(rows: impl Iterator<Item = &'a Vec<Value>>) -> Vec<Value> {
+    // An owned set: a set of borrows measured ~10% slower, because every
+    // probe then chases a pointer into the row storage.
+    let set: FxHashSet<Value> = rows.flatten().cloned().collect();
+    set.into_iter().collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Folds sweep the process-global dictionary: tests that fold hold
+    /// this lock (the crate's other unit tests never touch the dictionary).
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn lock() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn iv(vals: &[i64]) -> Vec<Value> {
+        vals.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    fn writer() -> (ServeWriter, ServingIndex) {
+        let mut db = Database::new();
+        for (name, attrs) in [("R", ["o", "t"]), ("S", ["o", "p"])] {
+            let rows = (1..=2).map(|o| iv(&[o, 10 * o + 1]));
+            let rel = Relation::from_rows(Schema::new(attrs).unwrap(), rows).unwrap();
+            db.add_relation(name, rel).unwrap();
+        }
+        let query: ConjunctiveQuery = "Q(o, t, p) :- R(o, t), S(o, p)".parse().unwrap();
+        let order: Vec<Symbol> = ["o", "t", "p"].into_iter().map(Symbol::new).collect();
+        ServeWriter::new(query, &db, &order, AdmissionPolicy::default()).unwrap()
+    }
+
+    fn live(snap: &Snapshot) -> &LiveValues {
+        snap.live_values
+            .as_ref()
+            .expect("writer-published snapshot")
+    }
+
+    fn sorted(values: &[Value]) -> Vec<Value> {
+        let mut v = values.to_vec();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn overlay_publishes_share_one_base_value_set() {
+        let _g = lock();
+        let (mut w, idx) = writer();
+        let snap0 = idx.snapshot();
+        let base0 = Arc::clone(&live(&snap0).base);
+        assert_eq!(sorted(&base0), iv(&[1, 2, 11, 21]));
+        assert!(live(&snap0).delta.is_empty());
+
+        // Each overlay shares the base set and adds only the values of the
+        // rows inserted since the fold.
+        let mut b = Batch::new();
+        b.insert("R", iv(&[3, 30])).insert("S", iv(&[3, 9]));
+        w.commit(&b).unwrap();
+        let snap1 = idx.snapshot();
+        assert!(Arc::ptr_eq(&live(&snap1).base, &base0));
+        assert_eq!(sorted(&live(&snap1).delta), iv(&[3, 9, 30]));
+
+        let mut b = Batch::new();
+        b.insert("R", iv(&[4, 40])).delete("S", iv(&[1, 11]));
+        w.commit(&b).unwrap();
+        let snap2 = idx.snapshot();
+        assert!(Arc::ptr_eq(&live(&snap2).base, &base0));
+        assert_eq!(sorted(&live(&snap2).delta), iv(&[3, 4, 9, 30, 40]));
+
+        // The sweep's extra-live list holds the shared base set once, plus
+        // each alive snapshot's own delta values.
+        let retained = w.retained_values();
+        assert_eq!(retained.len(), 3);
+        assert_eq!(
+            retained.iter().filter(|v| Arc::ptr_eq(v, &base0)).count(),
+            1
+        );
+
+        // A fold computes the next base set once; the folded snapshot has
+        // no delta values.
+        w.fold_now().unwrap();
+        let folded = idx.snapshot();
+        assert!(!Arc::ptr_eq(&live(&folded).base, &base0));
+        assert_eq!(
+            sorted(&live(&folded).base),
+            iv(&[1, 2, 3, 4, 9, 11, 21, 30, 40])
+        );
+        assert!(live(&folded).delta.is_empty());
+    }
+
+    #[test]
+    fn recovered_snapshot_carries_no_live_values() {
+        let _g = lock();
+        let dir = std::env::temp_dir().join(format!("rae-serve-live-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut w, _idx) = writer();
+        w.persist_folds_to(&dir);
+        w.fold_now().unwrap();
+        let (recovered, _meta) = ServingIndex::recover(&dir).unwrap();
+        let snap = recovered.snapshot();
+        assert!(snap.live_values.is_none());
+        assert_eq!(snap.count(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,10 +7,11 @@
 //! Folds sweep the process-global dictionary generation, so every test
 //! serializes on [`lock`] like the main serving suite.
 
-use rae_core::RankedScratch;
+use rae_core::{Col, RankedScratch};
 use rae_data::{Database, Relation, Schema, Symbol, Value};
 use rae_query::ConjunctiveQuery;
 use rae_serve::{AdmissionPolicy, Batch, FoldEvent, ServeWriter, ServingIndex};
+use rae_store::ArtifactArchive;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -196,6 +197,81 @@ fn recovery_falls_back_past_a_corrupted_newest_snapshot() {
         .count();
     assert_eq!(quarantined, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The newest snapshot passes every checksum but its archive is
+/// semantically invalid (one row weight bumped, so `from_archive` refuses
+/// it). Recovery verifies both files in one scan, fails to realize the
+/// winner from its verified bytes, quarantines it, and falls back to the
+/// older snapshot through the full load. Checked through the owned and the
+/// zero-copy store entry points and through the serving cold start.
+#[test]
+fn recovery_falls_back_past_a_newest_snapshot_that_fails_realization() {
+    let _guard = lock();
+    for via in ["recover_dir", "recover_dir_with", "ServingIndex::recover"] {
+        let dir = scratch("realize");
+        let (mut writer, _index) = setup();
+        writer.persist_folds_to(&dir);
+        let mut batch = Batch::new();
+        batch.insert("R", iv(&[3, 30]));
+        batch.insert("S", iv(&[3, 9]));
+        writer.commit(&batch).unwrap();
+        let older_epoch = writer.fold_now().unwrap();
+        let older = dir.join(format!("snap-{older_epoch}.rae"));
+
+        let (archive, older_meta) = rae_store::load_archive(&older).unwrap();
+        let ArtifactArchive::Ordered(mut bad) = archive else {
+            panic!("serving persists ordered bases");
+        };
+        let Col::Owned(weights) = &mut bad.index.nodes[0].weights else {
+            panic!("the owned decode copies every column");
+        };
+        weights[0] += 1;
+        let newest_epoch = older_epoch + 1;
+        let newest = dir.join(format!("snap-{newest_epoch}.rae"));
+        rae_store::save(
+            &newest,
+            &ArtifactArchive::Ordered(bad),
+            newest_epoch,
+            "bumped",
+        )
+        .unwrap();
+        assert_eq!(rae_store::verify(&newest).unwrap().epoch, newest_epoch);
+        assert!(
+            rae_store::load(&newest).is_err(),
+            "from_archive must refuse the bumped weight"
+        );
+
+        let (epoch, digest) = match via {
+            "recover_dir" => {
+                let (path, _, meta) = rae_store::recover_dir(&dir).unwrap();
+                assert_eq!(path, older);
+                (meta.epoch, meta.artifact_digest)
+            }
+            "recover_dir_with" => {
+                let (path, _, meta) = rae_store::recover_dir_with(&dir, true).unwrap();
+                assert_eq!(path, older);
+                assert!(meta.borrowed, "the fallback load serves zero-copy too");
+                (meta.epoch, meta.artifact_digest)
+            }
+            _ => {
+                let (recovered, meta) = ServingIndex::recover(&dir).unwrap();
+                assert_eq!(recovered.snapshot().count(), 3);
+                (meta.epoch, meta.artifact_digest)
+            }
+        };
+        assert_eq!(epoch, older_epoch, "{via}");
+        assert_eq!(digest, older_meta.artifact_digest, "{via}");
+        // The refused file was moved aside, not deleted.
+        assert!(older.exists(), "{via}");
+        assert!(!newest.exists(), "{via}");
+        assert!(
+            dir.join(format!("snap-{newest_epoch}.rae.corrupt"))
+                .exists(),
+            "{via}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -683,3 +683,78 @@ fn concurrent_readers_see_monotone_epochs_under_churn() {
     }
     assert!(w.epoch() >= 60);
 }
+
+/// Pins an overlay snapshot whose base and delta both hold values the next
+/// fold drops, runs `fold`, and checks that every rank of the pinned
+/// snapshot still round-trips (access → inverted access) after the fold's
+/// dictionary sweep. Inverted access resolves answer values through the
+/// dictionary, so a value missing from the sweep's live set would make
+/// its answers unfindable.
+fn pinned_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
+    let cq = join_query();
+    let row = |o: i64, tag: &str| vec![Value::Int(o), Value::str(format!("{tag}{o}"))];
+    let mut db = Database::new();
+    for (name, attrs, tag) in [("R", ["o", "t"], "r"), ("S", ["o", "p"], "s")] {
+        let rows = (0..20).map(|o| row(o, tag));
+        db.add_relation(
+            name,
+            Relation::from_rows(Schema::new(attrs).unwrap(), rows).unwrap(),
+        )
+        .unwrap();
+    }
+    let (mut w, idx) = ServeWriter::new(cq, &db, &order(), AdmissionPolicy::default()).unwrap();
+
+    // The pinned overlay: one delta answer (o = 100), one tombstone (o = 0).
+    let mut b = Batch::new();
+    b.insert("R", row(100, "dr"))
+        .insert("S", row(100, "ds"))
+        .delete("R", row(0, "r"));
+    w.commit(&b).unwrap();
+    let pinned = idx.snapshot();
+    assert_eq!(pinned.delta_count(), 1);
+    let answers: Vec<Vec<Value>> = (0..pinned.count())
+        .map(|k| pinned.ordered_access(k).unwrap())
+        .collect();
+
+    // Drop the delta rows and one base answer before the fold, so the
+    // folded base holds none of their values.
+    let mut b = Batch::new();
+    b.delete("R", row(100, "dr"))
+        .delete("S", row(100, "ds"))
+        .delete("R", row(1, "r"))
+        .delete("S", row(1, "s"));
+    w.commit(&b).unwrap();
+    let before = idx.snapshot().generation();
+    fold(&mut w);
+    assert!(idx.snapshot().generation() > before, "the fold must sweep");
+    assert_eq!(idx.snapshot().count(), 18);
+
+    assert_eq!(pinned.count(), answers.len() as Weight);
+    let mut scratch = RankedScratch::default();
+    for (k, answer) in answers.iter().enumerate() {
+        let k = k as Weight;
+        assert_eq!(pinned.ordered_access(k).as_ref(), Some(answer), "rank {k}");
+        assert_eq!(
+            pinned.ordered_inverted_access_of(answer, &mut scratch),
+            Some(k),
+            "rank {k}: {answer:?}"
+        );
+    }
+}
+
+#[test]
+fn snapshot_pinned_across_fold_now_round_trips_every_rank() {
+    let _g = lock();
+    pinned_overlay_survives_fold(|w| {
+        w.fold_now().unwrap();
+    });
+}
+
+#[test]
+fn snapshot_pinned_across_background_fold_round_trips_every_rank() {
+    let _g = lock();
+    pinned_overlay_survives_fold(|w| {
+        w.begin_fold().unwrap();
+        assert!(w.finish_fold().unwrap());
+    });
+}

@@ -454,14 +454,38 @@ fn section_map<'a>(verified: &VerifiedFile, bytes: &'a [u8], image_start: usize)
         .collect()
 }
 
+/// Decodes verified bytes: with an `owner`, numeric columns are views
+/// anchored in it (`image_start` is where `bytes` begins inside it), and a
+/// buffer that cannot support views falls back to the owned decode;
+/// without one, everything is copied out. `meta.borrowed` says which.
+fn decode_verified(
+    verified: VerifiedFile,
+    bytes: &[u8],
+    image_start: usize,
+    owner: Option<&Arc<dyn StableBytes>>,
+) -> Result<(ArtifactArchive, SnapshotMeta), StoreError> {
+    let sections = section_map(&verified, bytes, image_start);
+    let mut meta = verified.meta;
+    if owner.is_some() {
+        match ArtifactArchive::from_sections(meta.kind, &sections, owner) {
+            Ok(archive) => {
+                meta.borrowed = true;
+                return Ok((archive, meta));
+            }
+            Err(StoreError::Unborrowable { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let archive = ArtifactArchive::from_sections(meta.kind, &sections, None)?;
+    Ok((archive, meta))
+}
+
 /// Loads a snapshot back to its archive form (checksums + decode, no
 /// dictionary interning and no semantic re-validation yet).
 pub fn load_archive(path: &Path) -> Result<(ArtifactArchive, SnapshotMeta), StoreError> {
     let bytes = read_file(path)?;
     let verified = verify_bytes(&bytes)?;
-    let sections = section_map(&verified, &bytes, 0);
-    let archive = ArtifactArchive::from_sections(verified.meta.kind, &sections, None)?;
-    Ok((archive, verified.meta))
+    decode_verified(verified, &bytes, 0, None)
 }
 
 /// Loads a snapshot all the way to a live, validated index: checksums,
@@ -498,19 +522,7 @@ fn load_archive_from_owner(
         actual: all.len() as u64,
     })?;
     let verified = verify_bytes(bytes)?;
-    let sections = section_map(&verified, bytes, image_start);
-    match ArtifactArchive::from_sections(verified.meta.kind, &sections, Some(&owner)) {
-        Ok(archive) => {
-            let mut meta = verified.meta;
-            meta.borrowed = true;
-            Ok((archive, meta))
-        }
-        Err(StoreError::Unborrowable { .. }) => {
-            let archive = ArtifactArchive::from_sections(verified.meta.kind, &sections, None)?;
-            Ok((archive, verified.meta))
-        }
-        Err(e) => Err(e),
-    }
+    decode_verified(verified, bytes, image_start, Some(&owner))
 }
 
 /// [`load_archive`], zero-copy: the archive's numeric tables are views
@@ -566,43 +578,111 @@ pub fn quarantine(path: &Path) -> Result<PathBuf, StoreError> {
 /// every file that fails validation (renamed aside, never deleted), and
 /// loads the newest valid one (highest epoch, file name as tie-break).
 ///
+/// Each candidate is read and checksummed once; the winner is decoded from
+/// the bytes that passed its checksums, so a cold start costs one pass
+/// over the winning file (see [`recover_dir_with`]).
+///
 /// Returns [`StoreError::NoSnapshot`] — listing the quarantined files —
 /// when nothing loadable remains.
 pub fn recover_dir(dir: &Path) -> Result<(PathBuf, Artifact, SnapshotMeta), StoreError> {
     recover_dir_with(dir, false)
 }
 
+/// A candidate's bytes, read once by [`recover_dir_with`]: a read-only
+/// mapping (or 16-aligned copy) for the zero-copy path, a plain read for
+/// the owned one.
+enum Buffer {
+    Owned(Vec<u8>),
+    Shared(Arc<dyn StableBytes>),
+}
+
+impl Buffer {
+    fn read(path: &Path, borrowed: bool) -> Result<Buffer, StoreError> {
+        Ok(if borrowed {
+            Buffer::Shared(map_or_read(path)?)
+        } else {
+            Buffer::Owned(read_file(path)?)
+        })
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Buffer::Owned(bytes) => bytes,
+            Buffer::Shared(owner) => owner.stable_bytes(),
+        }
+    }
+
+    /// Decodes and realizes the index from these bytes, which `verified`
+    /// was computed over.
+    fn realize(self, verified: VerifiedFile) -> Result<(Artifact, SnapshotMeta), StoreError> {
+        let (archive, meta) = match &self {
+            Buffer::Owned(bytes) => decode_verified(verified, bytes, 0, None)?,
+            Buffer::Shared(owner) => {
+                decode_verified(verified, owner.stable_bytes(), 0, Some(owner))?
+            }
+        };
+        Ok((archive.realize()?, meta))
+    }
+}
+
 /// [`recover_dir`] with a choice of load path: `prefer_borrowed` loads
 /// the winning snapshot zero-copy (falling back to owned on buffers that
 /// cannot support views). Validation and quarantine behavior are
 /// identical either way.
+///
+/// The scan maps (borrowed) or reads (owned) each candidate once and
+/// checks every checksum and the digest on those bytes. It keeps only the
+/// newest verified buffer, so at most two buffers are live at once, and
+/// the winner is decoded and realized from that buffer without reading or
+/// checksumming the file again. If the winner then fails to decode or
+/// realize, it is quarantined and the next candidate goes through the full
+/// [`load`] / [`load_borrowed`].
 pub fn recover_dir_with(
     dir: &Path,
     prefer_borrowed: bool,
 ) -> Result<(PathBuf, Artifact, SnapshotMeta), StoreError> {
     let entries = fs::read_dir(dir).map_err(io_err("read snapshot directory"))?;
     let mut quarantined = Vec::new();
-    let mut candidates: Vec<(u64, PathBuf)> = Vec::new();
+    // A file that failed validation is moved aside; an I/O error
+    // (unreadable now ≠ corrupt) leaves it alone.
+    let mut reject = |path: PathBuf, err: StoreError| {
+        if !matches!(err, StoreError::Io { .. }) {
+            quarantined.push(quarantine(&path).unwrap_or(path));
+        }
+    };
+    // The newest verified candidate with the bytes it was verified from,
+    // and the keys of every other verified candidate.
+    let mut best: Option<((u64, PathBuf), Buffer, VerifiedFile)> = None;
+    let mut others: Vec<(u64, PathBuf)> = Vec::new();
     for entry in entries {
         let entry = entry.map_err(io_err("read snapshot directory"))?;
         let path = entry.path();
         if path.extension().and_then(|e| e.to_str()) != Some(SNAPSHOT_EXT) {
             continue;
         }
-        match verify(&path) {
-            Ok(meta) => candidates.push((meta.epoch, path)),
-            Err(StoreError::Io { .. }) => {
-                // Unreadable now ≠ corrupt; leave it alone and move on.
+        let checked = Buffer::read(&path, prefer_borrowed)
+            .and_then(|buf| verify_bytes(buf.bytes()).map(|verified| (buf, verified)));
+        match checked {
+            Ok((buf, verified)) => {
+                let key = (verified.meta.epoch, path);
+                match &best {
+                    Some((best_key, ..)) if *best_key > key => others.push(key),
+                    _ => others.extend(best.replace((key, buf, verified)).map(|(k, ..)| k)),
+                }
             }
-            Err(_) => match quarantine(&path) {
-                Ok(q) => quarantined.push(q),
-                Err(_) => quarantined.push(path),
-            },
+            Err(e) => reject(path, e),
         }
     }
+    if let Some(((_, path), buf, verified)) = best {
+        match buf.realize(verified) {
+            Ok((artifact, meta)) => return Ok((path, artifact, meta)),
+            Err(e) => reject(path, e),
+        }
+    }
+    // Rare path: the newest verified file did not decode or realize.
     // Newest first.
-    candidates.sort_by(|a, b| b.cmp(a));
-    for (_, path) in candidates {
+    others.sort_by(|a, b| b.cmp(a));
+    for (_, path) in others {
         let loaded = if prefer_borrowed {
             load_borrowed(&path)
         } else {
@@ -610,11 +690,7 @@ pub fn recover_dir_with(
         };
         match loaded {
             Ok((artifact, meta)) => return Ok((path, artifact, meta)),
-            Err(StoreError::Io { .. }) => continue,
-            Err(_) => match quarantine(&path) {
-                Ok(q) => quarantined.push(q),
-                Err(_) => quarantined.push(path),
-            },
+            Err(e) => reject(path, e),
         }
     }
     Err(StoreError::NoSnapshot {

@@ -22,7 +22,10 @@
 //!   index. Corruption is always a structured [`StoreError`]; a bad file
 //!   is quarantined (renamed aside), never deleted, never served.
 //! * [`recover_dir`] — cold-start entry point: newest valid snapshot wins,
-//!   everything invalid is quarantined.
+//!   everything invalid is quarantined. Each candidate is read and
+//!   checksummed once, and the winner is decoded from those verified
+//!   bytes; the scan keeps only the newest verified buffer, so at most two
+//!   buffers are live at once.
 //! * [`load_borrowed`] / [`recover_dir_with`] — the zero-copy variants
 //!   (DESIGN.md §16): the file is mapped read-only and the index serves
 //!   rank descents from views into the mapped, 16-byte-aligned section
