@@ -17,12 +17,16 @@
 //!
 //! `to_archive` walks the live structure; `from_archive` is the validated
 //! single-copy reconstruction path: it re-interns the value table (one
-//! intern per *distinct* value), rebuilds the code-keyed lookup tables,
-//! and re-checks every structural invariant the access algorithms rely on
-//! — forest shape, running intersection, bucket partition, startIndex
-//! prefix sums, weight products over child buckets, and (for ordered
-//! layouts) within-bucket sort order — surfacing any violation as
+//! intern per *distinct* value, one read lock per dictionary shard) and
+//! re-checks every structural invariant the access algorithms rely on —
+//! forest shape, running intersection, bucket partition and bucket ids,
+//! pAtts key grouping and distinct bucket keys, startIndex prefix sums,
+//! bucket totals and maxima, weight products over child buckets, and (for
+//! ordered layouts) within-bucket sort order — surfacing any violation as
 //! [`crate::CoreError::InvalidArchive`] rather than serving wrong answers.
+//! The checks are column-wise passes over plain slices, a few per node. It
+//! builds no lookup table: the inverted-access row tables stay lazy, built
+//! on the first inverted access exactly as after a fresh build.
 //!
 //! The expensive phases of a build (sorting, semijoin reduction, weight
 //! aggregation) are all absent from this path, which is why a cold-start

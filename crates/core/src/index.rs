@@ -37,7 +37,7 @@ use crate::weight::{checked_product, split_index, Weight};
 use crate::Result;
 use rae_data::{dict, CodeKeyMap, Database, Relation, SortAlgorithm, Symbol, Value, ValueCode};
 use rae_faults::{degrade, fail_point, Budget};
-use rae_query::{ConjunctiveQuery, TreePlan};
+use rae_query::{ConjunctiveQuery, QueryError, TreePlan};
 use rae_yannakakis::{
     full_reduce, reduce_to_full_acyclic, reduce_to_full_acyclic_with, FullAcyclicJoin,
     ReduceOptions,
@@ -139,9 +139,6 @@ struct NodeIndex {
     /// Elias-Fano encoding (see [`crate::archive::Starts`]).
     starts: Starts,
     buckets: Buckets,
-    /// `pAtts` key (dictionary codes) → bucket id; probed with borrowed
-    /// code slices, so no key is ever materialized on the lookup path.
-    bucket_by_key: CodeKeyMap,
     /// Bucket id of each row.
     bucket_of_row: Col<u32>,
     /// `child_buckets[c][row]`: bucket id in child `c` matched by `row`.
@@ -162,7 +159,7 @@ impl NodeIndex {
     fn start_of_row(&self, row_id: usize) -> Weight {
         match &self.starts {
             Starts::EliasFano(_) => {
-                let first = self.buckets.at(self.bucket_of_row[row_id] as usize).start;
+                let first = self.buckets.start[self.bucket_of_row[row_id] as usize];
                 self.starts.at(row_id, first as usize)
             }
             _ => self.starts.at(row_id, 0),
@@ -376,21 +373,7 @@ impl CqIndex {
             relations.len(),
             "one relation per plan node"
         );
-        // Validate attribute coverage in both directions.
-        for i in 0..plan.node_count() {
-            for attr in plan.bag(i) {
-                if !head.contains(attr) {
-                    return Err(CoreError::UncoveredHeadAttribute(format!(
-                        "bag attribute {attr} is not a head attribute"
-                    )));
-                }
-            }
-        }
-        for attr in &head {
-            if !(0..plan.node_count()).any(|i| plan.bag(i).binary_search(attr).is_ok()) {
-                return Err(CoreError::UncoveredHeadAttribute(attr.to_string()));
-            }
-        }
+        validate_head(&plan, &head)?;
 
         // Code-based preprocessing over a stale mirror would bake recycled
         // codes into the lookup tables; refuse up front (recoverable). The
@@ -494,7 +477,7 @@ impl CqIndex {
             levels[depth[node]].push(node);
         }
 
-        let mut nodes: Vec<Option<NodeIndex>> = (0..n).map(|_| None).collect();
+        let mut nodes: Vec<Option<BuiltNode>> = (0..n).map(|_| None).collect();
         for level in levels.iter().rev() {
             budget.check("build/weights")?;
             let work: Vec<(usize, Relation)> = level
@@ -510,7 +493,7 @@ impl CqIndex {
             }
         }
 
-        let nodes: Vec<NodeIndex> = nodes.into_iter().map(|n| n.expect("built")).collect();
+        let nodes: Vec<NodeIndex> = nodes.into_iter().map(|n| n.expect("built").index).collect();
         let root_totals: Vec<Weight> = plan
             .roots()
             .iter()
@@ -697,15 +680,19 @@ impl CqIndex {
         }
         while let Some((node, bucket_id, sub_index)) = scratch.stack.pop() {
             let nd = &self.nodes[node as usize];
-            let bucket = nd.buckets.at(bucket_id as usize);
-            debug_assert!(sub_index < bucket.total);
+            // Only the bucket columns the descent reads: its row range here,
+            // a child bucket's total below.
+            let bucket_id = bucket_id as usize;
+            let (first, end) = (
+                nd.buckets.start[bucket_id] as usize,
+                nd.buckets.end[bucket_id],
+            );
+            debug_assert!(sub_index < nd.buckets.total[bucket_id]);
             // Binary search: the last row of the bucket with startIndex ≤ j,
             // over the compact u64 layout whenever starts fit.
-            let offset = nd
-                .starts
-                .rank_leq(bucket.start as usize, bucket.end as usize, sub_index);
-            let row_id = bucket.start as usize + offset - 1;
-            let mut remainder = sub_index - nd.starts.at(row_id, bucket.start as usize);
+            let offset = nd.starts.rank_leq(first, end as usize, sub_index);
+            let row_id = first + offset - 1;
+            let mut remainder = sub_index - nd.starts.at(row_id, first);
             debug_assert!(remainder < nd.weights[row_id]);
 
             let row = nd.rel.row(row_id);
@@ -719,7 +706,7 @@ impl CqIndex {
             let children = self.plan.children(node as usize);
             for (c, &child) in children.iter().enumerate().rev() {
                 let child_bucket = nd.child_buckets[c][row_id];
-                let radix = self.nodes[child].buckets.at(child_bucket as usize).total;
+                let radix = self.nodes[child].buckets.total[child_bucket as usize];
                 debug_assert!(radix > 0, "zero-weight bucket reached during access");
                 scratch
                     .stack
@@ -780,7 +767,7 @@ impl CqIndex {
             let mut digit: Weight = 0;
             for (c, &child) in self.plan.children(node).iter().enumerate() {
                 let child_bucket = nd.child_buckets[c][row_id];
-                let radix = self.nodes[child].buckets.at(child_bucket as usize).total;
+                let radix = self.nodes[child].buckets.total[child_bucket as usize];
                 let child_digit = scratch.node_digits[child];
                 debug_assert!(child_digit < radix);
                 digit = digit * radix + child_digit;
@@ -925,10 +912,50 @@ impl CqIndex {
     }
 }
 
+/// Checks the head against the plan, as every entry point must: no variable
+/// twice (a repeated head slot would never be written by any node), and
+/// attribute coverage in both directions.
+fn validate_head(plan: &TreePlan, head: &[Symbol]) -> Result<()> {
+    if let Some((_, dup)) = head
+        .iter()
+        .enumerate()
+        .find(|(i, attr)| head[..*i].contains(attr))
+    {
+        return Err(CoreError::Query(QueryError::DuplicateHeadVariable(
+            dup.clone(),
+        )));
+    }
+    for i in 0..plan.node_count() {
+        for attr in plan.bag(i) {
+            if !head.contains(attr) {
+                return Err(CoreError::UncoveredHeadAttribute(format!(
+                    "bag attribute {attr} is not a head attribute"
+                )));
+            }
+        }
+    }
+    for attr in head {
+        if !(0..plan.node_count()).any(|i| plan.bag(i).binary_search(attr).is_ok()) {
+            return Err(CoreError::UncoveredHeadAttribute(attr.to_string()));
+        }
+    }
+    Ok(())
+}
+
 // ----------------------------------------------------------------------
 // Level-synchronous build internals (DESIGN.md §10). Everything below is
 // deterministic: worker assignment never influences any produced artifact.
 // ----------------------------------------------------------------------
+
+/// A node built during preprocessing, with the `pAtts` key → bucket id map
+/// its parent's weights pass probes. Only the build reads the map, so it
+/// is dropped when the build finishes.
+struct BuiltNode {
+    index: NodeIndex,
+    /// Probed with borrowed code slices, so no key is ever materialized
+    /// on the lookup path.
+    bucket_by_key: CodeKeyMap,
+}
 
 /// Runs `f(index, item)` over `items`, splitting the slice into contiguous
 /// chunks across up to `threads` scoped worker threads (serial when
@@ -965,11 +992,11 @@ fn build_level(
     plan: &TreePlan,
     work: Vec<(usize, Relation)>,
     head: &[Symbol],
-    nodes: &[Option<NodeIndex>],
+    nodes: &[Option<BuiltNode>],
     threads: usize,
     sort: SortAlgorithm,
     sort_keys: &[Vec<usize>],
-) -> Result<Vec<(usize, NodeIndex)>> {
+) -> Result<Vec<(usize, BuiltNode)>> {
     let node_workers = threads.min(work.len());
     if node_workers <= 1 {
         // Single node (or serial): give the whole thread budget to the rows.
@@ -1000,7 +1027,7 @@ fn build_level(
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(node_workers);
         for shard in shards {
-            handles.push(scope.spawn(move || -> Result<Vec<(usize, NodeIndex)>> {
+            handles.push(scope.spawn(move || -> Result<Vec<(usize, BuiltNode)>> {
                 shard
                     .into_iter()
                     .map(|(node, rel)| {
@@ -1058,11 +1085,11 @@ fn build_node(
     node: usize,
     mut rel: Relation,
     head: &[Symbol],
-    nodes: &[Option<NodeIndex>],
+    nodes: &[Option<BuiltNode>],
     threads: usize,
     sort: SortAlgorithm,
     sort_key: &[usize],
-) -> Result<NodeIndex> {
+) -> Result<BuiltNode> {
     fail_point!("build/node", |site| Err(CoreError::FaultInjected { site }));
     let key_cols = plan.parent_shared_cols(node);
     rel.sort_by_key_then_row_with(sort_key, sort);
@@ -1135,17 +1162,19 @@ fn build_node(
         .map(|attr| head.iter().position(|h| h == attr).expect("validated"))
         .collect();
 
-    Ok(NodeIndex {
-        rel,
-        key_cols,
-        weights: Col::Owned(weights),
-        starts: Starts::from_weights(starts),
-        buckets: Buckets::from_views(&buckets),
+    Ok(BuiltNode {
+        index: NodeIndex {
+            rel,
+            key_cols,
+            weights: Col::Owned(weights),
+            starts: Starts::from_weights(starts),
+            buckets: Buckets::from_views(&buckets),
+            bucket_of_row: Col::Owned(bucket_of_row),
+            child_buckets: child_buckets.into_iter().map(Col::Owned).collect(),
+            bag_to_head,
+            row_by_tuple: OnceLock::new(),
+        },
         bucket_by_key,
-        bucket_of_row: Col::Owned(bucket_of_row),
-        child_buckets: child_buckets.into_iter().map(Col::Owned).collect(),
-        bag_to_head,
-        row_by_tuple: OnceLock::new(),
     })
 }
 
@@ -1157,7 +1186,7 @@ fn compute_weights(
     rel: &Relation,
     children: &[usize],
     probe_cols: &[Vec<usize>],
-    nodes: &[Option<NodeIndex>],
+    nodes: &[Option<BuiltNode>],
     row_count: usize,
     threads: usize,
 ) -> Result<(Vec<Weight>, Vec<Vec<u32>>)> {
@@ -1211,7 +1240,7 @@ fn weights_range(
     rel: &Relation,
     children: &[usize],
     probe_cols: &[Vec<usize>],
-    nodes: &[Option<NodeIndex>],
+    nodes: &[Option<BuiltNode>],
     range: Range<usize>,
 ) -> Result<(Vec<Weight>, Vec<Vec<u32>>)> {
     let mut key_buf: Vec<ValueCode> = Vec::new();
@@ -1238,7 +1267,7 @@ fn weights_range(
                 }
             };
             child_buckets[c].push(bucket_id);
-            let bucket_total = child_node.buckets.at(bucket_id as usize).total;
+            let bucket_total = child_node.index.buckets.total[bucket_id as usize];
             w = w
                 .checked_mul(bucket_total)
                 .ok_or(CoreError::WeightOverflow)?;
@@ -1313,15 +1342,18 @@ impl CqIndex {
 
     /// Reconstructs an index from its archived raw parts without re-running
     /// any build phase (no sorting, no semijoin reduction, no weight
-    /// aggregation): one dictionary intern per *distinct* value, one pass
-    /// per node to re-check the structural invariants, and a rebuild of the
-    /// code-keyed bucket lookup tables.
+    /// aggregation): one dictionary intern per *distinct* value, then a few
+    /// column-wise passes per node re-check the structural invariants. No
+    /// lookup table is built: the inverted-access row tables stay lazy, as
+    /// after a fresh build.
     ///
-    /// Every violation — forest shape, running intersection, bucket
-    /// partition, startIndex prefix sums, weight products over child
-    /// buckets, key consistency along tree edges — surfaces as
-    /// [`CoreError::InvalidArchive`]; a checksum-valid but logically broken
-    /// artifact is refused, never served.
+    /// Every violation — forest shape, running intersection, a repeated
+    /// head variable, bucket partition and bucket ids, pAtts key grouping
+    /// and distinct bucket keys, startIndex prefix sums, bucket totals and
+    /// maxima, weight products over child buckets, key consistency along
+    /// tree edges — is refused: structural ones as
+    /// [`CoreError::InvalidArchive`]. A checksum-valid but logically broken
+    /// artifact is never served.
     pub fn from_archive(archive: CqIndexArchive) -> Result<Self> {
         catch_build("CqIndex::from_archive", move || {
             Self::from_archive_phases(archive)
@@ -1378,30 +1410,14 @@ impl CqIndex {
                 )));
             }
         }
-        // Head coverage in both directions, as in `from_parts`.
-        for i in 0..n {
-            for attr in plan.bag(i) {
-                if !a.head.contains(attr) {
-                    return Err(CoreError::UncoveredHeadAttribute(format!(
-                        "bag attribute {attr} is not a head attribute"
-                    )));
-                }
-            }
-        }
-        for attr in &a.head {
-            if !(0..n).any(|i| plan.bag(i).binary_search(attr).is_ok()) {
-                return Err(CoreError::UncoveredHeadAttribute(attr.to_string()));
-            }
-        }
+        validate_head(&plan, &a.head)?;
 
         // Intern the value table once (rehydrate discipline: the generation
         // is read BEFORE any code is produced, so a racing sweep leaves the
         // index observably stale, never silently wrong).
         let generation = dict::current_generation();
         let mut table_codes = Vec::with_capacity(a.values.len());
-        for v in &a.values {
-            table_codes.push(dict::intern(v).map_err(CoreError::from)?);
-        }
+        dict::intern_table(&a.values, &mut table_codes).map_err(CoreError::from)?;
 
         let mut arch_nodes: Vec<Option<NodeArchive>> = a.nodes.into_iter().map(Some).collect();
         let mut nodes: Vec<Option<NodeIndex>> = (0..n).map(|_| None).collect();
@@ -1447,11 +1463,15 @@ impl CqIndex {
 }
 
 /// Validates one archived node against its (already validated) children and
-/// assembles the live [`NodeIndex`]. Checks, in order: table shapes, the
-/// bucket partition, per-bucket key grouping, startIndex prefix sums and
-/// bucket totals, and the Algorithm 2 weight invariant — every row weight
-/// equals the product of its matched child-bucket totals, and each matched
-/// child bucket carries exactly the row's shared attribute values.
+/// assembles the live [`NodeIndex`]. After the table shapes, each invariant
+/// is one tight pass over plain slices, in this order: the bucket partition;
+/// bucket ids (0 at row 0, a step of one at each bucket start and nowhere
+/// else); pAtts key grouping and distinct bucket keys; per child, the link
+/// (bucket id in range, equal shared-attribute values); the Algorithm 2
+/// weight invariant (every row weight is the product of its matched child
+/// bucket totals); startIndex prefix sums; bucket totals and maxima. Passes
+/// after the bucket-id pass read "row `r` starts a bucket" as
+/// `bucket_ids[r] != bucket_ids[r - 1]`.
 #[allow(clippy::too_many_arguments)]
 fn validate_archived_node(
     plan: &TreePlan,
@@ -1498,13 +1518,19 @@ fn validate_archived_node(
             children.len()
         )));
     }
-    for cb in &arch.child_buckets {
-        if cb.len() != rows {
-            return Err(invalid(format!(
-                "node {node}: child-bucket column does not match the row count"
-            )));
-        }
+    if arch.child_buckets.iter().any(|cb| cb.len() != rows) {
+        return Err(invalid(format!(
+            "node {node}: child-bucket column does not match the row count"
+        )));
     }
+    let child_nodes: Vec<&NodeIndex> = children
+        .iter()
+        .map(|&child| {
+            nodes[child]
+                .as_ref()
+                .ok_or_else(|| invalid("child visited after parent"))
+        })
+        .collect::<Result<_>>()?;
     // For each child: (child key column, own bag column) pairs linking the
     // shared attributes along the tree edge. Running intersection makes the
     // binary search total.
@@ -1523,131 +1549,175 @@ fn validate_archived_node(
             .collect::<Result<Vec<_>>>()?;
         link_cols.push(pairs);
     }
-    if rows == 0 && !arch.buckets.is_empty() {
-        return Err(invalid(format!("node {node}: buckets over zero rows")));
+    let buckets = &arch.buckets;
+    let nb = buckets.len();
+    // SoA shape: all four bucket columns must be parallel (decoders
+    // enforce this too; re-checked here for hand-built archives).
+    if buckets.end.len() != nb || buckets.total.len() != nb || buckets.max_weight.len() != nb {
+        return Err(invalid(format!(
+            "node {node}: bucket table columns are not parallel"
+        )));
     }
-    if key_cols.is_empty() && arch.buckets.len() > 1 {
+    if key_cols.is_empty() && nb > 1 {
         return Err(invalid(format!(
             "node {node}: multiple buckets with an empty pAtts key"
         )));
     }
-    {
-        // SoA shape: all four bucket columns must be parallel before any
-        // `at(i)` assembles a view (decoders enforce this too; re-checked
-        // here for hand-built archives).
-        let nb = arch.buckets.len();
-        if arch.buckets.end.len() != nb
-            || arch.buckets.total.len() != nb
-            || arch.buckets.max_weight.len() != nb
-        {
+    let (first_rows, ends) = (buckets.start.as_slice(), buckets.end.as_slice());
+    let bucket_ids = arch.bucket_of_row.as_slice();
+    let weights = arch.weights.as_slice();
+    let codes = rel.codes();
+
+    // The bucket partition: non-empty, contiguous, covering `0..rows`.
+    let mut covered: u32 = 0;
+    for (bid, (&first, &end)) in first_rows.iter().zip(ends).enumerate() {
+        if first != covered || end <= first {
             return Err(invalid(format!(
-                "node {node}: bucket table columns are not parallel"
+                "node {node}: bucket {bid} [{first}, {end}) breaks the row partition"
             )));
         }
+        covered = end;
     }
-    // The Elias-Fano layout answers random `at` through two select1
-    // probes; validation visits every row exactly once, so decode the
-    // global sequence up front and index it flat — the comparisons are
-    // identical, the cost linear.
-    let ef_global: Option<Vec<u64>> = match &arch.starts {
-        Starts::EliasFano(ef) => Some(ef.decode_all()),
-        _ => None,
-    };
-    let mut expected_start: u32 = 0;
-    for (bid, b) in arch.buckets.iter().enumerate() {
-        if b.start != expected_start || b.end <= b.start || b.end as usize > rows {
-            return Err(invalid(format!(
-                "node {node}: bucket {bid} [{}, {}) breaks the row partition",
-                b.start, b.end
-            )));
-        }
-        expected_start = b.end;
-        let first_codes = rel.row_codes(b.start as usize);
-        let mut total: Weight = 0;
-        let mut max_weight: Weight = 0;
-        for r in b.start..b.end {
-            let i = r as usize;
-            if arch.bucket_of_row[i] != bid as u32 {
-                return Err(invalid(format!(
-                    "node {node}: row {i} bucket id disagrees with the bucket table"
-                )));
-            }
-            let codes = rel.row_codes(i);
-            if key_cols.iter().any(|&c| codes[c] != first_codes[c]) {
-                return Err(invalid(format!(
-                    "node {node}: bucket {bid} rows do not share a pAtts key"
-                )));
-            }
-            let start_at = match &ef_global {
-                // Same value `Starts::at` computes for this layout
-                // (bucket-relative via wrapping subtraction), without the
-                // per-row select1 probes.
-                Some(g) => Weight::from(g[i].wrapping_sub(g[b.start as usize])),
-                None => arch.starts.at(i, b.start as usize),
-            };
-            if start_at != total {
-                return Err(invalid(format!(
-                    "node {node}: row {i} startIndex breaks the prefix sum"
-                )));
-            }
-            let w = arch.weights[i];
-            let mut product: Weight = 1;
-            for (c, &child) in children.iter().enumerate() {
-                let child_node = nodes[child]
-                    .as_ref()
-                    .ok_or_else(|| invalid("child visited after parent"))?;
-                let cb_id = arch.child_buckets[c][i] as usize;
-                let cb = child_node.buckets.get(cb_id).ok_or_else(|| {
-                    invalid(format!(
-                        "node {node}: row {i} references child bucket {cb_id} out of range"
-                    ))
-                })?;
-                let child_codes = child_node.rel.row_codes(cb.start as usize);
-                if link_cols[c]
-                    .iter()
-                    .any(|&(child_col, own_col)| child_codes[child_col] != codes[own_col])
-                {
-                    return Err(invalid(format!(
-                        "node {node}: row {i} linked to child bucket {cb_id} with a \
-                         different shared-attribute key"
-                    )));
-                }
-                product = product
-                    .checked_mul(cb.total)
-                    .ok_or(CoreError::WeightOverflow)?;
-            }
-            if w != product {
-                return Err(invalid(format!(
-                    "node {node}: row {i} weight {w} does not equal the product of \
-                     its child bucket totals ({product})"
-                )));
-            }
-            total = total.checked_add(w).ok_or(CoreError::WeightOverflow)?;
-            max_weight = max_weight.max(w);
-        }
-        if b.total != total || b.max_weight != max_weight {
-            return Err(invalid(format!(
-                "node {node}: bucket {bid} total/max disagree with its rows"
-            )));
-        }
-    }
-    if expected_start as usize != rows {
+    if covered as usize != rows {
         return Err(invalid(format!(
-            "node {node}: buckets cover {expected_start} of {rows} rows"
+            "node {node}: buckets cover {covered} of {rows} rows, not a row partition"
         )));
     }
-    let mut bucket_by_key = CodeKeyMap::with_capacity(key_cols.len(), arch.buckets.len());
-    let mut key_buf: Vec<ValueCode> = Vec::with_capacity(key_cols.len());
-    for (bid, b) in arch.buckets.iter().enumerate() {
-        key_buf.clear();
-        let codes = rel.row_codes(b.start as usize);
-        key_buf.extend(key_cols.iter().map(|&c| codes[c]));
-        if bucket_by_key.insert(&key_buf, bid as u32).is_some() {
+
+    // Bucket ids: with steps of 0 or 1 only, exactly `nb - 1` steps, and one
+    // at every bucket start, the steps sit at the bucket starts and nowhere
+    // else, so every row carries the id of the bucket holding it.
+    let mut steps: usize = 0;
+    let mut big_step = false;
+    for pair in bucket_ids.windows(2) {
+        let step = pair[1].wrapping_sub(pair[0]);
+        big_step |= step > 1;
+        steps += usize::from(step == 1);
+    }
+    if bucket_ids.first().is_some_and(|&id| id != 0)
+        || big_step
+        || steps != nb.saturating_sub(1)
+        || first_rows[1.min(nb)..]
+            .iter()
+            .any(|&first| bucket_ids[first as usize] == bucket_ids[first as usize - 1])
+    {
+        return Err(invalid(format!(
+            "node {node}: row bucket ids disagree with the bucket table"
+        )));
+    }
+
+    // pAtts key grouping: a row that does not start a bucket has the
+    // previous row's key.
+    if !key_cols.is_empty() {
+        let mut rows_codes = codes.chunks_exact(arity);
+        if let Some(mut prev) = rows_codes.next() {
+            for (i, (cur, pair)) in rows_codes.zip(bucket_ids.windows(2)).enumerate() {
+                if pair[0] == pair[1] && key_cols.iter().any(|&c| cur[c] != prev[c]) {
+                    return Err(invalid(format!(
+                        "node {node}: bucket {} rows do not share a pAtts key (row {})",
+                        pair[1],
+                        i + 1
+                    )));
+                }
+                prev = cur;
+            }
+        }
+    }
+
+    // Distinct bucket keys: radix-sort the bucket ids by key, then compare
+    // neighbours (the sort makes equal keys adjacent).
+    if nb > 1 {
+        let width = key_cols.len();
+        let mut keys: Vec<ValueCode> = Vec::with_capacity(nb * width);
+        for &first in first_rows {
+            let row = &codes[first as usize * arity..][..arity];
+            keys.extend(key_cols.iter().map(|&c| row[c]));
+        }
+        let mut order: Vec<u32> = (0..nb as u32).collect();
+        rae_data::with_sort_scratch(|s| s.sort_rows_by_code_keys(&keys, width, &mut order));
+        let key = |b: u32| &keys[b as usize * width..][..width];
+        if order.windows(2).any(|pair| key(pair[0]) == key(pair[1])) {
             return Err(invalid(format!(
                 "node {node}: two buckets share one pAtts key"
             )));
         }
     }
+
+    // Per child: every link names a child bucket, that bucket carries the
+    // row's shared-attribute values, and the row weight is the product of
+    // the linked bucket totals (Algorithm 2; 1 at a leaf).
+    let mut links: Vec<(&[u32], &[Weight])> = Vec::with_capacity(children.len());
+    for ((child_node, ids), pairs) in child_nodes.iter().zip(&arch.child_buckets).zip(&link_cols) {
+        let child_nb = child_node.buckets.len();
+        if let Some(i) = ids.iter().position(|&id| id as usize >= child_nb) {
+            return Err(invalid(format!(
+                "node {node}: row {i} references child bucket {} out of range",
+                ids[i]
+            )));
+        }
+        let child_arity = child_node.rel.arity();
+        let (child_codes, child_firsts) = (child_node.rel.codes(), &child_node.buckets.start);
+        for &(child_col, own_col) in pairs {
+            let own = codes.iter().skip(own_col).step_by(arity);
+            if let Some(i) = own.zip(ids.iter()).position(|(&code, &id)| {
+                child_codes[child_firsts[id as usize] as usize * child_arity + child_col] != code
+            }) {
+                return Err(invalid(format!(
+                    "node {node}: row {i} linked to child bucket {} with a \
+                     different shared-attribute key",
+                    ids[i]
+                )));
+            }
+        }
+        links.push((ids, child_node.buckets.total.as_slice()));
+    }
+    let bad_weight = match links.split_first() {
+        None => weights.iter().position(|&w| w != 1),
+        Some((&(ids, totals), [])) => weights
+            .iter()
+            .zip(ids)
+            .position(|(&w, &id)| w != totals[id as usize]),
+        Some((&(ids, totals), rest)) => {
+            let mut products: Vec<Weight> = ids.iter().map(|&id| totals[id as usize]).collect();
+            for &(ids, totals) in rest {
+                for (product, &id) in products.iter_mut().zip(ids) {
+                    *product = product
+                        .checked_mul(totals[id as usize])
+                        .ok_or(CoreError::WeightOverflow)?;
+                }
+            }
+            weights.iter().zip(&products).position(|(w, p)| w != p)
+        }
+    };
+    if let Some(i) = bad_weight {
+        return Err(invalid(format!(
+            "node {node}: row {i} weight {} does not equal the product of its \
+             child bucket totals",
+            weights[i]
+        )));
+    }
+
+    // startIndex prefix sums, bucket totals and maxima, over the layout's
+    // plain slice of bucket-relative starts.
+    match &arch.starts {
+        Starts::Compact(starts) => check_starts(node, starts, weights, bucket_ids, buckets)?,
+        Starts::Wide(starts) => check_starts(node, starts, weights, bucket_ids, buckets)?,
+        Starts::EliasFano(ef) => {
+            // The layout stores the global cumulative sequence; rebasing
+            // each bucket on its first row yields exactly what `Starts::at`
+            // returns (wrapping, so a malformed sequence fails the checks
+            // instead of panicking).
+            let mut starts = ef.decode_all();
+            for (&first, &end) in first_rows.iter().zip(ends) {
+                let base = starts[first as usize];
+                for s in &mut starts[first as usize..end as usize] {
+                    *s = s.wrapping_sub(base);
+                }
+            }
+            check_starts(node, &starts, weights, bucket_ids, buckets)?;
+        }
+    }
+
     // Tables move (not copy) into the live node: for a borrowed archive
     // these stay zero-copy views into the snapshot file.
     Ok(NodeIndex {
@@ -1656,12 +1726,66 @@ fn validate_archived_node(
         weights: arch.weights,
         starts: arch.starts,
         buckets: arch.buckets,
-        bucket_by_key,
         bucket_of_row: arch.bucket_of_row,
         child_buckets: arch.child_buckets,
         bag_to_head,
         row_by_tuple: OnceLock::new(),
     })
+}
+
+/// The startIndex checks of [`validate_archived_node`] over bucket-relative
+/// starts whose partition and bucket ids are already validated: each bucket
+/// starts at 0 and every later row at the previous start plus the previous
+/// weight; then each bucket's total is its last start plus its last weight,
+/// and its maximum is the largest weight of its rows.
+fn check_starts<T: Copy + Into<Weight>>(
+    node: usize,
+    starts: &[T],
+    weights: &[Weight],
+    bucket_ids: &[u32],
+    buckets: &Buckets,
+) -> Result<()> {
+    use crate::archive::invalid;
+    // Branch-free over the rows; a sum that overflows inside a bucket
+    // overflows the bucket total, as in the build.
+    let (mut broken, mut overflow) = (starts.first().is_some_and(|&s| s.into() != 0), false);
+    let prev = starts.iter().zip(weights).zip(bucket_ids);
+    let next = starts.iter().skip(1).zip(bucket_ids.iter().skip(1));
+    for (((&prev_start, &w), &prev_id), (&start, &id)) in prev.zip(next) {
+        let (sum, carry) = prev_start.into().overflowing_add(w);
+        let same_bucket = id == prev_id;
+        overflow |= same_bucket & carry;
+        broken |= start.into() != if same_bucket { sum } else { 0 };
+    }
+    if overflow {
+        return Err(CoreError::WeightOverflow);
+    }
+    if broken {
+        return Err(invalid(format!(
+            "node {node}: a startIndex breaks the prefix sum of its bucket"
+        )));
+    }
+    let (firsts, ends) = (buckets.start.as_slice(), buckets.end.as_slice());
+    let bounds = firsts.iter().zip(ends);
+    let stored = buckets.total.iter().zip(buckets.max_weight.iter());
+    for (bid, ((&first, &end), (&total, &max))) in bounds.zip(stored).enumerate() {
+        let (first, last) = (first as usize, end as usize - 1);
+        let sum = starts[last]
+            .into()
+            .checked_add(weights[last])
+            .ok_or(CoreError::WeightOverflow)?;
+        if total != sum {
+            return Err(invalid(format!(
+                "node {node}: bucket {bid} total disagrees with its rows"
+            )));
+        }
+        if Some(max) != weights[first..=last].iter().copied().max() {
+            return Err(invalid(format!(
+                "node {node}: bucket {bid} maximum disagrees with its rows"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1707,6 +1831,22 @@ mod tests {
     fn example_4_4_index() -> CqIndex {
         let cq = cq("Q(v, w, x, y, z) :- R1(v, w, x), R2(w, y), R3(x, z)");
         built(&cq, &example_4_4_db())
+    }
+
+    #[test]
+    fn from_parts_refuses_a_repeated_head_variable() {
+        // Head [x, y, x] over the single bag {x, y}: no node would ever
+        // write the second x slot.
+        let bag = syms(&["x", "y"]).into_iter().collect();
+        let plan = TreePlan::new(vec![bag], vec![None]).unwrap();
+        let r = rel_int(&["x", "y"], &[&[1, 10], &[2, 20]]);
+        let head = syms(&["x", "y", "x"]);
+        match CqIndex::from_parts_with(plan, vec![r], head, BuildOptions::serial()) {
+            Err(CoreError::Query(QueryError::DuplicateHeadVariable(v))) => {
+                assert_eq!(v, Symbol::new("x"));
+            }
+            other => panic!("expected DuplicateHeadVariable, got {other:?}"),
+        }
     }
 
     #[test]

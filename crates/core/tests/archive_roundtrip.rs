@@ -3,8 +3,11 @@
 //! with a structured `CoreError::InvalidArchive` (never a panic, never a
 //! wrong answer).
 
-use rae_core::{CoreError, CqIndex, OrderedCqIndex, OrderedMcUcqIndex};
+use rae_core::{
+    CoreError, CqIndex, CqIndexArchive, NodeArchive, OrderedCqIndex, OrderedMcUcqIndex, Starts,
+};
 use rae_data::{Database, Relation, Schema, Symbol, Value};
+use rae_query::QueryError;
 
 fn db() -> Database {
     let mut db = Database::new();
@@ -187,4 +190,150 @@ fn tampered_sort_order_is_refused_for_ordered_layouts() {
     // The swap breaks either the within-bucket sort order or a structural
     // invariant below it — never yields a working index silently.
     assert!(OrderedCqIndex::from_archive(archive).is_err());
+}
+
+#[test]
+fn repeated_head_variable_is_refused() {
+    let db = db();
+    let cq = "Q(x, y) :- R(x, y)".parse().unwrap();
+    let mut archive = CqIndex::build(&cq, &db).unwrap().to_archive();
+    // Head [x, y, x] over the bag {x, y}: no node writes the second x slot.
+    archive.head.push(Symbol::new("x"));
+    match CqIndex::from_archive(archive) {
+        Err(CoreError::Query(QueryError::DuplicateHeadVariable(v))) => {
+            assert_eq!(v, Symbol::new("x"));
+        }
+        other => panic!("expected DuplicateHeadVariable, got {other:?}"),
+    }
+}
+
+// One tamper per invariant of the node validator. Each archive passes every
+// check before the tampered one, and each test names the check that must
+// refuse it, so deleting that check fails the test even where a later check
+// would refuse the archive for another reason.
+//
+// The fixture's plan for `Q(x, y, z) :- R(x, y), S(y, z)`:
+// - leaf `{x, y}`, keyed on y: rows (1,10) (2,10) | (1,20) | (3,30), three
+//   buckets, all weights 1;
+// - root `{y, z}`: rows (10,x) (10,y) (20,x) (30,z) in one bucket, weights
+//   2 2 1 1, starts 0 2 4 5, total 6, maximum 2.
+
+/// The fixture's archive with its leaf and root node ids.
+fn two_node_archive() -> (CqIndexArchive, usize, usize) {
+    let db = db();
+    let cq = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
+    let archive = CqIndex::build(&cq, &db).unwrap().to_archive();
+    let leaf = archive.parent.iter().position(Option::is_some).unwrap();
+    let root = archive.parent.iter().position(Option::is_none).unwrap();
+    let l = &archive.nodes[leaf];
+    assert_eq!(archive.bags[leaf], [Symbol::new("x"), Symbol::new("y")]);
+    assert_eq!(l.buckets.start.as_slice(), &[0, 2, 3]);
+    assert_eq!(l.buckets.end.as_slice(), &[2, 3, 4]);
+    let r = &archive.nodes[root];
+    assert_eq!(r.weights.as_slice(), &[2, 2, 1, 1]);
+    assert_eq!(r.child_buckets[0].as_slice(), &[0, 0, 1, 2]);
+    assert!(matches!(r.starts, Starts::Compact(_)));
+    (archive, leaf, root)
+}
+
+/// Applies `tamper` to node `node` and expects a refusal naming `needle`.
+fn assert_refused(
+    mut archive: CqIndexArchive,
+    node: usize,
+    needle: &str,
+    tamper: impl FnOnce(&mut NodeArchive),
+) {
+    tamper(&mut archive.nodes[node]);
+    match CqIndex::from_archive(archive) {
+        Err(CoreError::InvalidArchive(detail)) => {
+            assert!(
+                detail.contains(needle),
+                "expected {needle:?}, got: {detail}"
+            );
+        }
+        other => panic!("expected InvalidArchive ({needle}), got {other:?}"),
+    }
+}
+
+#[test]
+fn tampered_bucket_partition_is_refused() {
+    let (archive, leaf, _) = two_node_archive();
+    // Bucket 0 ends at row 1, but bucket 1 still starts at row 2.
+    assert_refused(archive, leaf, "row partition", |n| {
+        n.buckets.end.to_mut()[0] = 1;
+    });
+}
+
+#[test]
+fn tampered_bucket_id_is_refused() {
+    let (archive, leaf, _) = two_node_archive();
+    // Row 1 of bucket 0 claims bucket 1: still one step per bucket start in
+    // count, but the step sits at row 1 instead of row 2.
+    assert_refused(archive, leaf, "bucket ids disagree", |n| {
+        n.bucket_of_row.to_mut()[1] = 1;
+    });
+}
+
+#[test]
+fn tampered_key_grouping_is_refused() {
+    let (archive, leaf, _) = two_node_archive();
+    // Row 1 of the y = 10 bucket now reads y = 20 (row 2's y reference).
+    assert_refused(archive, leaf, "rows do not share a pAtts key", |n| {
+        let refs = n.refs.to_mut();
+        refs[3] = refs[5];
+    });
+}
+
+#[test]
+fn two_buckets_with_one_key_are_refused() {
+    let (archive, leaf, _) = two_node_archive();
+    // The one-row bucket 2, (3, 30), now reads (3, 10): bucket 0's key.
+    assert_refused(archive, leaf, "two buckets share one pAtts key", |n| {
+        let refs = n.refs.to_mut();
+        refs[7] = refs[1];
+    });
+}
+
+#[test]
+fn child_bucket_out_of_range_is_refused() {
+    let (archive, _, root) = two_node_archive();
+    assert_refused(archive, root, "out of range", |n| {
+        n.child_buckets[0].to_mut()[0] = 3;
+    });
+}
+
+#[test]
+fn link_key_mismatch_is_refused() {
+    let (archive, _, root) = two_node_archive();
+    // Row (10, x) linked to the leaf's y = 20 bucket.
+    assert_refused(archive, root, "different shared-attribute key", |n| {
+        n.child_buckets[0].to_mut()[0] = 1;
+    });
+}
+
+#[test]
+fn tampered_start_index_is_refused() {
+    let (archive, _, root) = two_node_archive();
+    assert_refused(archive, root, "startIndex breaks the prefix sum", |n| {
+        let Starts::Compact(starts) = &mut n.starts else {
+            unreachable!("checked by the fixture")
+        };
+        starts.to_mut()[1] += 1;
+    });
+}
+
+#[test]
+fn tampered_bucket_total_is_refused() {
+    let (archive, leaf, _) = two_node_archive();
+    assert_refused(archive, leaf, "bucket 1 total disagrees", |n| {
+        n.buckets.total.to_mut()[1] += 1;
+    });
+}
+
+#[test]
+fn tampered_bucket_maximum_is_refused() {
+    let (archive, _, root) = two_node_archive();
+    assert_refused(archive, root, "bucket 0 maximum disagrees", |n| {
+        n.buckets.max_weight.to_mut()[0] = 1;
+    });
 }

@@ -144,16 +144,16 @@ impl Relation {
             rel.codes = vec![0; row_count];
             return Ok(rel);
         }
-        let mut data = Vec::with_capacity(refs.len());
-        let mut codes = Vec::with_capacity(refs.len());
-        for &r in refs {
-            let v = table.get(r as usize).ok_or(DataError::ValueRefOutOfRange {
+        // One range check up front, then two plain gathers (a clone per
+        // cell and a code per cell), with no error path inside either loop.
+        if let Some(&r) = refs.iter().find(|&&r| r as usize >= table.len()) {
+            return Err(DataError::ValueRefOutOfRange {
                 reference: r,
                 table: table.len(),
-            })?;
-            data.push(v.clone());
-            codes.push(table_codes[r as usize]);
+            });
         }
+        let codes: Vec<ValueCode> = refs.iter().map(|&r| table_codes[r as usize]).collect();
+        let data: Vec<Value> = refs.iter().map(|&r| table[r as usize].clone()).collect();
         Ok(Relation {
             schema,
             data,
