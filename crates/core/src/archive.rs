@@ -292,18 +292,6 @@ pub struct OrderedCqIndexArchive {
     pub node_new: Vec<Vec<(u32, u32)>>,
 }
 
-/// The raw parts of an [`crate::OrderedMcUcqIndex`]: one ordered archive
-/// per non-empty member subset, all over one shared ordered layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderedMcUcqArchive {
-    /// Number of union members.
-    pub m: u32,
-    /// Head attributes in answer-tuple order.
-    pub head: Vec<Symbol>,
-    /// `structs[mask]` for non-empty masks; `structs[0]` is `None`.
-    pub structs: Vec<Option<OrderedCqIndexArchive>>,
-}
-
 /// Shorthand constructor for [`crate::CoreError::InvalidArchive`].
 pub(crate) fn invalid(detail: impl Into<String>) -> crate::CoreError {
     crate::CoreError::InvalidArchive(detail.into())

@@ -26,9 +26,13 @@
 //! [`UcqShuffle::build`] for random-order enumeration of any union of
 //! free-connex CQs, and [`McUcqIndex::build`] for random access over
 //! mutually-compatible unions (shared-template UCQs).
+//!
+//! Beyond the paper, [`OrderedCqIndex`] answers direct access by a
+//! lexicographic variable order, and [`RankedUcq`] — the one ordered-union
+//! structure — extends it to any union of free-connex CQs whose members
+//! realize that order, duplicates counted once (DESIGN.md §11).
 
 pub mod archive;
-pub mod budgeted;
 pub mod column;
 pub mod delset;
 pub mod ef;
@@ -48,22 +52,19 @@ pub mod weighted;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use archive::{
-    Buckets, CqIndexArchive, NodeArchive, OrderedCqIndexArchive, OrderedMcUcqArchive, Starts,
-};
-pub use budgeted::{Budgeted, ProbeCadence};
+pub use archive::{Buckets, CqIndexArchive, NodeArchive, OrderedCqIndexArchive, Starts};
 pub use column::{AlignedBytes, Col, ColumnError, Pod, StableBytes};
 pub use delset::DeletableSet;
 pub use ef::EfStarts;
 pub use enumerate::CqSequential;
 pub use error::CoreError;
 pub use index::{BucketView, BuildOptions, CqIndex, BUILD_THREADS_ENV};
-pub use mcucq::{McUcqIndex, McUcqShuffle, OrderedMcUcqIndex, RankStrategy};
+pub use mcucq::{McUcqIndex, McUcqShuffle, RankStrategy};
 pub use ordered::{OrderedCqIndex, OrderedEnumeration};
 pub use rae_data::SortAlgorithm;
 pub use ranked_ucq::{RankedScratch, RankedUcq, RankedUnionWindow};
 pub use renum_cq::CqShuffle;
-pub use renum_ucq::{OrderedUcq, OrderedUnionEnumeration, UcqEvent, UcqShuffle};
+pub use renum_ucq::{OrderedUnionEnumeration, UcqEvent, UcqShuffle};
 pub use scratch::AccessScratch;
 pub use shuffle::LazyShuffle;
 pub use weight::{split_index, Weight};

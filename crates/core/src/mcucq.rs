@@ -26,19 +26,15 @@
 #![allow(clippy::expect_used)]
 
 use crate::error::CoreError;
-use crate::index::{BuildOptions, CqIndex};
-use crate::ordered::OrderedCqIndex;
-use crate::renum_ucq::OrderedUnionEnumeration;
+use crate::index::CqIndex;
 use crate::scratch::AccessScratch;
 use crate::shuffle::LazyShuffle;
 use crate::weight::Weight;
 use crate::Result;
 use rae_data::{Database, Relation, Symbol, Value};
-use rae_query::{realize_order, validate_order, UnionQuery};
+use rae_query::UnionQuery;
 use rae_yannakakis::reduce_to_full_acyclic;
 use rand::Rng;
-use std::cmp::Ordering;
-use std::ops::Range;
 
 /// Maximum number of disjuncts: preprocessing builds `2^m − 1` indexes and
 /// access performs `2^m`-term inclusion–exclusion, matching the paper's
@@ -355,306 +351,6 @@ impl McUcqIndex {
     }
 }
 
-/// Lexicographic direct access over a same-template union (the ordered
-/// counterpart of [`McUcqIndex`], DESIGN.md §11).
-///
-/// Every disjunct reduces to one join-tree template; the template is
-/// reoriented once to realize the requested order, and one
-/// [`OrderedCqIndex`] is built per non-empty member subset (node-wise
-/// intersections, as in [`McUcqIndex`]). Because all 2^m − 1 indexes share
-/// the ordered layout, every per-set answer stream is the lexicographic
-/// order restricted to that set, and inclusion–exclusion over their rank
-/// counts gives the union's ranks:
-///
-/// * [`OrderedMcUcqIndex::count`] — O(1) (precomputed inclusion–exclusion);
-/// * [`OrderedMcUcqIndex::ordered_access`]`(k)` — the `k`-th **distinct**
-///   union answer under the order, via per-member binary searches on the
-///   union rank (O(2^m · log² n));
-/// * [`OrderedMcUcqIndex::ordered_inverted_access`] — a union answer's
-///   rank, one inclusion–exclusion sweep of strict-rank counts;
-/// * [`OrderedMcUcqIndex::range_count`] /
-///   [`OrderedMcUcqIndex::range_of_prefix`] — `ORDER BY`-prefix windows
-///   over the union, duplicates counted once.
-#[derive(Debug)]
-pub struct OrderedMcUcqIndex {
-    m: usize,
-    head: Vec<Symbol>,
-    /// `structs[mask]` = ordered index of `⋂_{i ∈ mask} Q_i` (non-empty
-    /// masks only), all over one ordered layout.
-    structs: Vec<Option<OrderedCqIndex>>,
-    /// `|Q_1(D) ∪ … ∪ Q_m(D)|` by inclusion–exclusion.
-    total: Weight,
-}
-
-impl OrderedMcUcqIndex {
-    /// Builds the ordered union structure for a same-template union of
-    /// free-connex CQs under the variable order `order`.
-    ///
-    /// Fails like [`McUcqIndex::build`] (template/disjunct-count checks)
-    /// and like [`OrderedCqIndex::build`] (order validation/realizability).
-    pub fn build(ucq: &UnionQuery, db: &Database, order: &[Symbol]) -> Result<Self> {
-        Self::build_with(ucq, db, order, BuildOptions::default())
-    }
-
-    /// [`OrderedMcUcqIndex::build`] with explicit preprocessing options.
-    pub fn build_with(
-        ucq: &UnionQuery,
-        db: &Database,
-        order: &[Symbol],
-        options: BuildOptions,
-    ) -> Result<Self> {
-        crate::error::catch_build("OrderedMcUcqIndex::build", || {
-            Self::build_with_inner(ucq, db, order, options)
-        })
-    }
-
-    fn build_with_inner(
-        ucq: &UnionQuery,
-        db: &Database,
-        order: &[Symbol],
-        options: BuildOptions,
-    ) -> Result<Self> {
-        let m = ucq.len();
-        if m > MAX_DISJUNCTS {
-            return Err(CoreError::TooManyDisjuncts {
-                max: MAX_DISJUNCTS,
-                got: m,
-            });
-        }
-        let head: Vec<Symbol> = ucq.head().to_vec();
-        validate_order(&head, order).map_err(CoreError::Query)?;
-
-        // Reduce every disjunct; check the shared template; realize the
-        // order once on it.
-        let fjs: Vec<_> = ucq
-            .disjuncts()
-            .iter()
-            .map(|d| reduce_to_full_acyclic(d, db))
-            .collect::<std::result::Result<_, _>>()?;
-        let plan = fjs[0].plan.clone();
-        for (i, fj) in fjs.iter().enumerate().skip(1) {
-            if !fj.plan.same_shape(&plan) {
-                return Err(CoreError::IncompatibleTemplates {
-                    first: ucq.disjuncts()[0].name().to_string(),
-                    other: ucq.disjuncts()[i].name().to_string(),
-                });
-            }
-        }
-        let lex = realize_order(&plan, order)?;
-
-        // Member relations derived for the ordered plan's node layout
-        // (full bags carried over, projection nodes projected per member).
-        let member_rels: Vec<Vec<Relation>> = fjs
-            .into_iter()
-            .map(|fj| lex.derive_relations(fj.relations))
-            .collect::<rae_query::Result<_>>()?;
-
-        // One ordered index per non-empty subset (node-wise intersections,
-        // reusing the already-built rest like the unordered builder).
-        let n = lex.plan.node_count();
-        let mut structs: Vec<Option<OrderedCqIndex>> = (0..(1usize << m)).map(|_| None).collect();
-        for mask in 1..(1usize << m) {
-            let lowest = mask.trailing_zeros() as usize;
-            let rest = mask & (mask - 1);
-            let relations: Vec<Relation> = if rest == 0 {
-                member_rels[lowest].clone()
-            } else {
-                let rest_idx = structs[rest].as_ref().expect("built in mask order");
-                (0..n)
-                    .map(|node| {
-                        member_rels[lowest][node].intersect(rest_idx.index().node_relation(node))
-                    })
-                    .collect::<std::result::Result<_, _>>()?
-            };
-            structs[mask] = Some(OrderedCqIndex::from_lex_parts(
-                &lex,
-                relations,
-                head.clone(),
-                options,
-                &rae_faults::Budget::unlimited(),
-            )?);
-            if mask.count_ones() == 1 {
-                structs[mask]
-                    .as_ref()
-                    .expect("just built")
-                    .index()
-                    .prepare_inverted_access();
-            }
-        }
-
-        // Checked inclusion–exclusion, as for the archive path: extreme
-        // synthetic cardinalities surface as a structured capacity error,
-        // never a debug panic / release wraparound.
-        let over = || crate::error::rank_overflow("inclusion–exclusion sums");
-        let (mut plus, mut minus) = (0 as Weight, 0 as Weight);
-        for (mask, s) in structs.iter().enumerate().skip(1) {
-            let c = s.as_ref().expect("non-empty masks built").count();
-            let acc = if mask.count_ones() % 2 == 1 {
-                &mut plus
-            } else {
-                &mut minus
-            };
-            *acc = acc.checked_add(c).ok_or_else(over)?;
-        }
-        let total = plus.checked_sub(minus).ok_or_else(over)?;
-
-        Ok(OrderedMcUcqIndex {
-            m,
-            head,
-            structs,
-            total,
-        })
-    }
-
-    /// Number of disjuncts.
-    pub fn members(&self) -> usize {
-        self.m
-    }
-
-    /// The head attributes, in answer order.
-    pub fn head(&self) -> &[Symbol] {
-        &self.head
-    }
-
-    /// The realized lexicographic variable order.
-    pub fn order(&self) -> &[Symbol] {
-        self.member(0).order()
-    }
-
-    /// The ordered index of one member.
-    pub fn member(&self, l: usize) -> &OrderedCqIndex {
-        self.structs[1 << l].as_ref().expect("member index built")
-    }
-
-    /// The ordered intersection index for a non-empty member subset.
-    pub fn intersection_index(&self, mask: usize) -> Option<&OrderedCqIndex> {
-        self.structs.get(mask).and_then(Option::as_ref)
-    }
-
-    /// `|Q_1(D) ∪ … ∪ Q_m(D)|` — O(1).
-    pub fn count(&self) -> Weight {
-        self.total
-    }
-
-    /// Inclusion–exclusion over the per-subset `(lt, le)` rank pairs of a
-    /// bound (each produced by the ordered rank descent). All sums are
-    /// checked: overflow of the `u128` rank space surfaces as
-    /// [`CoreError::CapacityExceeded`] (unreachable for indexes this crate
-    /// built — the build proved Σ subset counts fits — but a violated
-    /// invariant must not wrap silently).
-    fn union_bounds(
-        &self,
-        bounds_of: impl Fn(&OrderedCqIndex) -> Result<(Weight, Weight)>,
-    ) -> Result<(Weight, Weight)> {
-        let over = || crate::error::rank_overflow("inclusion–exclusion sums");
-        let (mut lt_plus, mut lt_minus) = (0 as Weight, 0 as Weight);
-        let (mut le_plus, mut le_minus) = (0 as Weight, 0 as Weight);
-        for (mask, s) in self.structs.iter().enumerate().skip(1) {
-            let (lt, le) = bounds_of(s.as_ref().expect("built"))?;
-            if mask.count_ones() % 2 == 1 {
-                lt_plus = lt_plus.checked_add(lt).ok_or_else(over)?;
-                le_plus = le_plus.checked_add(le).ok_or_else(over)?;
-            } else {
-                lt_minus = lt_minus.checked_add(lt).ok_or_else(over)?;
-                le_minus = le_minus.checked_add(le).ok_or_else(over)?;
-            }
-        }
-        let lt = lt_plus.checked_sub(lt_minus).ok_or_else(over)?;
-        let le = le_plus.checked_sub(le_minus).ok_or_else(over)?;
-        Ok((lt, le))
-    }
-
-    /// The union's `(lt, le)` ranks of a full tuple (head order).
-    pub(crate) fn tuple_union_bounds(&self, tuple: &[Value]) -> Result<(Weight, Weight)> {
-        self.union_bounds(|s| s.tuple_bounds(tuple))
-    }
-
-    /// The `k`-th distinct union answer under the order, or `None` when
-    /// `k ≥ count()`.
-    ///
-    /// For each member, a binary search over its (order-sorted) positions
-    /// finds the first answer whose union `le`-rank reaches `k + 1`; the
-    /// smallest candidate under the order is the union's `k`-th answer.
-    pub fn ordered_access(&self, k: Weight) -> Option<Vec<Value>> {
-        if k >= self.total {
-            return None;
-        }
-        let mut scratch = AccessScratch::new();
-        let mut best: Option<Vec<Value>> = None;
-        for l in 0..self.m {
-            let member = self.member(l);
-            let count = member.count();
-            // Smallest j with le_union(member[j]) ≥ k + 1; the union rank
-            // is monotone along the member's order.
-            let (mut lo, mut hi) = (0 as Weight, count);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let ans = member
-                    .ordered_access_into(mid, &mut scratch)
-                    .expect("mid < count");
-                // Overflow is unreachable for a built index (the build
-                // proved Σ subset counts fits u128); a violated invariant
-                // degrades to "not found" rather than panicking.
-                let (_, le) = self.tuple_union_bounds(ans).ok()?;
-                if le > k {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            if lo == count {
-                continue; // every member answer ranks below k
-            }
-            let candidate = member.ordered_access(lo).expect("lo < count");
-            best = match best {
-                Some(b) if self.member(0).order_cmp(&b, &candidate) != Ordering::Greater => Some(b),
-                _ => Some(candidate),
-            };
-        }
-        Some(best.expect("k < count guarantees an owner member"))
-    }
-
-    /// The rank of `answer` (head order) among the distinct union answers,
-    /// or `None` when no member contains it.
-    pub fn ordered_inverted_access(&self, answer: &[Value]) -> Option<Weight> {
-        let mut scratch = AccessScratch::new();
-        let is_member = (0..self.m).any(|l| {
-            self.member(l)
-                .ordered_inverted_access_of(answer, &mut scratch)
-                .is_some()
-        });
-        if !is_member {
-            return None;
-        }
-        // Same invariant as `ordered_access`: checked sums cannot fire for
-        // a built index; degrade to "not found" if they ever do.
-        self.tuple_union_bounds(answer).ok().map(|(lt, _)| lt)
-    }
-
-    /// The number of distinct union answers matching a prefix of order
-    /// values (duplicates across members counted once) — O(2^m · log n).
-    /// Rank-space overflow surfaces as [`CoreError::CapacityExceeded`].
-    pub fn range_count(&self, prefix: &[Value]) -> Result<Weight> {
-        let (lt, le) = self.union_bounds(|s| s.prefix_bounds(prefix))?;
-        Ok(le - lt)
-    }
-
-    /// The contiguous union-rank range of all answers matching a prefix of
-    /// order values.
-    pub fn range_of_prefix(&self, prefix: &[Value]) -> Result<Range<Weight>> {
-        let (lt, le) = self.union_bounds(|s| s.prefix_bounds(prefix))?;
-        Ok(lt..le)
-    }
-
-    /// Constant-delay ordered scan of the whole union (the k-way member
-    /// merge of [`OrderedUnionEnumeration`]; intersections are not
-    /// consulted).
-    pub fn enumerate(&self) -> OrderedUnionEnumeration<'_> {
-        OrderedUnionEnumeration::from_members((0..self.m).map(|l| self.member(l)))
-            .expect("members share one order by construction")
-    }
-}
-
 /// The scratch pair threaded through the Algorithm 7/8 walk: one buffer set
 /// for access descents, one for inverted-access probes (an answer borrowed
 /// from the first stays valid while the second probes).
@@ -696,129 +392,13 @@ impl<R: Rng> Iterator for McUcqShuffle<'_, R> {
     }
 }
 
-// ----------------------------------------------------------------------
-// Archive round-trip (DESIGN.md §15).
-// ----------------------------------------------------------------------
-
-impl OrderedMcUcqIndex {
-    /// Extracts the process-independent raw parts: one ordered archive per
-    /// non-empty member subset, all over the shared ordered layout.
-    pub fn to_archive(&self) -> crate::archive::OrderedMcUcqArchive {
-        crate::archive::OrderedMcUcqArchive {
-            m: self.m as u32,
-            head: self.head.clone(),
-            structs: self
-                .structs
-                .iter()
-                .map(|s| s.as_ref().map(OrderedCqIndex::to_archive))
-                .collect(),
-        }
-    }
-
-    /// Reconstructs the ordered union structure from archived raw parts.
-    /// Each member archive passes the full [`OrderedCqIndex::from_archive`]
-    /// validation; on top of that, all 2^m − 1 members must share one head,
-    /// one realized order, and one plan shape (the compatibility the
-    /// inclusion–exclusion ranks rely on), and the stored masks must be
-    /// exactly the non-empty subsets. The union total is recomputed by
-    /// checked inclusion–exclusion, never trusted from the file.
-    pub fn from_archive(archive: crate::archive::OrderedMcUcqArchive) -> Result<Self> {
-        crate::error::catch_build("OrderedMcUcqIndex::from_archive", move || {
-            Self::from_archive_phases(archive)
-        })
-    }
-
-    fn from_archive_phases(a: crate::archive::OrderedMcUcqArchive) -> Result<Self> {
-        use crate::archive::invalid;
-        let m = a.m as usize;
-        if m == 0 {
-            return Err(invalid("union archive with zero members"));
-        }
-        if m > MAX_DISJUNCTS {
-            return Err(CoreError::TooManyDisjuncts {
-                max: MAX_DISJUNCTS,
-                got: m,
-            });
-        }
-        if a.structs.len() != 1 << m {
-            return Err(invalid(format!(
-                "{} subset slots for {m} members (expected {})",
-                a.structs.len(),
-                1usize << m
-            )));
-        }
-        let mut arch_structs = a.structs.into_iter();
-        if arch_structs
-            .next()
-            .is_some_and(|empty_mask| empty_mask.is_some())
-        {
-            return Err(invalid("subset mask 0 must be empty"));
-        }
-        let mut structs: Vec<Option<OrderedCqIndex>> = vec![None];
-        for (offset, arch) in arch_structs.enumerate() {
-            let mask = offset + 1;
-            let Some(arch) = arch else {
-                return Err(invalid(format!("subset mask {mask} is missing")));
-            };
-            let member = OrderedCqIndex::from_archive(arch)?;
-            if member.head() != a.head {
-                return Err(invalid(format!(
-                    "subset mask {mask} head does not match the union head"
-                )));
-            }
-            if let Some(first) = structs.get(1).and_then(Option::as_ref) {
-                if member.order() != first.order() {
-                    return Err(CoreError::MismatchedOrders {
-                        expected: first.order().iter().map(|s| s.to_string()).collect(),
-                        got: member.order().iter().map(|s| s.to_string()).collect(),
-                    });
-                }
-                if !member.index().plan().same_shape(first.index().plan()) {
-                    return Err(invalid(format!(
-                        "subset mask {mask} plan shape differs from the template"
-                    )));
-                }
-            }
-            if mask.count_ones() == 1 {
-                member.index().prepare_inverted_access();
-            }
-            structs.push(Some(member));
-        }
-
-        // Checked inclusion–exclusion: a corrupted archive must not be able
-        // to underflow the unsigned total (or smuggle in a wrong one — it
-        // is recomputed, never read from the file).
-        let (mut plus, mut minus) = (0 as Weight, 0 as Weight);
-        for (mask, s) in structs.iter().enumerate().skip(1) {
-            let c = s
-                .as_ref()
-                .ok_or_else(|| invalid("non-empty mask missing after validation"))?
-                .count();
-            let acc = if mask.count_ones() % 2 == 1 {
-                &mut plus
-            } else {
-                &mut minus
-            };
-            *acc = acc.checked_add(c).ok_or(CoreError::WeightOverflow)?;
-        }
-        let total = plus
-            .checked_sub(minus)
-            .ok_or_else(|| invalid("inclusion–exclusion total underflows"))?;
-
-        Ok(OrderedMcUcqIndex {
-            m,
-            head: a.head,
-            structs,
-            total,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::*;
+    use crate::RankedUcq;
     use rae_data::{Database, FxHashSet};
+    use std::cmp::Ordering;
 
     use rae_query::parser::parse_ucq;
     use rand::rngs::StdRng;
@@ -1042,44 +622,46 @@ mod tests {
         rows
     }
 
+    /// The same-template unions of this module, served in order by the
+    /// ordered union structure, against naive materialize-sort-dedup.
     fn check_ordered_union(ucq_text: &str, db: &Database, order: &[&str]) {
         let u = parse_ucq(ucq_text).unwrap();
         let syms: Vec<Symbol> = order.iter().map(Symbol::new).collect();
-        let mc = OrderedMcUcqIndex::build(&u, db, &syms).unwrap();
+        let ranked = RankedUcq::build(&u, db, &syms).unwrap();
         let expected = sorted_union(&u, db, order);
-        assert_eq!(mc.count() as usize, expected.len(), "count mismatch");
+        assert_eq!(ranked.count() as usize, expected.len(), "count mismatch");
         for (k, row) in expected.iter().enumerate() {
             assert_eq!(
-                mc.ordered_access(k as Weight).as_ref(),
+                ranked.ordered_access(k as Weight).as_ref(),
                 Some(row),
                 "rank {k} of {ucq_text} under {order:?}"
             );
             assert_eq!(
-                mc.ordered_inverted_access(row),
+                ranked.ordered_inverted_access(row),
                 Some(k as Weight),
                 "inverted rank {k}"
             );
         }
-        assert!(mc.ordered_access(mc.count()).is_none());
+        assert!(ranked.ordered_access(ranked.count()).is_none());
         // The merged scan equals rank-by-rank access.
-        let merged: Vec<Vec<Value>> = mc.enumerate().collect();
+        let merged: Vec<Vec<Value>> = ranked.enumerate().collect();
         assert_eq!(merged, expected, "merge vs ranks");
         // Range counts for every single-variable prefix value.
-        let first_head = mc.member(0).order_to_head()[0];
+        let first_head = ranked.members()[0].order_to_head()[0];
         let mut prefix_values: Vec<Value> =
             expected.iter().map(|r| r[first_head].clone()).collect();
         prefix_values.dedup();
         for v in prefix_values {
             let expected_count = expected.iter().filter(|r| r[first_head] == v).count() as Weight;
             assert_eq!(
-                mc.range_count(std::slice::from_ref(&v)).unwrap(),
+                ranked.range_count(std::slice::from_ref(&v)).unwrap(),
                 expected_count,
                 "prefix {v:?}"
             );
-            let range = mc.range_of_prefix(std::slice::from_ref(&v)).unwrap();
+            let range = ranked.range_of_prefix(std::slice::from_ref(&v)).unwrap();
             assert_eq!(range.end - range.start, expected_count);
             if expected_count > 0 {
-                let first_in_range = mc.ordered_access(range.start).unwrap();
+                let first_in_range = ranked.ordered_access(range.start).unwrap();
                 assert_eq!(first_in_range[first_head], v);
             }
         }
@@ -1112,25 +694,28 @@ mod tests {
 
     #[test]
     fn ordered_union_rejects_bad_inputs() {
-        let db = db3();
-        let ab: Vec<Symbol> = ["a", "b"].iter().map(Symbol::new).collect();
-        // Incompatible templates.
+        // Incompatible templates: refused by the mc-UCQ builder, served in
+        // order by the ordered union structure.
         let mut db2 = db3();
         add(&mut db2, "U", rel_int(&["a"], &[&[1], &[2]]));
-        let u = ucq("Q1(a, b) :- R(a, b). Q2(a, b) :- R(a, z), U(b).");
+        let mixed = "Q1(a, b) :- R(a, b). Q2(a, b) :- R(a, z), U(b).";
         assert!(matches!(
-            OrderedMcUcqIndex::build(&u, &db2, &ab),
+            McUcqIndex::build(&ucq(mixed), &db2),
             Err(CoreError::IncompatibleTemplates { .. })
         ));
-        // Order not a permutation of the head.
+        check_ordered_union(mixed, &db2, &["a", "b"]);
+        // Orders that are not a permutation of the head.
+        let db = db3();
         let u = ucq("Q1(a, b) :- R(a, b). Q2(a, b) :- S(a, b).");
-        let bad: Vec<Symbol> = ["a"].iter().map(Symbol::new).collect();
-        assert!(matches!(
-            OrderedMcUcqIndex::build(&u, &db, &bad),
-            Err(CoreError::Query(
-                rae_query::QueryError::OrderVariableMismatch { .. }
-            ))
-        ));
+        for bad in [&["a"][..], &["a", "a"], &["a", "b", "c"]] {
+            let bad: Vec<Symbol> = bad.iter().map(Symbol::new).collect();
+            assert!(matches!(
+                RankedUcq::build(&u, &db, &bad),
+                Err(CoreError::Query(
+                    rae_query::QueryError::OrderVariableMismatch { .. }
+                ))
+            ));
+        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Ordered random access for **general** unions of free-connex CQs
 //! (DESIGN.md §11) — no shared-template (mc-UCQ) restriction.
 //!
-//! [`crate::OrderedMcUcqIndex`] answers union ranks by inclusion–exclusion
-//! over materialized *intersection indexes*, which only exist when every
-//! disjunct reduces to one join-tree template. [`RankedUcq`] drops that
-//! requirement: each disjunct gets its own [`OrderedCqIndex`] (possibly a
-//! completely different synthesized layout — only the realized variable
-//! order must agree), and the union rank of any tuple is corrected for
-//! duplicates by per-member *ownership*: an answer shared by several
-//! members is owned by (counted at) the least member containing it.
+//! The mc-UCQ structure ([`crate::McUcqIndex`], Theorem 5.5) counts union
+//! ranks by inclusion–exclusion over materialized *intersection indexes*,
+//! which only exist when every disjunct reduces to one join-tree template.
+//! [`RankedUcq`] drops that requirement: each disjunct gets its own
+//! [`OrderedCqIndex`] (possibly a completely different synthesized layout —
+//! only the realized variable order must agree), and the union rank of any
+//! tuple is corrected for duplicates by per-member *ownership*: an answer
+//! shared by several members is owned by (counted at) the least member
+//! containing it.
 //!
 //! For member `i`, preprocessing materializes the sorted list of its
 //! **non-owned positions** — ranks of answers that also occur in some
@@ -52,27 +53,15 @@
 //! O(log n) rank descents; the merge costs O(1) per answer), discovery
 //! restarts as that merge (`merge_matches`) — so per-pair preprocessing
 //! is `O(min((matches + alternations)·log n, nᵢ + nⱼ))`, never worse than
-//! linear in the member outputs. The mc-UCQ structure remains the
-//! guaranteed-near-linear option for shared-template unions, and the two
-//! agree answer-for-answer (`tests/ordered_access.rs`).
-//!
-//! **Shared-template switch.** Even the merge bound approaches output-size
-//! preprocessing when members are near-identical (the ROADMAP carried
-//! item). [`RankedUcq::build`] therefore estimates both costs after the
-//! member builds: when every disjunct reduced to one join-tree shape and
-//! the pairwise-intersection bound `Σ_{i<j} min(nᵢ, nⱼ)` exceeds the
-//! mc-UCQ's extra-index bound `(2^m − 1 − m)·max nᵢ`, it builds an
-//! [`OrderedMcUcqIndex`] over the same order and serves union ranks from
-//! its inclusion–exclusion structure instead of pairwise discovery
-//! ([`RankedUcq::uses_shared_backend`]). Rank-by-rank agreement between
-//! the two backends is asserted in the union differential suite.
+//! linear in the member outputs — also for near-identical members, where
+//! the merge is the whole discovery (DESIGN.md §17).
 
 // Sanctioned panics: each `expect` names a rank-structure invariant (members are built over
 // the same order, so windows and cursors stay in bounds); violation is a bug.
 #![allow(clippy::expect_used)]
 
+use crate::archive::OrderedCqIndexArchive;
 use crate::error::CoreError;
-use crate::mcucq::{OrderedMcUcqIndex, MAX_DISJUNCTS};
 use crate::ordered::{OrderedCqIndex, OrderedEnumeration};
 use crate::renum_ucq::{ensure_shared_layout, OrderedUnionEnumeration};
 use crate::scratch::AccessScratch;
@@ -131,7 +120,7 @@ pub struct RankedUcq {
     /// Per member: sorted ranks of answers owned by an earlier member.
     non_owned: Vec<Vec<Weight>>,
     /// Per member: union `le`-ranks sampled at a fixed stride (module
-    /// docs). Empty for member 0 and under the shared backend.
+    /// docs). Empty for member 0.
     fences: Vec<Fences>,
     /// The most plan nodes of any member: both scratch buffers are sized
     /// for it, so answers from any member land in them without growing.
@@ -140,11 +129,6 @@ pub struct RankedUcq {
     cmp_positions: Vec<usize>,
     /// `|Q_1(D) ∪ … ∪ Q_m(D)|`.
     total: Weight,
-    /// The shared-template inclusion–exclusion backend, when the cost
-    /// model chose it over pairwise duplicate discovery (see the module
-    /// docs). `None` on every `from_members` path: pre-built members carry
-    /// no query to re-plan from.
-    shared: Option<OrderedMcUcqIndex>,
 }
 
 /// Member `i`'s union `le`-ranks at positions `0, stride, 2·stride, …`:
@@ -212,30 +196,10 @@ impl RankedUcq {
             .iter()
             .map(|d| {
                 OrderedCqIndex::build_budgeted(d, db, order, crate::BuildOptions::default(), budget)
+                    .map(Arc::new)
             })
             .collect::<Result<Vec<_>>>()?;
-        if shared_backend_pays_off(&members) {
-            if let Ok(mc) =
-                OrderedMcUcqIndex::build_with(ucq, db, order, crate::BuildOptions::default())
-            {
-                let members: Vec<Arc<OrderedCqIndex>> = members.into_iter().map(Arc::new).collect();
-                let cmp_positions = ensure_shared_layout(members.iter().map(Arc::as_ref))?;
-                let total = mc.count();
-                return Ok(RankedUcq {
-                    non_owned: vec![Vec::new(); members.len()],
-                    fences: Vec::new(),
-                    max_nodes: 0,
-                    members,
-                    cmp_positions,
-                    total,
-                    shared: Some(mc),
-                });
-            }
-            // The shape check is a heuristic over realized plans; if the
-            // mc-UCQ builder still refuses the union (template subtleties,
-            // capacity), pairwise discovery below handles it.
-        }
-        Self::from_members_budgeted(members, budget)
+        Self::from_shared_members_budgeted(members, budget)
     }
 
     /// Builds the union rank structure over pre-built member indexes.
@@ -243,15 +207,7 @@ impl RankedUcq {
     /// Errors with [`CoreError::MismatchedOrders`] unless all members share
     /// one head layout and realized order.
     pub fn from_members(members: Vec<OrderedCqIndex>) -> Result<Self> {
-        Self::from_members_budgeted(members, &Budget::unlimited())
-    }
-
-    /// [`RankedUcq::from_members`] under a resource [`Budget`].
-    pub fn from_members_budgeted(
-        members: Vec<OrderedCqIndex>,
-        budget: &Budget<'_>,
-    ) -> Result<Self> {
-        Self::from_shared_members_budgeted(members.into_iter().map(Arc::new).collect(), budget)
+        Self::from_shared_members(members.into_iter().map(Arc::new).collect())
     }
 
     /// [`RankedUcq::from_members`] over `Arc`-shared member indexes: members
@@ -300,11 +256,31 @@ impl RankedUcq {
                 max_nodes,
                 cmp_positions,
                 total,
-                shared: None,
             };
             ranked.fences = ranked.build_fences(budget)?;
             Ok(ranked)
         })
+    }
+
+    /// The archive form (DESIGN.md §15): one ordered archive per member, in
+    /// member order. Ownership and fences are derived state and are not
+    /// archived.
+    pub fn to_archive(&self) -> Vec<OrderedCqIndexArchive> {
+        self.members.iter().map(|m| m.to_archive()).collect()
+    }
+
+    /// Reconstructs the union from member archives: each passes the full
+    /// [`OrderedCqIndex::from_archive`] validation, then
+    /// [`RankedUcq::from_members`] recomputes ownership and fences, so no
+    /// union-level state is trusted from the file. Fails like
+    /// `from_members` on zero members or on members whose heads or realized
+    /// orders differ.
+    pub fn from_archive(members: Vec<OrderedCqIndexArchive>) -> Result<Self> {
+        let members = members
+            .into_iter()
+            .map(OrderedCqIndex::from_archive)
+            .collect::<Result<Vec<_>>>()?;
+        Self::from_members(members)
     }
 
     /// The fences of every member (member 0 gets none): member `i`'s union
@@ -361,13 +337,6 @@ impl RankedUcq {
         self.total
     }
 
-    /// Whether union ranks are served by the shared-template
-    /// inclusion–exclusion backend instead of pairwise ownership (chosen by
-    /// the build-time cost model; see the module docs).
-    pub fn uses_shared_backend(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// Answers among member `i`'s first `p` positions that member `i` owns.
     #[inline]
     fn owned_before(&self, i: usize, p: Weight) -> Weight {
@@ -396,10 +365,6 @@ impl RankedUcq {
     /// # Panics
     /// When `prefix` is longer than the arity.
     pub fn prefix_bounds(&self, prefix: &[Value]) -> Result<(Weight, Weight)> {
-        if let Some(mc) = &self.shared {
-            let r = mc.range_of_prefix(prefix)?;
-            return Ok((r.start, r.end));
-        }
         let over = || crate::error::rank_overflow("union rank sums");
         let (mut lt, mut le) = (0 as Weight, 0 as Weight);
         for (i, m) in self.members.iter().enumerate() {
@@ -442,17 +407,6 @@ impl RankedUcq {
     ) -> Option<&'s [Value]> {
         if k >= self.total {
             return None;
-        }
-        if let Some(mc) = &self.shared {
-            // The inclusion–exclusion backend materializes its own answer
-            // buffer; copy it into the caller's scratch so both backends
-            // expose the one borrow-based signature. This path allocates the
-            // candidate vector internally — the cost model only picks the
-            // backend when pairwise discovery would be far more expensive.
-            let ans = mc.ordered_access(k)?;
-            scratch.out.reset_answer(ans.len());
-            scratch.out.answer_mut().clone_from_slice(&ans);
-            return Some(scratch.out.answer());
         }
         let arity = self.head().len();
         scratch.probe.reserve_access(arity, self.max_nodes);
@@ -523,9 +477,6 @@ impl RankedUcq {
     ) -> Option<Weight> {
         if answer.len() != self.head().len() {
             return None;
-        }
-        if let Some(mc) = &self.shared {
-            return mc.ordered_inverted_access(answer);
         }
         // The checked sums are build-guarded (Σ member counts fits the rank
         // space); a trip would mean a corrupted structure and degrades to
@@ -642,36 +593,6 @@ impl Iterator for RankedUnionWindow<'_> {
     fn next(&mut self) -> Option<Vec<Value>> {
         self.next_ref().map(<[Value]>::to_vec)
     }
-}
-
-/// Cost model for the shared-template switch (module docs): pairwise
-/// duplicate discovery costs up to `Σ_{i<j} min(nᵢ, nⱼ)` merge steps
-/// (near-identical members hit that bound), while the mc-UCQ backend builds
-/// `2^m − 1 − m` extra intersection indexes of at most `max nᵢ` rows each.
-/// Switch only when every member realized the same join-tree shape and the
-/// discovery bound covers the backend's extra build work; the constant
-/// floor keeps tiny unions on the simpler, budget-aware discovery path.
-fn shared_backend_pays_off(members: &[OrderedCqIndex]) -> bool {
-    let m = members.len();
-    if !(2..=MAX_DISJUNCTS).contains(&m) {
-        return false;
-    }
-    let plan = members[0].index().plan();
-    if !members[1..]
-        .iter()
-        .all(|x| x.index().plan().same_shape(plan))
-    {
-        return false;
-    }
-    let mut pairwise: Weight = 0;
-    for i in 0..m {
-        for j in (i + 1)..m {
-            pairwise = pairwise.saturating_add(members[i].count().min(members[j].count()));
-        }
-    }
-    let cmax = members.iter().map(OrderedCqIndex::count).max().unwrap_or(0);
-    let extra = (((1 as Weight) << m) - 1 - m as Weight).saturating_mul(cmax);
-    pairwise >= extra.max(1024)
 }
 
 /// Per member: sorted ranks of answers also contained in an earlier member
@@ -922,10 +843,6 @@ mod tests {
     /// each the union `le`-rank of the answer it samples; member 0 keeps
     /// none.
     fn check_fences(ranked: &RankedUcq) {
-        if ranked.uses_shared_backend() {
-            assert!(ranked.fences.is_empty());
-            return;
-        }
         assert!(ranked.fences[0].ranks.is_empty(), "member 0 has no fences");
         for (i, m) in ranked.members().iter().enumerate().skip(1) {
             let Fences { stride, ranks } = &ranked.fences[i];
@@ -987,9 +904,8 @@ mod tests {
         check_ranked(&u, &db, &["x", "y"]);
         check_ranked(&u, &db, &["y", "x"]);
         // The same union is refused by the mc-UCQ template builder.
-        let syms: Vec<Symbol> = ["x", "y"].iter().map(Symbol::new).collect();
         assert!(matches!(
-            crate::OrderedMcUcqIndex::build(&u, &db, &syms),
+            crate::McUcqIndex::build(&u, &db),
             Err(CoreError::IncompatibleTemplates { .. })
         ));
     }

@@ -213,60 +213,6 @@ impl<R: Rng> Iterator for UcqShuffle<R> {
     }
 }
 
-/// Ordered enumeration of a **general** union of free-connex CQs: one
-/// [`OrderedCqIndex`] per disjunct (each may use a different join-tree
-/// layout, as long as every one realizes the same variable order), merged
-/// by a duplicate-eliminating k-way merge. Delay is O(m) per answer —
-/// constant in data complexity — and the merge buffers are reused, so
-/// steady-state production via [`OrderedUnionEnumeration::next_ref`]
-/// allocates nothing.
-///
-/// This is the ordered counterpart of [`UcqShuffle`]: the same union class
-/// (no shared-template requirement), trading random order for `ORDER BY`.
-/// For ranked *random access* over unions see
-/// [`crate::mcucq::OrderedMcUcqIndex`], which needs the mc-UCQ template
-/// restriction.
-#[derive(Debug)]
-pub struct OrderedUcq {
-    members: Vec<OrderedCqIndex>,
-}
-
-impl OrderedUcq {
-    /// Builds one ordered index per disjunct, all realizing `order`.
-    ///
-    /// Fails like [`OrderedCqIndex::build`] when any disjunct is outside
-    /// the tractable class or cannot realize the order.
-    pub fn build(ucq: &UnionQuery, db: &Database, order: &[Symbol]) -> Result<Self> {
-        let members = ucq
-            .disjuncts()
-            .iter()
-            .map(|d| OrderedCqIndex::build(d, db, order))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(OrderedUcq { members })
-    }
-
-    /// The per-disjunct ordered indexes.
-    pub fn members(&self) -> &[OrderedCqIndex] {
-        &self.members
-    }
-
-    /// Scans the whole union in order (duplicates eliminated).
-    pub fn enumerate(&self) -> Result<OrderedUnionEnumeration<'_>> {
-        OrderedUnionEnumeration::from_members(&self.members)
-    }
-
-    /// Scans every union answer matching a prefix of order values, in
-    /// order: each member contributes only its own O(log n) rank window.
-    pub fn enumerate_prefix(&self, prefix: &[Value]) -> Result<OrderedUnionEnumeration<'_>> {
-        OrderedUnionEnumeration::from_windows(
-            self.members
-                .iter()
-                .map(|m| Ok((m, m.enumerate_prefix(prefix)?)))
-                .collect::<Result<Vec<_>>>()?,
-        )
-    }
-}
-
 /// One member stream of an ordered union merge.
 #[derive(Debug)]
 struct MergeMember<'a> {
@@ -323,7 +269,10 @@ pub(crate) fn ensure_shared_layout<'a>(
 }
 
 /// A duplicate-eliminating k-way merge over member streams that share one
-/// lexicographic order (see [`OrderedUcq`]).
+/// lexicographic order — the ordered scan of [`crate::RankedUcq`]. Delay is
+/// O(m) per answer, constant in data complexity, and the merge buffers are
+/// reused, so steady-state production via
+/// [`OrderedUnionEnumeration::next_ref`] allocates nothing.
 #[derive(Debug)]
 pub struct OrderedUnionEnumeration<'a> {
     members: Vec<MergeMember<'a>>,
@@ -428,6 +377,7 @@ impl Iterator for OrderedUnionEnumeration<'_> {
 mod tests {
     use super::*;
     use crate::testutil::*;
+    use crate::RankedUcq;
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -629,8 +579,8 @@ mod tests {
         let u = union();
         for order in [&["x", "y"], &["y", "x"]] {
             let syms: Vec<Symbol> = order.iter().map(Symbol::new).collect();
-            let ou = OrderedUcq::build(&u, &db, &syms).unwrap();
-            let got: Vec<Vec<Value>> = ou.enumerate().unwrap().collect();
+            let ranked = RankedUcq::build(&u, &db, &syms).unwrap();
+            let got: Vec<Vec<Value>> = ranked.enumerate().collect();
             assert_eq!(got, sorted_union(&u, &db, order), "order {order:?}");
         }
     }
@@ -640,10 +590,10 @@ mod tests {
         let db = overlapping_db();
         let u = union();
         let syms: Vec<Symbol> = ["y", "x"].iter().map(Symbol::new).collect();
-        let ou = OrderedUcq::build(&u, &db, &syms).unwrap();
+        let ranked = RankedUcq::build(&u, &db, &syms).unwrap();
         let all = sorted_union(&u, &db, &["y", "x"]);
         // Prefix y = 1: answers whose second head position (y) is 1.
-        let got: Vec<Vec<Value>> = ou.enumerate_prefix(&[Value::Int(1)]).unwrap().collect();
+        let got: Vec<Vec<Value>> = ranked.enumerate_prefix(&[Value::Int(1)]).unwrap().collect();
         let expected: Vec<Vec<Value>> = all
             .iter()
             .filter(|a| a[1] == Value::Int(1))
@@ -652,8 +602,11 @@ mod tests {
         assert_eq!(got, expected);
         assert!(!got.is_empty());
         // Empty prefix = everything; missing value = nothing.
-        assert_eq!(ou.enumerate_prefix(&[]).unwrap().count(), all.len());
-        assert_eq!(ou.enumerate_prefix(&[Value::Int(999)]).unwrap().count(), 0);
+        assert_eq!(ranked.enumerate_prefix(&[]).unwrap().count(), all.len());
+        assert_eq!(
+            ranked.enumerate_prefix(&[Value::Int(999)]).unwrap().count(),
+            0
+        );
     }
 
     #[test]
@@ -661,8 +614,8 @@ mod tests {
         let db = overlapping_db();
         let u = union();
         let syms: Vec<Symbol> = ["x", "y"].iter().map(Symbol::new).collect();
-        let ou = OrderedUcq::build(&u, &db, &syms).unwrap();
-        let mut merge = ou.enumerate().unwrap();
+        let ranked = RankedUcq::build(&u, &db, &syms).unwrap();
+        let mut merge = ranked.enumerate();
         let mut seen = 0usize;
         let mut prev: Option<Vec<Value>> = None;
         while let Some(ans) = merge.next_ref() {

@@ -4,7 +4,7 @@
 //! wrong answer).
 
 use rae_core::{
-    CoreError, CqIndex, CqIndexArchive, NodeArchive, OrderedCqIndex, OrderedMcUcqIndex, Starts,
+    CoreError, CqIndex, CqIndexArchive, NodeArchive, OrderedCqIndex, RankedUcq, Starts,
 };
 use rae_data::{Database, Relation, Schema, Symbol, Value};
 use rae_query::QueryError;
@@ -88,12 +88,20 @@ fn ordered_union_round_trip() {
     let db = db();
     let ucq = "Q(x, y) :- R(x, y) ; Q(x, y) :- S(x, y)".parse().unwrap();
     let order = [Symbol::new("y"), Symbol::new("x")];
-    let idx = OrderedMcUcqIndex::build(&ucq, &db, &order).unwrap();
-    let restored = OrderedMcUcqIndex::from_archive(idx.to_archive()).unwrap();
+    let idx = RankedUcq::build(&ucq, &db, &order).unwrap();
+    let archive = idx.to_archive();
+    assert_eq!(archive.len(), 2, "one archive per member");
+    let restored = RankedUcq::from_archive(archive).unwrap();
     assert_eq!(restored.count(), idx.count());
     for k in 0..idx.count() {
-        assert_eq!(restored.ordered_access(k), idx.ordered_access(k));
+        let answer = idx.ordered_access(k).unwrap();
+        assert_eq!(restored.ordered_access(k).as_ref(), Some(&answer));
+        assert_eq!(restored.ordered_inverted_access(&answer), Some(k));
     }
+    assert_eq!(
+        restored.range_count(&[Value::Int(10)]).unwrap(),
+        idx.range_count(&[Value::Int(10)]).unwrap()
+    );
 }
 
 #[test]

@@ -4,9 +4,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// A resource envelope threaded through preprocessing and long-running
-/// enumerations. All three limits are optional; the default budget is
-/// unlimited and every check on it is a pair of `Option` tests.
+/// A resource envelope threaded through index builds and the ranked-union
+/// duplicate discovery and fences. All three limits are optional; the
+/// default budget is unlimited and every check on it is a pair of `Option`
+/// tests.
 ///
 /// Budgets are checked *cooperatively* at phase boundaries and chunked row
 /// intervals — breaching one returns a structured [`BudgetExceeded`] naming

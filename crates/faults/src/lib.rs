@@ -12,7 +12,8 @@
 //!    fails and how ([`FaultKind::Error`] or [`FaultKind::Panic`]), so every
 //!    chaos run is replayable from its seed.
 //! 2. **Budgets** ([`Budget`]): a deadline / memory / cancellation envelope
-//!    threaded through preprocessing and long enumerations. Breaching it is
+//!    threaded through index builds and the ranked-union duplicate
+//!    discovery and fences. Breaching it is
 //!    a structured [`BudgetExceeded`] — never an OOM or a hang — and where a
 //!    cheaper path exists the engine degrades instead of failing
 //!    (recorded via [`degrade`]).

@@ -24,7 +24,7 @@ use crate::error::StoreError;
 use crate::wire::{ColSource, Reader, Writer};
 use rae_core::{
     Buckets, Col, CqIndex, CqIndexArchive, EfStarts, NodeArchive, OrderedCqIndex,
-    OrderedCqIndexArchive, OrderedMcUcqArchive, OrderedMcUcqIndex, StableBytes, Starts,
+    OrderedCqIndexArchive, RankedUcq, StableBytes, Starts,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,6 +34,28 @@ const STARTS_COMPACT: u8 = 0;
 const STARTS_WIDE: u8 = 1;
 const STARTS_ELIAS_FANO: u8 = 2;
 
+/// The most members an ordered-union snapshot holds. Member `i`'s sections
+/// are named by its singleton mask `1 << i` (`m1/`, `m2/`, `m4/`, …): the
+/// mc-UCQ layout this kind used to store kept every non-empty member
+/// subset under its mask, so such a file still reads as the union of its
+/// singleton members.
+const MAX_UNION_MEMBERS: usize = 64;
+
+fn member_prefix(i: usize) -> String {
+    format!("m{}/", 1u64 << i)
+}
+
+/// Refuses a union member count no snapshot can hold.
+pub(crate) fn check_member_count(m: usize) -> Result<(), StoreError> {
+    if m == 0 || m > MAX_UNION_MEMBERS {
+        return Err(StoreError::Corrupt {
+            section: "union".to_string(),
+            detail: format!("implausible member count {m} (1..={MAX_UNION_MEMBERS})"),
+        });
+    }
+    Ok(())
+}
+
 /// What kind of index a snapshot holds (the footer's kind tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactKind {
@@ -41,7 +63,7 @@ pub enum ArtifactKind {
     Cq,
     /// An [`OrderedCqIndex`] (lex-ordered layout).
     Ordered,
-    /// An [`OrderedMcUcqIndex`] (2^m − 1 ordered members).
+    /// A [`RankedUcq`] (its m ordered members).
     OrderedUnion,
 }
 
@@ -81,8 +103,9 @@ pub enum ArtifactArchive {
     Cq(CqIndexArchive),
     /// An ordered CQ index archive.
     Ordered(OrderedCqIndexArchive),
-    /// An ordered same-template union archive.
-    OrderedUnion(OrderedMcUcqArchive),
+    /// An ordered union archive: one ordered archive per member
+    /// ([`RankedUcq::to_archive`]).
+    OrderedUnion(Vec<OrderedCqIndexArchive>),
 }
 
 /// A live, validated index reconstructed from a snapshot.
@@ -92,8 +115,8 @@ pub enum Artifact {
     Cq(CqIndex),
     /// An ordered CQ index.
     Ordered(OrderedCqIndex),
-    /// An ordered same-template union.
-    OrderedUnion(OrderedMcUcqIndex),
+    /// An ordered union of free-connex CQs.
+    OrderedUnion(RankedUcq),
 }
 
 /// One named section: its payload bytes plus the payload's absolute
@@ -123,16 +146,16 @@ impl ArtifactArchive {
         match self {
             ArtifactArchive::Cq(a) => encode_cq("", a, &mut out),
             ArtifactArchive::Ordered(a) => encode_ordered("", a, &mut out),
-            ArtifactArchive::OrderedUnion(a) => {
+            ArtifactArchive::OrderedUnion(members) => {
+                // `save` refuses a count past the cap; encoding stays total.
+                let members = &members[..members.len().min(MAX_UNION_MEMBERS)];
                 let mut w = Writer::new();
-                w.put_u32(a.m);
-                w.put_symbols(&a.head);
+                w.put_u32(members.len() as u32);
+                w.put_symbols(members.first().map_or(&[], |m| &m.index.head));
                 w.pad_to_16();
                 out.push(("union".to_string(), w.into_bytes()));
-                for (mask, member) in a.structs.iter().enumerate() {
-                    if let Some(member) = member {
-                        encode_ordered(&format!("m{mask}/"), member, &mut out);
-                    }
+                for (i, member) in members.iter().enumerate() {
+                    encode_ordered(&member_prefix(i), member, &mut out);
                 }
             }
         }
@@ -159,36 +182,35 @@ impl ArtifactArchive {
             ArtifactKind::OrderedUnion => {
                 let sec = section(sections, "union")?;
                 let mut r = Reader::new("union", sec.bytes);
-                let m = r.get_u32()?;
+                let m = r.get_u32()? as usize;
                 let head = r.get_symbols()?;
                 r.finish_padded()?;
-                if m == 0 || m > 24 {
+                check_member_count(m)?;
+                let members = (0..m)
+                    .map(|i| decode_ordered(&member_prefix(i), sections, owner))
+                    .collect::<Result<Vec<_>, _>>()?;
+                if members[0].index.head != head {
                     return Err(StoreError::Corrupt {
                         section: "union".to_string(),
-                        detail: format!("implausible member count {m}"),
+                        detail: "union head differs from member 0's head".to_string(),
                     });
                 }
-                let mut structs = vec![None];
-                for mask in 1..(1usize << m) {
-                    structs.push(Some(decode_ordered(&format!("m{mask}/"), sections, owner)?));
-                }
-                Ok(ArtifactArchive::OrderedUnion(OrderedMcUcqArchive {
-                    m,
-                    head,
-                    structs,
-                }))
+                Ok(ArtifactArchive::OrderedUnion(members))
             }
         }
     }
 
     /// Reconstructs the live index, running the full `from_archive`
-    /// semantic validation (the backstop behind the checksums).
+    /// semantic validation (the backstop behind the checksums). A union
+    /// validates each member and then recomputes its ownership and fences
+    /// ([`RankedUcq::from_archive`]); nothing union-level is read from the
+    /// file.
     pub fn realize(self) -> Result<Artifact, StoreError> {
         Ok(match self {
             ArtifactArchive::Cq(a) => Artifact::Cq(CqIndex::from_archive(a)?),
             ArtifactArchive::Ordered(a) => Artifact::Ordered(OrderedCqIndex::from_archive(a)?),
-            ArtifactArchive::OrderedUnion(a) => {
-                Artifact::OrderedUnion(OrderedMcUcqIndex::from_archive(a)?)
+            ArtifactArchive::OrderedUnion(members) => {
+                Artifact::OrderedUnion(RankedUcq::from_archive(members)?)
             }
         })
     }
@@ -344,7 +366,11 @@ fn encode_cq(prefix: &str, a: &CqIndexArchive, out: &mut Vec<(String, Vec<u8>)>)
     }
 }
 
-fn encode_ordered(prefix: &str, a: &OrderedCqIndexArchive, out: &mut Vec<(String, Vec<u8>)>) {
+pub(crate) fn encode_ordered(
+    prefix: &str,
+    a: &OrderedCqIndexArchive,
+    out: &mut Vec<(String, Vec<u8>)>,
+) {
     encode_cq(prefix, &a.index, out);
     let mut w = Writer::new();
     w.put_symbols(&a.order);

@@ -48,7 +48,9 @@
 //! `store/torn` failpoints inject the corresponding I/O failures
 //! deterministically.
 
-use crate::artifact::{Artifact, ArtifactArchive, ArtifactKind, SectionData, Sections};
+use crate::artifact::{
+    check_member_count, Artifact, ArtifactArchive, ArtifactKind, SectionData, Sections,
+};
 use crate::checksum::{fnv64, fnv64_fast, Fnv64};
 use crate::error::{io_err, StoreError};
 use crate::wire::{Reader, Writer};
@@ -122,10 +124,13 @@ fn mid_write_budget() -> Option<usize> {
 }
 
 /// Serializes the full file image (header + payload + footer + trailer)
-/// and returns it with the artifact digest.
-fn build_image(artifact: &ArtifactArchive, epoch: u64, label: &str) -> (Vec<u8>, u64) {
-    let sections = artifact.to_sections();
-
+/// of an artifact's sections and returns it with the artifact digest.
+fn build_image(
+    kind: ArtifactKind,
+    sections: &[(String, Vec<u8>)],
+    epoch: u64,
+    label: &str,
+) -> (Vec<u8>, u64) {
     let mut image = Vec::new();
     image.extend_from_slice(MAGIC);
     image.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -138,7 +143,7 @@ fn build_image(artifact: &ArtifactArchive, epoch: u64, label: &str) -> (Vec<u8>,
 
     let mut digest = Fnv64::new();
     let mut table = Vec::with_capacity(sections.len());
-    for (name, payload) in &sections {
+    for (name, payload) in sections {
         let offset = image.len() as u64;
         // Padded payloads + 32-byte header keep every section payload —
         // and hence every array within one — 16-aligned in the file.
@@ -152,7 +157,7 @@ fn build_image(artifact: &ArtifactArchive, epoch: u64, label: &str) -> (Vec<u8>,
     let artifact_digest = digest.finish();
 
     let mut footer = Writer::new();
-    footer.put_u8(artifact.kind().tag());
+    footer.put_u8(kind.tag());
     footer.put_u32(FORMAT_VERSION);
     footer.put_u64(epoch);
     footer.put_str(label);
@@ -191,14 +196,20 @@ fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
 ///
 /// The write is atomic-publish: a reader of `path` — concurrent or after a
 /// crash at any point — sees either the previous complete file or the new
-/// complete file, never a partial one.
+/// complete file, never a partial one. A union with no members or more
+/// than 64 is refused with [`StoreError::Corrupt`] before anything is
+/// written.
 pub fn save(
     path: &Path,
     artifact: &ArtifactArchive,
     epoch: u64,
     label: &str,
 ) -> Result<SnapshotMeta, StoreError> {
-    let (image, artifact_digest) = build_image(artifact, epoch, label);
+    if let ArtifactArchive::OrderedUnion(members) = artifact {
+        check_member_count(members.len())?;
+    }
+    let (image, artifact_digest) =
+        build_image(artifact.kind(), &artifact.to_sections(), epoch, label);
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
 
     // Injected torn write: a seed-derived prefix lands under the FINAL
@@ -697,4 +708,181 @@ pub fn recover_dir_with(
         dir: dir.to_path_buf(),
         quarantined,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rae_core::{OrderedCqIndex, OrderedCqIndexArchive, RankedUcq, Weight};
+    use rae_data::{Database, Relation, Schema, Symbol, Value};
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    fn scratch_file(tag: &str) -> PathBuf {
+        static N: AtomicU32 = AtomicU32::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "rae-store-format-{}-{tag}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed),
+        ));
+        fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{tag}.{SNAPSHOT_EXT}"))
+    }
+
+    /// Ordered archives of `Q(x, y) :- Rel(x, y)` under ORDER BY y, x, one
+    /// per row list, each over its own relation.
+    fn member_archives(members: &[&[(i64, i64)]]) -> Vec<OrderedCqIndexArchive> {
+        let order = [Symbol::new("y"), Symbol::new("x")];
+        members
+            .iter()
+            .enumerate()
+            .map(|(i, rows)| {
+                let mut db = Database::new();
+                let rel = Relation::from_rows(
+                    Schema::new(["a", "b"]).unwrap(),
+                    rows.iter()
+                        .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)]),
+                )
+                .unwrap();
+                db.add_relation(format!("R{i}"), rel).unwrap();
+                let cq = format!("Q(x, y) :- R{i}(x, y)").parse().unwrap();
+                OrderedCqIndex::build(&cq, &db, &order)
+                    .unwrap()
+                    .to_archive()
+            })
+            .collect()
+    }
+
+    fn union_section(m: u32, head: &[Symbol]) -> (String, Vec<u8>) {
+        let mut w = Writer::new();
+        w.put_u32(m);
+        w.put_symbols(head);
+        w.pad_to_16();
+        ("union".to_string(), w.into_bytes())
+    }
+
+    /// Writes `sections` as an ordered-union snapshot and loads it through
+    /// both decode paths.
+    fn load_both(tag: &str, sections: &[(String, Vec<u8>)]) -> [Result<Artifact, StoreError>; 2] {
+        let path = scratch_file(tag);
+        let (image, _) = build_image(ArtifactKind::OrderedUnion, sections, 1, tag);
+        fs::write(&path, image).unwrap();
+        let out = [
+            load(&path).map(|(a, _)| a),
+            load_borrowed(&path).map(|(a, _)| a),
+        ];
+        fs::remove_dir_all(path.parent().unwrap()).ok();
+        out
+    }
+
+    fn assert_union_refused(result: &Result<Artifact, StoreError>, needle: &str) {
+        match result {
+            Err(StoreError::Corrupt { section, detail }) => {
+                assert_eq!(section, "union");
+                assert!(detail.contains(needle), "unexpected detail: {detail}");
+            }
+            other => panic!("expected a refused union section, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_member_union_is_refused() {
+        let members = member_archives(&[&[(1, 1)]]);
+        let mut sections = ArtifactArchive::OrderedUnion(members.clone()).to_sections();
+        sections[0] = union_section(0, &members[0].index.head);
+        for result in load_both("zero", &sections) {
+            assert_union_refused(&result, "implausible member count 0");
+        }
+        // Nothing to save either.
+        let path = scratch_file("zero-save");
+        assert!(matches!(
+            save(&path, &ArtifactArchive::OrderedUnion(Vec::new()), 1, "zero"),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert!(!path.exists());
+        fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn implausible_member_count_is_refused() {
+        let members = member_archives(&[&[(1, 1)], &[(2, 2)]]);
+        let head = members[0].index.head.clone();
+        let mut sections = ArtifactArchive::OrderedUnion(members.clone()).to_sections();
+        for m in [3, 65, u32::MAX] {
+            sections[0] = union_section(m, &head);
+            let [owned, borrowed] = load_both("implausible", &sections);
+            if m == 3 {
+                // Plausible, but member 2's sections are not in the file.
+                for result in [owned, borrowed] {
+                    assert!(matches!(
+                        result,
+                        Err(StoreError::Corrupt { section, .. }) if section == "m4/plan"
+                    ));
+                }
+            } else {
+                assert_union_refused(&owned, "implausible member count");
+                assert_union_refused(&borrowed, "implausible member count");
+            }
+        }
+        // The writer refuses a union the reader would refuse.
+        let path = scratch_file("implausible-save");
+        let too_many = ArtifactArchive::OrderedUnion(vec![members[0].clone(); 65]);
+        match save(&path, &too_many, 1, "too-many") {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("implausible member count 65"), "{detail}");
+            }
+            other => panic!("expected a refused save, got {other:?}"),
+        }
+        assert!(!path.exists());
+        fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn union_head_differing_from_the_members_is_refused() {
+        let members = member_archives(&[&[(1, 1)], &[(2, 2)]]);
+        let mut sections = ArtifactArchive::OrderedUnion(members).to_sections();
+        sections[0] = union_section(2, &[Symbol::new("y"), Symbol::new("x")]);
+        for result in load_both("head", &sections) {
+            assert_union_refused(&result, "head");
+        }
+    }
+
+    /// A file in the layout this kind used to have — every non-empty member
+    /// subset under its mask — loads as the union of its singleton members
+    /// `m1/`, `m2/`, `m4/`; the subset indexes are never read.
+    #[test]
+    fn old_subset_layout_loads_as_the_union_of_its_members() {
+        let rows: [&[(i64, i64)]; 3] = [
+            &[(1, 1), (2, 1), (3, 2)],
+            &[(2, 1), (4, 2), (5, 1)],
+            &[(1, 1), (4, 2), (6, 3)],
+        ];
+        let members = member_archives(&rows);
+        let expected = RankedUcq::from_archive(members.clone()).unwrap();
+        let sections = ArtifactArchive::OrderedUnion(members).to_sections();
+        let mut old = sections.clone();
+        // The subset masks 3, 5, 6 and 7 held intersection indexes; any
+        // valid ordered archive stands in for them.
+        let filler = &member_archives(&[&[(9, 9)]])[0];
+        for mask in [3, 5, 6, 7] {
+            crate::artifact::encode_ordered(&format!("m{mask}/"), filler, &mut old);
+        }
+        for result in load_both("old-layout", &old) {
+            let Ok(Artifact::OrderedUnion(union)) = result else {
+                panic!("old layout did not load as a union: {result:?}");
+            };
+            assert_eq!(union.count(), expected.count());
+            assert_eq!(union.count(), 6);
+            for k in 0..expected.count() {
+                let answer = expected.ordered_access(k).unwrap();
+                assert_eq!(union.ordered_access(k).as_ref(), Some(&answer), "rank {k}");
+                assert_eq!(union.ordered_inverted_access(&answer), Some(k as Weight));
+            }
+            // Re-archiving drops the subset sections: the new layout.
+            let digest = crate::digest_of(&ArtifactArchive::OrderedUnion(union.to_archive()));
+            assert_eq!(
+                digest,
+                crate::digest_of(&ArtifactArchive::OrderedUnion(expected.to_archive()))
+            );
+        }
+    }
 }

@@ -8,7 +8,7 @@
 //! memory must fall back to the owned decode (correct answers, UB-free),
 //! reported via `meta.borrowed == false`.
 
-use rae_core::{CqIndex, OrderedCqIndex, OrderedMcUcqIndex};
+use rae_core::{CqIndex, OrderedCqIndex, RankedUcq};
 use rae_data::{Symbol, Value};
 use rae_store::{
     digest_of, load, load_borrowed, load_borrowed_at_offset, save, Artifact, ArtifactArchive,
@@ -212,7 +212,7 @@ fn tpch_union_borrowed_matches_owned_and_build() {
             .unwrap()
             .plan()
             .attrs_dfs();
-        let built = OrderedMcUcqIndex::build(&ucq, &db, &order).unwrap();
+        let built = RankedUcq::build(&ucq, &db, &order).unwrap();
         let file = name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -233,6 +233,11 @@ fn tpch_union_borrowed_matches_owned_and_build() {
             assert_eq!(owned.ordered_access(k), t, "{name}: owned union({k})");
             assert_eq!(borrowed.ordered_access(k), t, "{name}: borrowed union({k})");
             if let Some(tuple) = &t {
+                assert_eq!(
+                    owned.ordered_inverted_access(tuple),
+                    Some(k),
+                    "{name}: owned union inverted({k})"
+                );
                 assert_eq!(
                     borrowed.ordered_inverted_access(tuple),
                     Some(k),

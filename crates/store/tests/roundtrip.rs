@@ -4,7 +4,7 @@
 //! a silently wrong index.
 
 use proptest::prelude::*;
-use rae_core::{CqIndex, OrderedCqIndex, OrderedMcUcqIndex};
+use rae_core::{CqIndex, OrderedCqIndex, RankedUcq};
 use rae_data::{Database, Relation, Schema, Symbol, Value};
 use rae_store::{
     digest_of, load, load_borrowed, save, verify, Artifact, ArtifactArchive, StoreError,
@@ -114,13 +114,13 @@ fn tpch_union_snapshots_round_trip() {
     let db = tpch_db();
     let dir = scratch("union");
     for (name, ucq) in queries::all_ucqs() {
-        // mc-UCQ members share one join-tree template, so the first
-        // member's DFS attribute sequence realizes for every member.
+        // The benchmark unions' members share one join-tree template, so
+        // the first member's DFS attribute sequence realizes for every one.
         let order: Vec<Symbol> = CqIndex::build(&ucq.disjuncts()[0], &db)
             .unwrap()
             .plan()
             .attrs_dfs();
-        let idx = OrderedMcUcqIndex::build(&ucq, &db, &order).unwrap();
+        let idx = RankedUcq::build(&ucq, &db, &order).unwrap();
         let file = name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -135,12 +135,71 @@ fn tpch_union_snapshots_round_trip() {
         let stride = (n / 64).max(1);
         let mut k = 0;
         while k < n {
+            let t = idx.ordered_access(k);
+            assert_eq!(restored.ordered_access(k), t, "{name}: ordered_access({k})");
+            let t = t.unwrap();
             assert_eq!(
-                restored.ordered_access(k),
-                idx.ordered_access(k),
-                "{name}: ordered_access({k})"
+                restored.ordered_inverted_access(&t),
+                Some(k),
+                "{name}: inverted({k})"
             );
             k += stride;
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A union snapshot whose members disagree on the realized order or on the
+/// head layout decodes, then fails realization with the structured
+/// `MismatchedOrders` error: the union is rebuilt from its members, and
+/// `RankedUcq::from_members` checks the shared layout.
+#[test]
+fn union_members_with_differing_heads_or_orders_are_refused() {
+    let mut db = Database::new();
+    for name in ["R", "S"] {
+        db.add_relation(
+            name,
+            Relation::from_rows(
+                Schema::new(["a", "b"]).unwrap(),
+                (0..5i64).map(|i| vec![Value::Int(i), Value::Int(i % 2)]),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    }
+    let syms = |vars: &[&str]| vars.iter().map(|v| Symbol::new(*v)).collect::<Vec<_>>();
+    let member = |text: &str, order: &[&str]| {
+        OrderedCqIndex::build(&text.parse().unwrap(), &db, &syms(order))
+            .unwrap()
+            .to_archive()
+    };
+    let dir = scratch("mismatch");
+    let cases = [
+        (
+            "orders",
+            member("Q(x, y) :- R(x, y)", &["x", "y"]),
+            member("Q(x, y) :- S(x, y)", &["y", "x"]),
+        ),
+        (
+            "heads",
+            member("Q(x, y) :- R(x, y)", &["x", "y"]),
+            member("Q(y, x) :- S(x, y)", &["x", "y"]),
+        ),
+    ];
+    for (what, first, second) in cases {
+        let path = dir.join(format!("{what}.{SNAPSHOT_EXT}"));
+        save(
+            &path,
+            &ArtifactArchive::OrderedUnion(vec![first, second]),
+            1,
+            what,
+        )
+        .unwrap();
+        for result in [load(&path), load_borrowed(&path)] {
+            match result {
+                Err(StoreError::Archive(rae_core::CoreError::MismatchedOrders { .. })) => {}
+                other => panic!("{what}: expected MismatchedOrders, got {other:?}"),
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();

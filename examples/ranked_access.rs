@@ -158,8 +158,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // sequence (the order the default layout already emits).
     let fj = reduce_to_full_acyclic(&ucq.disjuncts()[0], &db_sel)?;
     let union_order = fj.plan.attrs_dfs();
+    // RankedUcq builds one ordered index per disjunct (no shared template
+    // needed — each member may synthesize its own layout) and corrects
+    // union ranks for duplicates by member ownership.
     let t = Instant::now();
-    let union = OrderedMcUcqIndex::build(&ucq, &db_sel, &union_order)?;
+    let union = RankedUcq::build(&ucq, &db_sel, &union_order)?;
     println!(
         "\nunion QA ∪ QE under ⟨{}⟩: {} distinct answers ({:.1} ms preprocessing)",
         union_order
@@ -175,27 +178,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let answer = union.ordered_access(mid).expect("mid < count");
         assert_eq!(union.ordered_inverted_access(&answer), Some(mid));
         println!("union ordered_access({mid}) = {answer:?} (rank round-trips)");
-    }
-
-    // --- General unions: no shared template required ---------------------
-    // RankedUcq builds one ordered index per disjunct (each with its own
-    // synthesized layout) and corrects union ranks for duplicates by
-    // member ownership — here it must agree rank-for-rank with the
-    // intersection-index structure above.
-    let t = Instant::now();
-    let ranked = RankedUcq::build(&ucq, &db_sel, &union_order)?;
-    println!(
-        "general-union RankedUcq: {} distinct answers ({:.1} ms preprocessing)",
-        ranked.count(),
-        t.elapsed().as_secs_f64() * 1e3
-    );
-    assert_eq!(ranked.count(), union.count());
-    if ranked.count() > 0 {
-        let mid = ranked.count() / 2;
-        let answer = ranked.ordered_access(mid).expect("mid < count");
-        assert_eq!(union.ordered_access(mid).as_deref(), Some(&answer[..]));
-        assert_eq!(ranked.ordered_inverted_access(&answer), Some(mid));
-        println!("ranked ordered_access({mid}) = {answer:?} (agrees with mc-UCQ)");
     }
 
     // --- Uniform sampling inside one rank window -------------------------

@@ -56,7 +56,7 @@
 //! | [`rae_data`] | values, relations, databases, hash indexes |
 //! | [`rae_query`] | CQ/UCQ AST + parser, GYO, join trees, free-connexity, naive eval |
 //! | [`rae_yannakakis`] | semijoin reduction + Proposition 4.2 |
-//! | [`rae_core`] | Algorithms 1–8: `CqIndex`, `LazyShuffle`, `DeletableSet`, `UcqShuffle`, `McUcqIndex` |
+//! | [`rae_core`] | Algorithms 1–8: `CqIndex`, `LazyShuffle`, `DeletableSet`, `UcqShuffle`, `McUcqIndex`; ordered access: `OrderedCqIndex`, `RankedUcq` |
 //! | [`rae_sampler`] | Zhao-et-al-style baselines (EW/EO/OE/RS) + dedup adaptor |
 //! | [`rae_serve`] | snapshot-swapped concurrent serving with delta maintenance |
 //! | [`rae_tpch`] | synthetic TPC-H generator + the paper's benchmark queries |
@@ -66,10 +66,11 @@
 //!
 //! Every build entry point is transactional (a panic or injected fault
 //! leaves the `Database` and dictionary observably unchanged), budgets
-//! ([`rae_faults::Budget`]) bound preprocessing and long enumerations with
-//! structured errors and graceful degradation, and the whole stack is
-//! exercised under seeded fault schedules by the chaos lifecycle harness
-//! (`tests/chaos_lifecycle.rs`, `--features failpoints`). See DESIGN.md §13.
+//! ([`rae_faults::Budget`]) bound index builds and `RankedUcq`'s duplicate
+//! discovery and fences with structured errors and graceful degradation,
+//! and the whole stack is exercised under seeded fault schedules by the
+//! chaos lifecycle harness (`tests/chaos_lifecycle.rs`,
+//! `--features failpoints`). See DESIGN.md §13.
 
 pub use rae_core;
 pub use rae_data;
@@ -82,12 +83,11 @@ pub use rae_yannakakis;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use rae_core::Budgeted;
     pub use rae_core::{
         AccessScratch, CqIndex, CqSequential, CqShuffle, DeletableSet, LazyShuffle, McUcqIndex,
-        McUcqShuffle, OrderStyle, OrderedCqIndex, OrderedEnumeration, OrderedMcUcqIndex,
-        OrderedUcq, OrderedUnionEnumeration, RankStrategy, RankWindow, RankedScratch, RankedUcq,
-        RankedUnionWindow, UcqEvent, UcqShuffle, Weight, WeightedCqIndex,
+        McUcqShuffle, OrderStyle, OrderedCqIndex, OrderedEnumeration, OrderedUnionEnumeration,
+        RankStrategy, RankWindow, RankedScratch, RankedUcq, RankedUnionWindow, UcqEvent,
+        UcqShuffle, Weight, WeightedCqIndex,
     };
     pub use rae_data::{Database, Relation, Schema, Symbol, Value, VarWeights};
     pub use rae_faults::{Budget, Transient};

@@ -139,82 +139,88 @@ fn tpch_ordered_union_random_access_matches_naive() {
         let head = ucq.head().to_vec();
         // One realizable order per union suffices here (the per-CQ
         // permutation sweep above covers order classification; this guards
-        // the inclusion–exclusion rank algebra). The shared template's DFS
-        // attribute sequence is realizable by construction — it is the
-        // order the default layout already emits.
+        // the union rank algebra). The shared template's DFS attribute
+        // sequence is realizable by construction — it is the order the
+        // default layout already emits.
         let fj = reduce_to_full_acyclic(&ucq.disjuncts()[0], &db).unwrap();
         let order: Vec<Symbol> = fj.plan.attrs_dfs();
         let perm: Vec<usize> = order
             .iter()
             .map(|v| head.iter().position(|h| h == v).unwrap())
             .collect();
-        let mc = match OrderedMcUcqIndex::build(&ucq, &db, &order) {
-            Ok(mc) => mc,
+        let ranked = match RankedUcq::build(&ucq, &db, &order) {
+            Ok(ranked) => ranked,
             Err(e) => panic!("{name}: DFS order should be realizable, got {e:?}"),
         };
         let naive = naive_eval_union(&ucq, &db).unwrap();
         let mut rows: Vec<Vec<Value>> = naive.rows().map(<[Value]>::to_vec).collect();
         sort_rows_by(&mut rows, &perm);
-        assert_eq!(mc.count() as usize, rows.len(), "{name}: union count");
+        assert_eq!(ranked.count() as usize, rows.len(), "{name}: union count");
         let stride = (rows.len() / 64).max(1);
         for (k, expected) in rows.iter().enumerate().step_by(stride) {
             assert_eq!(
-                mc.ordered_access(k as Weight).as_ref(),
+                ranked.ordered_access(k as Weight).as_ref(),
                 Some(expected),
                 "{name}: union rank {k}"
             );
             assert_eq!(
-                mc.ordered_inverted_access(expected),
+                ranked.ordered_inverted_access(expected),
                 Some(k as Weight),
                 "{name}: union inverted rank {k}"
             );
         }
         // The k-way merge enumerates the same sequence.
-        let merged: Vec<Vec<Value>> = mc.enumerate().collect();
+        let merged: Vec<Vec<Value>> = ranked.enumerate().collect();
         assert_eq!(merged, rows, "{name}: merge vs naive sorted");
-        // Ordered enumeration over the general-union merge agrees as well.
-        let general = OrderedUcq::build(&ucq, &db, &order).unwrap();
-        let merged2: Vec<Vec<Value>> = general.enumerate().unwrap().collect();
-        assert_eq!(merged2, rows, "{name}: OrderedUcq merge");
     }
 }
 
 #[test]
 fn tpch_general_union_ranked_access_agrees_with_mcucq() {
     // RankedUcq serves the same unions WITHOUT the shared-template
-    // restriction; on the (shared-template) benchmark unions it must agree
-    // with the inclusion–exclusion structure answer-for-answer.
+    // restriction; on the (shared-template) benchmark unions it must hold
+    // exactly the answers of the paper's mc-UCQ structure (Theorem 5.5),
+    // and its ordered ranks and range counts must match naive
+    // materialize-sort-dedup.
     let mut db = generate(&TpchScale::tiny(), 0xBEEF);
     rae_tpch::prepare_selections(&mut db).unwrap();
     for (name, ucq) in rae_tpch::queries::all_ucqs() {
         let fj = reduce_to_full_acyclic(&ucq.disjuncts()[0], &db).unwrap();
         let order: Vec<Symbol> = fj.plan.attrs_dfs();
-        let mc = OrderedMcUcqIndex::build(&ucq, &db, &order).unwrap();
+        let mc = McUcqIndex::build(&ucq, &db).unwrap();
         let ranked = RankedUcq::build(&ucq, &db, &order).unwrap();
         assert_eq!(ranked.count(), mc.count(), "{name}: union count");
-        let stride = (ranked.count() / 48).max(1);
-        let mut k: Weight = 0;
-        while k < ranked.count() {
-            let a = ranked.ordered_access(k).unwrap();
-            assert_eq!(Some(&a), mc.ordered_access(k).as_ref(), "{name}: rank {k}");
-            assert_eq!(
-                ranked.ordered_inverted_access(&a),
-                Some(k),
-                "{name}: inverted rank {k}"
-            );
-            k += stride;
+        // Every mc-UCQ answer has an ordered rank that maps back to it.
+        let stride = (mc.count() / 48).max(1);
+        let mut j: Weight = 0;
+        while j < mc.count() {
+            let a = mc.access(j).unwrap();
+            let k = ranked
+                .ordered_inverted_access(&a)
+                .unwrap_or_else(|| panic!("{name}: mc-UCQ answer {j} has no ordered rank"));
+            assert_eq!(ranked.ordered_access(k), Some(a), "{name}: rank {k}");
+            j += stride;
         }
         assert!(ranked.ordered_access(ranked.count()).is_none());
-        // Range counting agrees on every first-order-variable prefix value.
-        let first_head = ranked.members()[0].order_to_head()[0];
+        // Ordered ranks follow the naive sorted union, and range counting
+        // matches a naive filter on every first-order-variable value.
+        let head = ucq.head().to_vec();
+        let perm: Vec<usize> = order
+            .iter()
+            .map(|v| head.iter().position(|h| h == v).unwrap())
+            .collect();
+        let naive = naive_eval_union(&ucq, &db).unwrap();
+        let mut rows: Vec<Vec<Value>> = naive.rows().map(<[Value]>::to_vec).collect();
+        sort_rows_by(&mut rows, &perm);
         let merged: Vec<Vec<Value>> = ranked.enumerate().collect();
-        assert_eq!(merged.len() as Weight, ranked.count(), "{name}: merge len");
-        let mut prefix_values: Vec<Value> = merged.iter().map(|r| r[first_head].clone()).collect();
+        assert_eq!(merged, rows, "{name}: merge vs naive sorted");
+        let mut prefix_values: Vec<Value> = rows.iter().map(|r| r[perm[0]].clone()).collect();
         prefix_values.dedup();
         for v in prefix_values {
+            let expected = rows.iter().filter(|r| r[perm[0]] == v).count() as Weight;
             assert_eq!(
                 ranked.range_count(std::slice::from_ref(&v)).unwrap(),
-                mc.range_count(std::slice::from_ref(&v)).unwrap(),
+                expected,
                 "{name}: range_count {v:?}"
             );
         }
@@ -222,14 +228,11 @@ fn tpch_general_union_ranked_access_agrees_with_mcucq() {
 }
 
 #[test]
-fn near_identical_union_switches_to_shared_backend_and_agrees() {
-    // Two near-identical single-atom members (2900 of 3000 rows shared) —
-    // the ROADMAP's pairwise-discovery blowup case. The build-time cost
-    // model must switch `RankedUcq::build` to the shared-template mc-UCQ
-    // backend, while `from_members` (pre-built members carry no query to
-    // re-plan from) keeps pairwise ownership — and the two backends must
-    // agree rank-by-rank with each other and with naive
-    // materialize-sort-dedup.
+fn near_identical_union_matches_naive_through_the_merge_fallback() {
+    // Two near-identical single-atom members (2900 of 3000 rows shared):
+    // the leapfrog walk's worst case. Its step cap trips, the linear merge
+    // finishes the pair, and both construction paths must agree with naive
+    // materialize-sort-dedup at every sampled rank and inverted rank.
     let rows_r: Edges = (0..3000).map(|i| (i, i % 13)).collect();
     let rows_s: Edges = (100..3100).map(|i| (i, i % 13)).collect();
     let mut db = Database::new();
@@ -238,21 +241,21 @@ fn near_identical_union_switches_to_shared_backend_and_agrees() {
     let u: UnionQuery = "Q1(x, y) :- R(x, y). Q2(x, y) :- S(x, y).".parse().unwrap();
     let order: Vec<Symbol> = ["y", "x"].iter().map(Symbol::new).collect();
 
-    let switched = RankedUcq::build(&u, &db, &order).unwrap();
+    // The degradation counter is process-global and never reset in this
+    // binary, so concurrent tests can only add to it.
+    let fallbacks = || rae_faults::degrade::count("ranked/leapfrog");
+    let before = fallbacks();
+    let built = RankedUcq::build(&u, &db, &order).unwrap();
     assert!(
-        switched.uses_shared_backend(),
-        "cost model must pick the mc-UCQ backend for near-identical members"
+        fallbacks() > before,
+        "the leapfrog cap must trip on near-identical members"
     );
     let members: Vec<OrderedCqIndex> = u
         .disjuncts()
         .iter()
         .map(|d| OrderedCqIndex::build(d, &db, &order).unwrap())
         .collect();
-    let pairwise = RankedUcq::from_members(members).unwrap();
-    assert!(
-        !pairwise.uses_shared_backend(),
-        "pre-built members cannot re-plan into the shared backend"
-    );
+    let from_members = RankedUcq::from_members(members).unwrap();
 
     let naive = naive_eval_union(&u, &db).unwrap();
     let head = u.head().to_vec();
@@ -262,44 +265,46 @@ fn near_identical_union_switches_to_shared_backend_and_agrees() {
         .collect();
     let mut rows: Vec<Vec<Value>> = naive.rows().map(<[Value]>::to_vec).collect();
     sort_rows_by(&mut rows, &perm);
-    assert_eq!(switched.count() as usize, rows.len(), "switched count");
-    assert_eq!(pairwise.count(), switched.count(), "backend counts");
+    assert_eq!(rows.len(), 3100, "naive union size");
 
     let stride = (rows.len() / 97).max(1);
-    for (k, expected) in rows.iter().enumerate().step_by(stride) {
-        let k = k as Weight;
-        assert_eq!(
-            switched.ordered_access(k).as_ref(),
-            Some(expected),
-            "switched rank {k}"
-        );
-        assert_eq!(
-            pairwise.ordered_access(k).as_ref(),
-            Some(expected),
-            "pairwise rank {k}"
-        );
-        assert_eq!(switched.ordered_inverted_access(expected), Some(k));
-        assert_eq!(pairwise.ordered_inverted_access(expected), Some(k));
+    for ranked in [&built, &from_members] {
+        assert_eq!(ranked.count() as usize, rows.len(), "union count");
+        for (k, expected) in rows.iter().enumerate().step_by(stride) {
+            let k = k as Weight;
+            assert_eq!(
+                ranked.ordered_access(k).as_ref(),
+                Some(expected),
+                "rank {k}"
+            );
+            assert_eq!(
+                ranked.ordered_inverted_access(expected),
+                Some(k),
+                "inverted rank {k}"
+            );
+        }
+        assert!(ranked.ordered_access(ranked.count()).is_none());
+        // Range counts match a naive filter on every distinct first value.
+        let mut firsts: Vec<Value> = rows.iter().map(|r| r[perm[0]].clone()).collect();
+        firsts.dedup();
+        assert!(firsts.len() > 1);
+        for v in firsts {
+            let expected = rows.iter().filter(|r| r[perm[0]] == v).count() as Weight;
+            assert_eq!(
+                ranked.range_count(std::slice::from_ref(&v)).unwrap(),
+                expected,
+                "range_count {v:?}"
+            );
+        }
+        // Windows paginate the merge identically to naive.
+        let mut paged: Vec<Vec<Value>> = Vec::new();
+        let mut at: Weight = 0;
+        while at < ranked.count() {
+            paged.extend(ranked.range(at..at + 512));
+            at += 512;
+        }
+        assert_eq!(paged, rows, "pagination");
     }
-    // Range counts agree on every distinct first-order value.
-    let mut firsts: Vec<Value> = rows.iter().map(|r| r[perm[0]].clone()).collect();
-    firsts.dedup();
-    assert!(firsts.len() > 1);
-    for v in firsts {
-        assert_eq!(
-            switched.range_count(std::slice::from_ref(&v)).unwrap(),
-            pairwise.range_count(std::slice::from_ref(&v)).unwrap(),
-            "range_count {v:?}"
-        );
-    }
-    // Windows paginate the switched backend's merge identically to naive.
-    let mut paged: Vec<Vec<Value>> = Vec::new();
-    let mut at: Weight = 0;
-    while at < switched.count() {
-        paged.extend(switched.range(at..at + 512));
-        at += 512;
-    }
-    assert_eq!(paged, rows, "switched pagination");
 }
 
 #[test]
@@ -339,9 +344,8 @@ fn mixed_template_union_ranked_access_matches_naive() {
             .parse()
             .unwrap();
     // Not an mc-UCQ: the templates differ.
-    let order: Vec<Symbol> = ["y", "x"].iter().map(Symbol::new).collect();
     assert!(matches!(
-        OrderedMcUcqIndex::build(&u, &db, &order),
+        McUcqIndex::build(&u, &db),
         Err(rae_core::CoreError::IncompatibleTemplates { .. })
     ));
 
@@ -400,15 +404,15 @@ fn mixed_template_union_ranked_access_matches_naive() {
 
 #[test]
 fn union_structures_serve_projection_node_orders() {
-    // The riskiest composition in the union builders is node-wise
-    // intersection / rank correction over relations *derived* for a
-    // synthesized projection-node layout (LexPlan::derive_relations), which
-    // the shared-template and mixed-template suites above never force: their
+    // The riskiest composition in the union builder is duplicate discovery
+    // and rank correction over relations *derived* for a synthesized
+    // projection-node layout (LexPlan::derive_relations), which the
+    // shared-template and mixed-template suites above never force: their
     // orders are all realizable by re-rooting alone. Bags {x,y,z}–{z,w}
     // under ORDER BY ⟨x,z,w,y⟩ require the projection root {x,z} (y splits
-    // off its bag around w, DESIGN.md §11), so this drives both union structures through
-    // projection-node member layouts and checks them against naive
-    // materialize-sort-dedup.
+    // off its bag around w, DESIGN.md §11), so this drives both RankedUcq
+    // construction paths through projection-node member layouts and checks
+    // them against naive materialize-sort-dedup.
     let tri = |rows: &[(i64, i64, i64)]| {
         Relation::from_rows(
             Schema::new(["x", "y", "z"]).unwrap(),
@@ -433,8 +437,8 @@ fn union_structures_serve_projection_node_orders() {
     db.add_relation("R2", tri(&[(1, 1, 1), (2, 2, 2), (4, 1, 1)]))
         .unwrap();
     db.add_relation("S2", duo(&[(1, 2), (2, 3)])).unwrap();
-    // Same template (both reduce to bags {x,y,z}–{z,w}), overlapping
-    // answers, so both union structures accept and dedup matters.
+    // Same template (both reduce to bags {x,y,z}–{z,w}) and overlapping
+    // answers, so dedup matters.
     let u: UnionQuery = "Q1(x, y, z, w) :- R(x, y, z), S(z, w). \
                          Q2(x, y, z, w) :- R2(x, y, z), S2(z, w)."
         .parse()
@@ -459,39 +463,38 @@ fn union_structures_serve_projection_node_orders() {
     let mut rows: Vec<Vec<Value>> = naive.rows().map(<[Value]>::to_vec).collect();
     sort_rows_by(&mut rows, &perm);
 
-    let mc = OrderedMcUcqIndex::build(&u, &db, &order).unwrap();
-    let ranked = RankedUcq::build(&u, &db, &order).unwrap();
-    assert_eq!(mc.count() as usize, rows.len(), "mc count");
-    assert_eq!(ranked.count() as usize, rows.len(), "ranked count");
-    for (k, expected) in rows.iter().enumerate() {
-        let k = k as Weight;
-        assert_eq!(mc.ordered_access(k).as_ref(), Some(expected), "mc rank {k}");
-        assert_eq!(
-            ranked.ordered_access(k).as_ref(),
-            Some(expected),
-            "ranked rank {k}"
-        );
-        assert_eq!(mc.ordered_inverted_access(expected), Some(k));
-        assert_eq!(ranked.ordered_inverted_access(expected), Some(k));
-    }
-    // Range counts on every prefix of every answer.
-    for answer in &rows {
-        for p in 0..=order.len() {
-            let prefix: Vec<Value> = perm[..p].iter().map(|&h| answer[h].clone()).collect();
-            let expected = rows
-                .iter()
-                .filter(|r| perm[..p].iter().zip(&prefix).all(|(&h, v)| &r[h] == v))
-                .count() as Weight;
+    let built = RankedUcq::build(&u, &db, &order).unwrap();
+    let members: Vec<OrderedCqIndex> = u
+        .disjuncts()
+        .iter()
+        .map(|d| OrderedCqIndex::build(d, &db, &order).unwrap())
+        .collect();
+    let from_members = RankedUcq::from_members(members).unwrap();
+    for (path, ranked) in [("build", &built), ("from_members", &from_members)] {
+        assert_eq!(ranked.count() as usize, rows.len(), "{path} count");
+        for (k, expected) in rows.iter().enumerate() {
+            let k = k as Weight;
             assert_eq!(
-                mc.range_count(&prefix).unwrap(),
-                expected,
-                "mc prefix {prefix:?}"
+                ranked.ordered_access(k).as_ref(),
+                Some(expected),
+                "{path} rank {k}"
             );
-            assert_eq!(
-                ranked.range_count(&prefix).unwrap(),
-                expected,
-                "ranked prefix {prefix:?}"
-            );
+            assert_eq!(ranked.ordered_inverted_access(expected), Some(k));
+        }
+        // Range counts on every prefix of every answer.
+        for answer in &rows {
+            for p in 0..=order.len() {
+                let prefix: Vec<Value> = perm[..p].iter().map(|&h| answer[h].clone()).collect();
+                let expected = rows
+                    .iter()
+                    .filter(|r| perm[..p].iter().zip(&prefix).all(|(&h, v)| &r[h] == v))
+                    .count() as Weight;
+                assert_eq!(
+                    ranked.range_count(&prefix).unwrap(),
+                    expected,
+                    "{path} prefix {prefix:?}"
+                );
+            }
         }
     }
 }

@@ -172,10 +172,6 @@ fn union_rank_sums_past_u128_are_structured_errors() {
     )
     .parse()
     .unwrap();
-    assert_rank_overflow(
-        OrderedMcUcqIndex::build(&ucq, &db, &order),
-        "OrderedMcUcqIndex::build",
-    );
     assert_rank_overflow(McUcqIndex::build(&ucq, &db), "McUcqIndex::build");
     assert_rank_overflow(RankedUcq::build(&ucq, &db, &order), "RankedUcq::build");
 }
