@@ -3,7 +3,8 @@
 //! An archive is the process-independent raw-parts form of an index: a
 //! deduplicated value table plus flat `u32` *table-reference* columns and
 //! the precomputed per-row artifact tables (weights, startIndex prefix
-//! sums, bucket tables, child-bucket links). Dictionary codes never appear
+//! sums in the layout the build chose, bucket tables, child-bucket links),
+//! each exactly as the live index holds it. Dictionary codes never appear
 //! in an archive — they are process-local, so serialized rows reference
 //! positions in the archive's own value table instead, which is what makes
 //! the on-disk byte image (and hence `rae-store`'s `artifact_digest`)
@@ -36,33 +37,26 @@
 //! cheaper still.
 
 use crate::column::Col;
-use crate::ef::EfStarts;
 use crate::index::BucketView;
 use crate::weight::Weight;
 use rae_data::{Symbol, Value};
 
 /// Per-row startIndex storage of one node (Algorithm 2), shared between
-/// the live index and its archive. Compact `u64` whenever every start
-/// fits (always, short of more than 2^64 answers below one bucket) —
-/// half the cache traffic per binary-search probe; the `u128` layout is
-/// the overflow fallback; the Elias-Fano layout is a succinct encoding of
-/// the *global* cumulative sequence, selected per node by the store when
-/// it beats the compact bytes, with byte-identical rank semantics.
+/// the live index and its archive: each row's start within its bucket, as
+/// a plain prefix sum. Compact `u64` whenever every start fits (always,
+/// short of more than 2^64 answers below one bucket) — half the cache
+/// traffic per binary-search probe; the `u128` layout is the overflow
+/// fallback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Starts {
     /// Every start fits `u64` (the overwhelmingly common case).
     Compact(Col<u64>),
     /// Overflow fallback: full `u128` starts.
     Wide(Col<Weight>),
-    /// Succinct rank/select encoding of the global cumulative starts;
-    /// per-bucket starts are recovered relative to the bucket's first
-    /// row (see [`crate::ef`]).
-    EliasFano(EfStarts),
 }
 
 impl Starts {
-    /// Chooses the narrowest direct layout for freshly built starts
-    /// (Elias-Fano is only ever introduced by the store's encoder).
+    /// Chooses the narrowest layout for freshly built starts.
     pub fn from_weights(starts: Vec<Weight>) -> Self {
         match starts
             .iter()
@@ -79,7 +73,6 @@ impl Starts {
         match self {
             Starts::Compact(v) => v.len(),
             Starts::Wide(v) => v.len(),
-            Starts::EliasFano(ef) => ef.len(),
         }
     }
 
@@ -88,26 +81,18 @@ impl Starts {
         self.len() == 0
     }
 
-    /// The startIndex of row `i` *within its bucket*. `bucket_first` is
-    /// the bucket's first row id — only the Elias-Fano layout (which
-    /// stores global cumulative values) reads it; direct layouts ignore
-    /// it, so callers that know the layout may pass 0.
+    /// The startIndex of row `i` within its bucket.
     #[inline]
-    pub fn at(&self, i: usize, bucket_first: usize) -> Weight {
+    pub fn at(&self, i: usize) -> Weight {
         match self {
             Starts::Compact(v) => Weight::from(v[i]),
             Starts::Wide(v) => v[i],
-            // wrapping_sub: g is increasing on any archive that passes
-            // validation, so this never wraps for a served index; on a
-            // malformed candidate it yields a wrong value the validator
-            // then rejects, instead of a debug-profile overflow panic.
-            Starts::EliasFano(ef) => Weight::from(ef.get(i).wrapping_sub(ef.get(bucket_first))),
         }
     }
 
-    /// Number of rows in `[start, end)` (one bucket's row range — `start`
-    /// must be the bucket's first row) whose startIndex is ≤ `j`: the
-    /// Algorithm 3 binary search, identical semantics across layouts.
+    /// Number of rows in `[start, end)` (one bucket's row range) whose
+    /// startIndex is ≤ `j`: the Algorithm 3 binary search, identical
+    /// semantics across layouts.
     #[inline]
     pub fn rank_leq(&self, start: usize, end: usize, j: Weight) -> usize {
         match self {
@@ -117,7 +102,6 @@ impl Starts {
                 Err(_) => end - start,
             },
             Starts::Wide(v) => v[start..end].partition_point(|&s| s <= j),
-            Starts::EliasFano(ef) => ef.rank_leq(start, end, j),
         }
     }
 
@@ -126,16 +110,6 @@ impl Starts {
         match self {
             Starts::Compact(v) => v.is_borrowed(),
             Starts::Wide(v) => v.is_borrowed(),
-            Starts::EliasFano(ef) => ef.is_borrowed(),
-        }
-    }
-
-    /// The layout name (test/bench introspection).
-    pub fn encoding(&self) -> &'static str {
-        match self {
-            Starts::Compact(_) => "compact",
-            Starts::Wide(_) => "wide",
-            Starts::EliasFano(_) => "elias-fano",
         }
     }
 }

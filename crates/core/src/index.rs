@@ -135,8 +135,8 @@ struct NodeIndex {
     /// borrowed load (likewise for the other [`Col`]-typed tables).
     weights: Col<Weight>,
     /// Per-row start index within its bucket (Algorithm 2's
-    /// `startIndex`) — compact/wide direct layouts or the succinct
-    /// Elias-Fano encoding (see [`crate::archive::Starts`]).
+    /// `startIndex`), compact `u64` or wide `u128` (see
+    /// [`crate::archive::Starts`]).
     starts: Starts,
     buckets: Buckets,
     /// Bucket id of each row.
@@ -152,20 +152,6 @@ struct NodeIndex {
 }
 
 impl NodeIndex {
-    /// The startIndex of `row_id` within its bucket, resolving the
-    /// bucket base only when the Elias-Fano layout needs it (the direct
-    /// layouts skip the bucket lookup entirely).
-    #[inline]
-    fn start_of_row(&self, row_id: usize) -> Weight {
-        match &self.starts {
-            Starts::EliasFano(_) => {
-                let first = self.buckets.start[self.bucket_of_row[row_id] as usize];
-                self.starts.at(row_id, first as usize)
-            }
-            _ => self.starts.at(row_id, 0),
-        }
-    }
-
     fn row_lookup(&self) -> &CodeKeyMap {
         self.row_by_tuple.get_or_init(|| {
             // Row count was validated against u32 in `from_parts`. Sized to
@@ -692,7 +678,7 @@ impl CqIndex {
             // over the compact u64 layout whenever starts fit.
             let offset = nd.starts.rank_leq(first, end as usize, sub_index);
             let row_id = first + offset - 1;
-            let mut remainder = sub_index - nd.starts.at(row_id, first);
+            let mut remainder = sub_index - nd.starts.at(row_id);
             debug_assert!(remainder < nd.weights[row_id]);
 
             let row = nd.rel.row(row_id);
@@ -772,7 +758,7 @@ impl CqIndex {
                 debug_assert!(child_digit < radix);
                 digit = digit * radix + child_digit;
             }
-            scratch.node_digits[node] = nd.start_of_row(row_id) + digit;
+            scratch.node_digits[node] = nd.starts.at(row_id) + digit;
         }
         let mut index: Weight = 0;
         for (&root, &total) in self.plan.roots().iter().zip(self.root_totals.iter()) {
@@ -887,7 +873,7 @@ impl CqIndex {
 
     /// The startIndex of `row` within its bucket (Algorithm 2).
     pub fn row_start(&self, node: usize, row: u32) -> Weight {
-        self.nodes[node].start_of_row(row as usize)
+        self.nodes[node].starts.at(row as usize)
     }
 
     /// Whether every per-row artifact table (weights, starts, buckets,
@@ -903,12 +889,6 @@ impl CqIndex {
                     && nd.bucket_of_row.is_borrowed()
                     && nd.child_buckets.iter().all(Col::is_borrowed)
             })
-    }
-
-    /// The startIndex layout name of `node` (`"compact"`, `"wide"`, or
-    /// `"elias-fano"`) — test/bench introspection.
-    pub fn starts_encoding(&self, node: usize) -> &'static str {
-        self.nodes[node].starts.encoding()
     }
 }
 
@@ -1702,20 +1682,6 @@ fn validate_archived_node(
     match &arch.starts {
         Starts::Compact(starts) => check_starts(node, starts, weights, bucket_ids, buckets)?,
         Starts::Wide(starts) => check_starts(node, starts, weights, bucket_ids, buckets)?,
-        Starts::EliasFano(ef) => {
-            // The layout stores the global cumulative sequence; rebasing
-            // each bucket on its first row yields exactly what `Starts::at`
-            // returns (wrapping, so a malformed sequence fails the checks
-            // instead of panicking).
-            let mut starts = ef.decode_all();
-            for (&first, &end) in first_rows.iter().zip(ends) {
-                let base = starts[first as usize];
-                for s in &mut starts[first as usize..end as usize] {
-                    *s = s.wrapping_sub(base);
-                }
-            }
-            check_starts(node, &starts, weights, bucket_ids, buckets)?;
-        }
     }
 
     // Tables move (not copy) into the live node: for a borrowed archive
@@ -2119,7 +2085,7 @@ mod tests {
         assert_eq!(wide.rank_leq(0, 3, 9), 1);
         assert_eq!(wide.rank_leq(0, 3, Weight::from(u64::MAX)), 2);
         assert_eq!(wide.rank_leq(0, 3, big), 3);
-        assert_eq!(wide.at(2, 0), big);
+        assert_eq!(wide.at(2), big);
     }
 
     #[test]

@@ -35,7 +35,6 @@
 pub mod archive;
 pub mod column;
 pub mod delset;
-pub mod ef;
 pub mod enumerate;
 pub mod error;
 pub mod index;
@@ -55,7 +54,6 @@ pub(crate) mod testutil;
 pub use archive::{Buckets, CqIndexArchive, NodeArchive, OrderedCqIndexArchive, Starts};
 pub use column::{AlignedBytes, Col, ColumnError, Pod, StableBytes};
 pub use delset::DeletableSet;
-pub use ef::EfStarts;
 pub use enumerate::CqSequential;
 pub use error::CoreError;
 pub use index::{BucketView, BuildOptions, CqIndex, BUILD_THREADS_ENV};

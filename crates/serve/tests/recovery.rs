@@ -274,6 +274,78 @@ fn recovery_falls_back_past_a_newest_snapshot_that_fails_realization() {
     }
 }
 
+/// A snapshot of the previous format version is rebuilt, not migrated:
+/// the newest file in the directory is a checksum-valid snapshot stamped
+/// `FORMAT_VERSION - 1`, and recovery must quarantine it and serve the
+/// older current-version snapshot. Checked through the owned and the
+/// zero-copy store entry points and through the serving cold start.
+#[test]
+fn recovery_quarantines_a_previous_version_snapshot() {
+    let _guard = lock();
+    let old_version = rae_store::FORMAT_VERSION - 1;
+    for via in ["recover_dir", "recover_dir_with", "ServingIndex::recover"] {
+        let dir = scratch("version");
+        let (mut writer, _index) = setup();
+        writer.persist_folds_to(&dir);
+        let mut batch = Batch::new();
+        batch.insert("R", iv(&[3, 30]));
+        batch.insert("S", iv(&[3, 9]));
+        writer.commit(&batch).unwrap();
+        let current_epoch = writer.fold_now().unwrap();
+        let current = dir.join(format!("snap-{current_epoch}.rae"));
+        let (archive, current_meta) = rae_store::load_archive(&current).unwrap();
+
+        // The same index one epoch newer, its header re-stamped with the
+        // previous version (and a matching header checksum, so the
+        // version check is what refuses it).
+        let stale_epoch = current_epoch + 1;
+        let stale = dir.join(format!("snap-{stale_epoch}.rae"));
+        rae_store::save(&stale, &archive, stale_epoch, "stale").unwrap();
+        let mut bytes = std::fs::read(&stale).unwrap();
+        bytes[8..12].copy_from_slice(&old_version.to_le_bytes());
+        let sum = rae_store::fnv64(&bytes[..24]).to_le_bytes();
+        bytes[24..32].copy_from_slice(&sum);
+        std::fs::write(&stale, &bytes).unwrap();
+        assert!(
+            matches!(
+                rae_store::load(&stale),
+                Err(rae_store::StoreError::VersionMismatch { found, .. }) if found == old_version
+            ),
+            "{via}"
+        );
+
+        let (epoch, digest) = match via {
+            "recover_dir" => {
+                let (path, _, meta) = rae_store::recover_dir(&dir).unwrap();
+                assert_eq!(path, current);
+                (meta.epoch, meta.artifact_digest)
+            }
+            "recover_dir_with" => {
+                let (path, _, meta) = rae_store::recover_dir_with(&dir, true).unwrap();
+                assert_eq!(path, current);
+                assert!(meta.borrowed, "{via}");
+                (meta.epoch, meta.artifact_digest)
+            }
+            _ => {
+                let (recovered, meta) = ServingIndex::recover(&dir).unwrap();
+                assert_eq!(recovered.snapshot().count(), 3);
+                (meta.epoch, meta.artifact_digest)
+            }
+        };
+        assert_eq!(epoch, current_epoch, "{via}");
+        assert_eq!(digest, current_meta.artifact_digest, "{via}");
+        // The stale file was moved aside, not deleted.
+        assert!(current.exists(), "{via}");
+        assert!(!stale.exists(), "{via}");
+        assert_eq!(
+            std::fs::read(dir.join(format!("snap-{stale_epoch}.rae.corrupt"))).unwrap(),
+            bytes,
+            "{via}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn recovery_of_an_empty_directory_is_a_structured_error() {
     let _guard = lock();

@@ -1,30 +1,28 @@
 //! Artifact ⇄ section codec. An artifact (one built index in archive form)
 //! encodes to a deterministic ordered list of named sections — flat `u32`
-//! reference columns, startIndex arrays (compact `u64`, wide `u128`, or
-//! Elias-Fano, chosen per node by encoded size), struct-of-arrays bucket
-//! tables, and the deduplicated value table — and the `artifact_digest` is
-//! the FNV-1a 64 over the concatenated section payloads in that order. The
-//! encoding references the archive's own value table (never process-local
-//! dictionary codes), so the digest of a logical index is identical across
-//! processes: the crash harness compares digests computed in different
-//! processes to prove recovery exactness.
+//! reference columns, startIndex prefix sums exactly as the build laid
+//! them out (compact `u64`, or wide `u128` when a start overflows `u64`),
+//! struct-of-arrays bucket tables, and the deduplicated value table — and
+//! the `artifact_digest` is the FNV-1a 64 over the concatenated section
+//! payloads in that order. The encoding references the archive's own
+//! value table (never process-local dictionary codes), so the digest of a
+//! logical index is identical across processes: the crash harness
+//! compares digests computed in different processes to prove recovery
+//! exactness.
 //!
-//! Format v2 lays every numeric array on a 16-byte payload boundary
-//! (zero padding inside the checksummed payload), which is what lets
+//! Every numeric array sits on a 16-byte payload boundary (zero padding
+//! inside the checksummed payload), which is what lets
 //! [`ArtifactArchive::from_sections`] decode in *borrowed* mode: columns
 //! become validated zero-copy [`rae_core::Col`] views straight into the
-//! snapshot buffer instead of owned copies.
-//!
-//! The Elias-Fano choice is transparent to digests: the owned decode
-//! expands EF back to the compact layout, and re-encoding a (valid)
-//! compact node deterministically re-selects EF with identical bytes, so
-//! `save(load(x))` still digests to `digest(x)` whichever path loaded it.
+//! snapshot buffer instead of owned copies. Owned and borrowed decodes
+//! run the same code and differ only in where a column's bytes live, so
+//! `save(load(x))` digests to `digest(x)` whichever path loaded it.
 
 use crate::error::StoreError;
 use crate::wire::{ColSource, Reader, Writer};
 use rae_core::{
-    Buckets, Col, CqIndex, CqIndexArchive, EfStarts, NodeArchive, OrderedCqIndex,
-    OrderedCqIndexArchive, RankedUcq, StableBytes, Starts,
+    Buckets, Col, CqIndex, CqIndexArchive, NodeArchive, OrderedCqIndex, OrderedCqIndexArchive,
+    RankedUcq, StableBytes, Starts,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,7 +30,6 @@ use std::sync::Arc;
 /// startIndex layout tags on the wire.
 const STARTS_COMPACT: u8 = 0;
 const STARTS_WIDE: u8 = 1;
-const STARTS_ELIAS_FANO: u8 = 2;
 
 /// The most members an ordered-union snapshot holds. Member `i`'s sections
 /// are named by its singleton mask `1 << i` (`m1/`, `m2/`, `m4/`, …): the
@@ -167,8 +164,7 @@ impl ArtifactArchive {
     /// `owner`, numeric columns are zero-copy views into it (anchored at
     /// each section's absolute offset); a view the buffer cannot support
     /// surfaces as [`StoreError::Unborrowable`] for the caller to fall
-    /// back on. Without one, everything is copied out as owned vectors
-    /// and Elias-Fano startIndex nodes are expanded back to compact.
+    /// back on. Without one, everything is copied out as owned vectors.
     pub(crate) fn from_sections(
         kind: ArtifactKind,
         sections: &Sections<'_>,
@@ -216,32 +212,6 @@ impl ArtifactArchive {
     }
 }
 
-/// The global cumulative startIndex sequence of one node — per-bucket
-/// starts shifted by the running sum of earlier buckets' totals — when it
-/// is strictly increasing and fits `u64` (the shape Elias-Fano needs).
-/// `None` means "keep the direct layout". Valid archives always qualify
-/// on monotonicity (weights ≥ 1); the checks make encoding total for
-/// hand-built or hostile archives too.
-fn ef_global(node: &NodeArchive) -> Option<Vec<u64>> {
-    let Starts::Compact(starts) = &node.starts else {
-        return None;
-    };
-    let mut g: Vec<u64> = Vec::with_capacity(starts.len());
-    let mut base: u128 = 0;
-    for bucket in node.buckets.iter() {
-        for i in bucket.start..bucket.end {
-            let v = base.checked_add(u128::from(*starts.get(i as usize)?))?;
-            let v = u64::try_from(v).ok()?;
-            if g.last().is_some_and(|&prev| prev >= v) {
-                return None;
-            }
-            g.push(v);
-        }
-        base = base.checked_add(bucket.total)?;
-    }
-    (g.len() == starts.len()).then_some(g)
-}
-
 fn encode_cq(prefix: &str, a: &CqIndexArchive, out: &mut Vec<(String, Vec<u8>)>) {
     let mut w = Writer::new();
     w.put_symbols(&a.head);
@@ -283,58 +253,19 @@ fn encode_cq(prefix: &str, a: &CqIndexArchive, out: &mut Vec<(String, Vec<u8>)>)
         out.push((format!("{prefix}node{i}/weights"), w.into_bytes()));
 
         let mut w = Writer::new();
-        match (
-            &node.starts,
-            ef_global(node).and_then(|g| EfStarts::encode(&g)),
-        ) {
-            (_, Some(ef)) => {
-                let (len, low_bits, lower, upper, samples) = ef.parts();
-                w.put_u8(STARTS_ELIAS_FANO);
-                w.put_len(len);
-                w.put_u32(low_bits);
-                w.put_len(lower.len());
-                w.put_len(upper.len());
-                w.put_len(samples.len());
-                w.pad_to_16();
-                w.put_col(lower);
-                w.pad_to_16();
-                w.put_col(upper);
-                w.pad_to_16();
-                w.put_col(samples);
-                w.pad_to_16();
-            }
-            (Starts::Compact(v), None) => {
+        match &node.starts {
+            Starts::Compact(v) => {
                 w.put_u8(STARTS_COMPACT);
                 w.put_len(v.len());
                 w.pad_to_16();
                 w.put_col(v);
                 w.pad_to_16();
             }
-            (Starts::Wide(v), None) => {
+            Starts::Wide(v) => {
                 w.put_u8(STARTS_WIDE);
                 w.put_len(v.len());
                 w.pad_to_16();
                 w.put_col(v);
-            }
-            // ef_global only returns Some for Compact nodes, and live
-            // EliasFano starts (a borrowed load being re-saved) re-encode
-            // their parts verbatim below — unreachable by construction,
-            // but total: fall back to expanding through rank semantics.
-            (Starts::EliasFano(ef), None) => {
-                let (len, low_bits, lower, upper, samples) = ef.parts();
-                w.put_u8(STARTS_ELIAS_FANO);
-                w.put_len(len);
-                w.put_u32(low_bits);
-                w.put_len(lower.len());
-                w.put_len(upper.len());
-                w.put_len(samples.len());
-                w.pad_to_16();
-                w.put_col(lower);
-                w.pad_to_16();
-                w.put_col(upper);
-                w.pad_to_16();
-                w.put_col(samples);
-                w.pad_to_16();
             }
         }
         out.push((format!("{prefix}node{i}/starts"), w.into_bytes()));
@@ -466,9 +397,26 @@ fn decode_cq(
         let weights: Col<u128> = r.get_col(len)?;
         r.finish_padded()?;
 
-        // Buckets before starts: the owned Elias-Fano expansion needs the
-        // bucket table to turn global cumulative values back into
-        // per-bucket starts.
+        let name = format!("{prefix}node{i}/starts");
+        let mut r = reader(&name, section(sections, &name)?, owner);
+        let starts = match r.get_u8()? {
+            STARTS_COMPACT => {
+                let len = r.get_len(8)?;
+                Starts::Compact(r.get_col(len)?)
+            }
+            STARTS_WIDE => {
+                let len = r.get_len(16)?;
+                Starts::Wide(r.get_col(len)?)
+            }
+            tag => {
+                return Err(StoreError::Corrupt {
+                    section: name.clone(),
+                    detail: format!("unknown starts tag {tag}"),
+                })
+            }
+        };
+        r.finish_padded()?;
+
         let name = format!("{prefix}node{i}/buckets");
         let mut r = reader(&name, section(sections, &name)?, owner);
         let len = r.get_len(40)?;
@@ -482,96 +430,6 @@ fn decode_cq(
                 detail,
             }
         })?;
-        r.finish_padded()?;
-
-        let name = format!("{prefix}node{i}/starts");
-        let mut r = reader(&name, section(sections, &name)?, owner);
-        let starts = match r.get_u8()? {
-            STARTS_COMPACT => {
-                let len = r.get_len(8)?;
-                Starts::Compact(r.get_col(len)?)
-            }
-            STARTS_WIDE => {
-                let len = r.get_len(16)?;
-                Starts::Wide(r.get_col(len)?)
-            }
-            STARTS_ELIAS_FANO => {
-                // The element count is NOT bounds-checked against the
-                // payload (EF stores far fewer than 8 bytes/element);
-                // `from_parts` cross-validates it against the word
-                // counts, which `get_col` does bound, before anything
-                // allocates proportionally to it.
-                let len = usize::try_from(r.get_u64()?).map_err(|_| StoreError::Corrupt {
-                    section: name.clone(),
-                    detail: "EF length overflows usize".to_string(),
-                })?;
-                let low_bits = r.get_u32()?;
-                let n_lower = r.get_len(8)?;
-                let n_upper = r.get_len(8)?;
-                let n_samples = r.get_len(8)?;
-                let lower: Col<u64> = r.get_col(n_lower)?;
-                let upper: Col<u64> = r.get_col(n_upper)?;
-                let samples: Col<u64> = r.get_col(n_samples)?;
-                let ef = EfStarts::from_parts(len, low_bits, lower, upper, samples).map_err(
-                    |detail| StoreError::Corrupt {
-                        section: name.clone(),
-                        detail,
-                    },
-                )?;
-                if owner.is_some() {
-                    // Borrowed load: serve ranks straight off the
-                    // succinct structure.
-                    Starts::EliasFano(ef)
-                } else {
-                    // Owned load: expand the global sequence back to
-                    // per-bucket compact starts (checked subtraction —
-                    // a non-monotone hostile sequence is corruption,
-                    // not a wrap).
-                    let g = ef.decode_all();
-                    if g.len() != len {
-                        return Err(StoreError::Corrupt {
-                            section: name.clone(),
-                            detail: "EF decoded length disagrees".to_string(),
-                        });
-                    }
-                    let mut compact = vec![0u64; len];
-                    let mut covered = 0usize;
-                    for bucket in buckets.iter() {
-                        let (bs, be) = (bucket.start as usize, bucket.end as usize);
-                        if bs > be || be > len {
-                            return Err(StoreError::Corrupt {
-                                section: name.clone(),
-                                detail: format!("bucket range {bs}..{be} outside {len} starts"),
-                            });
-                        }
-                        for row in bs..be {
-                            compact[row] =
-                                g[row]
-                                    .checked_sub(g[bs])
-                                    .ok_or_else(|| StoreError::Corrupt {
-                                        section: name.clone(),
-                                        detail: "EF sequence not monotone within a bucket"
-                                            .to_string(),
-                                    })?;
-                        }
-                        covered += be - bs;
-                    }
-                    if covered != len {
-                        return Err(StoreError::Corrupt {
-                            section: name.clone(),
-                            detail: format!("buckets cover {covered} of {len} starts"),
-                        });
-                    }
-                    Starts::Compact(Col::Owned(compact))
-                }
-            }
-            tag => {
-                return Err(StoreError::Corrupt {
-                    section: name.clone(),
-                    detail: format!("unknown starts tag {tag}"),
-                })
-            }
-        };
         r.finish_padded()?;
 
         let name = format!("{prefix}node{i}/links");
@@ -719,9 +577,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_starts_pick_elias_fano_and_round_trip() {
-        // One bucket, consecutive starts: EF is profitable and must
-        // decode (owned) back to the identical compact archive.
+    fn dense_starts_stay_compact_and_round_trip() {
+        // One bucket, consecutive starts: the node is saved exactly as
+        // built (compact, 8 bytes a row) and decodes back to the identical
+        // archive.
         let rows = 4096u32;
         let mut a = tiny_cq_archive();
         let node = &mut a.nodes[0];
@@ -740,13 +599,12 @@ mod tests {
         let archive = ArtifactArchive::Cq(a);
         let owned = archive.to_sections();
         let starts_payload = &owned.iter().find(|(n, _)| n == "node0/starts").unwrap().1;
-        assert_eq!(starts_payload[0], STARTS_ELIAS_FANO);
-        // Succinct: far smaller than the 8-byte/row compact layout.
-        assert!(starts_payload.len() < rows as usize * 2);
+        assert_eq!(starts_payload[0], STARTS_COMPACT);
+        assert_eq!(starts_payload.len(), 16 + rows as usize * 8);
         let decoded =
             ArtifactArchive::from_sections(ArtifactKind::Cq, &as_sections(&owned), None).unwrap();
         assert_eq!(decoded, archive);
-        // Digest fixed point: re-encoding re-selects EF with equal bytes.
+        // Digest fixed point: re-encoding the decode yields equal bytes.
         assert_eq!(decoded.to_sections(), owned);
     }
 }

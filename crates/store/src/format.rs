@@ -1,7 +1,7 @@
 //! The on-disk container and the crash-consistent publish protocol
 //! (DESIGN.md §15).
 //!
-//! ## File layout (format v2)
+//! ## File layout (format v3)
 //!
 //! ```text
 //! header  (32 B): magic "RAESTOR1" | version u32 | endian tag u32
@@ -64,9 +64,9 @@ use std::sync::Arc;
 /// The snapshot format version this build reads and writes. Bump on any
 /// layout change; old versions are rebuilt from base data, not migrated.
 /// v2: 32-byte header with alignment tag; 16-aligned section payloads
-/// (zero-copy loadable); struct-of-arrays bucket tables; per-node
-/// Elias-Fano startIndex encoding.
-pub const FORMAT_VERSION: u32 = 2;
+/// (zero-copy loadable); struct-of-arrays bucket tables. v3: every node's
+/// startIndex is stored as built, compact `u64` or wide `u128` prefix sums.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File extension of live snapshot files (`recover_dir` scans for it).
 pub const SNAPSHOT_EXT: &str = "rae";

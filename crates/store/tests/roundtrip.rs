@@ -4,13 +4,14 @@
 //! a silently wrong index.
 
 use proptest::prelude::*;
-use rae_core::{CqIndex, OrderedCqIndex, RankedUcq};
+use rae_core::{CqIndex, OrderedCqIndex, RankedUcq, Starts};
 use rae_data::{Database, Relation, Schema, Symbol, Value};
 use rae_store::{
-    digest_of, load, load_borrowed, save, verify, Artifact, ArtifactArchive, StoreError,
-    SNAPSHOT_EXT,
+    digest_of, load, load_archive, load_archive_borrowed, load_borrowed, save, verify, Artifact,
+    ArtifactArchive, StoreError, FORMAT_VERSION, SNAPSHOT_EXT,
 };
 use rae_tpch::{generate, prepare_selections, queries, TpchScale};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -290,9 +291,9 @@ fn every_single_byte_corruption_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A dense single-attribute index whose startIndex serializes as
-/// Elias-Fano (asserted in the test), so the corruption sweep also covers
-/// the succinct rank-structure sections.
+/// A dense single-attribute index: one bucket of 256 consecutive starts,
+/// saved compact. The bit-flip and truncation sweeps below cover its
+/// startIndex section on both load paths.
 fn dense_archive() -> ArtifactArchive {
     let mut db = Database::new();
     db.add_relation(
@@ -309,34 +310,142 @@ fn dense_archive() -> ArtifactArchive {
 }
 
 #[test]
-fn every_byte_corruption_of_ef_snapshot_is_refused() {
-    let dir = scratch("ef-fuzz");
+fn every_corruption_of_dense_snapshot_is_refused() {
+    let dir = scratch("dense-fuzz");
     let path = dir.join(format!("victim.{SNAPSHOT_EXT}"));
-    save(&path, &dense_archive(), 1, "ef-fuzz").unwrap();
+    save(&path, &dense_archive(), 1, "dense-fuzz").unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
-    // Sanity: this snapshot really is served zero-copy off an Elias-Fano
-    // startIndex — otherwise the sweep would not cover what it claims.
+    // Sanity: this snapshot really is served zero-copy off a compact
+    // startIndex view — otherwise the sweep would not cover what it claims.
+    let (archive, _) = load_archive_borrowed(&path).unwrap();
+    let ArtifactArchive::Cq(a) = &archive else {
+        panic!("wrong archive kind");
+    };
+    assert!(
+        matches!(&a.nodes[0].starts, Starts::Compact(c) if c.is_borrowed() && c.len() == 256),
+        "dense starts should be a borrowed compact column"
+    );
     let (artifact, meta) = load_borrowed(&path).unwrap();
     assert!(meta.borrowed);
     let Artifact::Cq(idx) = artifact else {
         panic!("wrong artifact kind");
     };
     assert!(idx.storage_is_borrowed());
-    assert_eq!(idx.starts_encoding(0), "elias-fano");
     assert_eq!(idx.count(), 256);
 
-    // One flip per byte (rotating bit) on both load paths: a structured
-    // error every time, never a panic, never a wrong load.
-    for i in 0..pristine.len() {
-        let mut bytes = pristine.clone();
-        bytes[i] ^= 1 << (i % 8);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load(&path).is_err(), "EF flip at byte {i} loaded");
+    // Every single-bit flip on both load paths: a structured error every
+    // time, never a panic, never a wrong load. The file is patched in
+    // place, one byte at a time, and restored after each byte.
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    let mut patch = |at: usize, byte: u8| {
+        file.seek(SeekFrom::Start(at as u64)).unwrap();
+        file.write_all(&[byte]).unwrap();
+    };
+    for (i, &byte) in pristine.iter().enumerate() {
+        for bit in 0..8 {
+            patch(i, byte ^ (1 << bit));
+            assert!(load(&path).is_err(), "flip at byte {i} bit {bit} loaded");
+            assert!(
+                load_borrowed(&path).is_err(),
+                "flip at byte {i} bit {bit} borrow-loaded"
+            );
+        }
+        patch(i, byte);
+    }
+
+    // And every truncation, on both paths, shortest last.
+    for cut in (0..pristine.len()).rev() {
+        file.set_len(cut as u64).unwrap();
+        assert!(load(&path).is_err(), "truncation to {cut} bytes loaded");
         assert!(
             load_borrowed(&path).is_err(),
-            "EF flip at byte {i} borrow-loaded"
+            "truncation to {cut} bytes borrow-loaded"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 16 unary relations of 255 values under `ORDER BY x1, …, x16`: 255^16
+/// ≈ 3.19e38 answers, within a factor 1.07 of `u128::MAX`, so the upper
+/// nodes' startIndex overflows `u64` and is built wide.
+fn near_u128_cross_product() -> OrderedCqIndex {
+    const VARS: usize = 16;
+    let mut db = Database::new();
+    for i in 1..=VARS {
+        let rel = Relation::from_rows(
+            Schema::new(["a"]).unwrap(),
+            (0..255i64).map(|v| vec![Value::Int(v)]),
+        )
+        .unwrap();
+        db.add_relation(format!("R{i}"), rel).unwrap();
+    }
+    let head: Vec<String> = (1..=VARS).map(|i| format!("x{i}")).collect();
+    let body: Vec<String> = (1..=VARS).map(|i| format!("R{i}(x{i})")).collect();
+    let cq = format!("Q({}) :- {}", head.join(", "), body.join(", "))
+        .parse()
+        .unwrap();
+    let order: Vec<Symbol> = (1..=VARS).map(|i| Symbol::new(format!("x{i}"))).collect();
+    OrderedCqIndex::build(&cq, &db, &order).unwrap()
+}
+
+#[test]
+fn wide_starts_round_trip_through_both_load_paths() {
+    let built = near_u128_cross_product();
+    let n = built.count();
+    assert!(n > u128::from(u64::MAX));
+    let dir = scratch("wide");
+    let archive = ArtifactArchive::Ordered(built.to_archive());
+    let expected = digest_of(&archive);
+    let path = dir.join(format!("wide.{SNAPSHOT_EXT}"));
+    save(&path, &archive, 1, "wide").unwrap();
+
+    // Both decodes keep the wide nodes wide: an owned copy, and a view
+    // into the mapping on the borrowed path.
+    for borrowed in [false, true] {
+        let (decoded, meta) = if borrowed {
+            load_archive_borrowed(&path).unwrap()
+        } else {
+            load_archive(&path).unwrap()
+        };
+        assert_eq!(meta.artifact_digest, expected);
+        assert_eq!(meta.borrowed, borrowed);
+        let ArtifactArchive::Ordered(a) = &decoded else {
+            panic!("wrong archive kind");
+        };
+        // Whether each wide node's column is a view into the mapping.
+        let wide_views: Vec<bool> = a
+            .index
+            .nodes
+            .iter()
+            .filter_map(|node| match &node.starts {
+                Starts::Wide(col) => Some(col.is_borrowed()),
+                Starts::Compact(_) => None,
+            })
+            .collect();
+        assert!(
+            !wide_views.is_empty(),
+            "no node of the cross product is wide"
+        );
+        assert!(wide_views.iter().all(|&view| view == borrowed));
+        assert_eq!(decoded, archive);
+    }
+
+    // Access and inverted access agree with the built index at sampled
+    // ranks, on both load paths.
+    let probes = [0, 1, 254, 255, n / 3, n / 2, n - 2, n - 1];
+    for (artifact, meta) in [load(&path).unwrap(), load_borrowed(&path).unwrap()] {
+        let Artifact::Ordered(idx) = artifact else {
+            panic!("wrong artifact kind");
+        };
+        assert_eq!(idx.index().storage_is_borrowed(), meta.borrowed);
+        assert_eq!(idx.count(), n);
+        for k in probes {
+            let answer = built.ordered_access(k).unwrap();
+            assert_eq!(idx.ordered_access(k).as_ref(), Some(&answer), "rank {k}");
+            assert_eq!(idx.ordered_inverted_access(&answer), Some(k), "rank {k}");
+        }
+        assert!(idx.ordered_access(n).is_none());
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -350,18 +459,27 @@ fn corruption_errors_are_structured() {
     save(&path, &small_archive(), 1, "variants").unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
-    // Unsupported version.
-    let mut bytes = pristine.clone();
-    bytes[8] = 0xFF;
-    // Re-stamp the v2 header checksum (FNV over the first 24 bytes) so
-    // the version check itself is reached even if checks reorder.
-    let sum = rae_store::fnv64(&bytes[..24]).to_le_bytes();
-    bytes[24..32].copy_from_slice(&sum);
-    std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(
-        load(&path),
-        Err(StoreError::VersionMismatch { found, .. }) if found == 0xFF
-    ));
+    // Unsupported versions: a future one, and the previous format, which
+    // is rebuilt from base data rather than migrated.
+    for version in [0xFF, FORMAT_VERSION - 1] {
+        let mut bytes = pristine.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        // Re-stamp the header checksum (FNV over the first 24 bytes) so
+        // the version check itself is reached even if checks reorder.
+        let sum = rae_store::fnv64(&bytes[..24]).to_le_bytes();
+        bytes[24..32].copy_from_slice(&sum);
+        std::fs::write(&path, &bytes).unwrap();
+        for loaded in [load(&path).err(), load_borrowed(&path).err()] {
+            assert!(
+                matches!(
+                    loaded,
+                    Some(StoreError::VersionMismatch { found, supported })
+                        if found == version && supported == FORMAT_VERSION
+                ),
+                "version {version}: {loaded:?}"
+            );
+        }
+    }
 
     // Lost trailer → truncation report.
     std::fs::write(&path, &pristine[..pristine.len() - 8]).unwrap();

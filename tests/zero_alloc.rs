@@ -730,11 +730,17 @@ fn reduction_allocations_do_not_grow_with_rows() {
 /// Realizing an archive allocates per plan node, never per row or per
 /// bucket: the value table is interned into one code buffer, each node's
 /// relation, key buffer and radix-sort order are sized once, and no lookup
-/// table is built. Warmed up at each scale, `CqIndex::from_archive` of Q3
-/// performs exactly as many allocations at sf 0.004 as at sf 0.001.
+/// table is built. Warmed up at each scale, realizing Q3 performs exactly
+/// as many allocations at sf 0.004 as at sf 0.001 — both for
+/// `CqIndex::from_archive` of a `to_archive()` output and for the cold
+/// start itself, a saved snapshot decoded by
+/// `rae_store::load_archive_borrowed` and then realized over views into
+/// the mapped file.
 #[test]
 fn archive_realize_allocations_do_not_grow_with_rows() {
     let q = rae_tpch::queries::q3();
+    let dir = std::env::temp_dir().join(format!("rae-zero-alloc-realize-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let measure = |sf: f64| {
         let db = rae_tpch::generate(&rae_tpch::TpchScale::from_sf(sf), 1);
         let archive = CqIndex::build(&q, &db).unwrap().to_archive();
@@ -744,18 +750,40 @@ fn archive_realize_allocations_do_not_grow_with_rows() {
         let copy = archive.clone();
         let (idx, allocs) = count_allocations(|| CqIndex::from_archive(copy).unwrap());
         assert!(idx.count() > 0, "sf {sf}: Q3 is empty");
-        (allocs, rows, buckets)
+
+        let path = dir.join(format!("q3-{sf}.{}", rae_store::SNAPSHOT_EXT));
+        rae_store::save(&path, &rae_store::ArtifactArchive::Cq(archive), 1, "Q3").unwrap();
+        let load = || {
+            let (archive, meta) = rae_store::load_archive_borrowed(&path).unwrap();
+            assert!(meta.borrowed, "sf {sf}: snapshot should decode zero-copy");
+            archive
+        };
+        black_box(load().realize().unwrap()); // warm-up
+        let loaded = load();
+        let (artifact, borrowed_allocs) = count_allocations(|| loaded.realize().unwrap());
+        let rae_store::Artifact::Cq(idx) = artifact else {
+            panic!("wrong artifact kind");
+        };
+        assert!(idx.storage_is_borrowed() && idx.count() > 0);
+        (allocs, borrowed_allocs, rows, buckets)
     };
-    let (small, small_rows, small_buckets) = measure(0.001);
-    let (large, large_rows, large_buckets) = measure(0.004);
+    let (small, small_borrowed, small_rows, small_buckets) = measure(0.001);
+    let (large, large_borrowed, large_rows, large_buckets) = measure(0.004);
+    std::fs::remove_dir_all(&dir).ok();
     assert!(large_rows >= 3 * small_rows && large_buckets >= 3 * small_buckets);
     println!(
         "from_archive(Q3): {small} allocations at {small_rows} rows / {small_buckets} buckets, \
-         {large} at {large_rows} rows / {large_buckets} buckets"
+         {large} at {large_rows} rows / {large_buckets} buckets; borrowed snapshot realize: \
+         {small_borrowed} and {large_borrowed}"
     );
     assert_eq!(
         small, large,
         "realizing an archive allocated per row or per bucket: {small} allocations at \
          {small_rows} rows, {large} at {large_rows}"
+    );
+    assert_eq!(
+        small_borrowed, large_borrowed,
+        "realizing a borrowed snapshot allocated per row or per bucket: {small_borrowed} \
+         allocations at {small_rows} rows, {large_borrowed} at {large_rows}"
     );
 }
