@@ -1,6 +1,5 @@
 //! Error type for the core enumeration algorithms.
 
-use rae_faults::BudgetExceeded;
 use rae_query::QueryError;
 use std::fmt;
 
@@ -47,15 +46,6 @@ pub enum CoreError {
         /// The observed count (`usize::MAX` ⇒ u128 rank-space overflow).
         count: usize,
     },
-    /// A rank window names an order style (lexicographic vs weighted) the
-    /// index it is applied to was not built under; serving it would
-    /// silently fall back to the wrong order.
-    MismatchedOrderStyle {
-        /// Style the consumer requires ("weighted", "lexicographic").
-        expected: &'static str,
-        /// Style the window or index actually carries.
-        got: &'static str,
-    },
     /// The index was built against a dictionary generation that has since
     /// been advanced; its code-based lookup tables may hold recycled codes,
     /// so access would be unsound. Rebuild the index over the rehydrated
@@ -66,11 +56,6 @@ pub enum CoreError {
         /// The dictionary's current generation.
         current: u64,
     },
-    /// A [`rae_faults::Budget`] limit was breached during preprocessing or
-    /// enumeration. The phase and breach detail are in the payload; deadline
-    /// and cancellation breaches are transient (retry under a fresh budget),
-    /// memory breaches are not.
-    BudgetExceeded(BudgetExceeded),
     /// A build path panicked (a bug, an injected chaos fault, or a worker
     /// thread dying) and the panic was converted to an error at the build
     /// boundary. Builds consume owned relation copies, so the source
@@ -103,14 +88,12 @@ impl rae_faults::Transient for CoreError {
             CoreError::StaleGeneration { .. } => true,
             // Injected chaos and caught panics: the retry path is the test.
             CoreError::FaultInjected { .. } | CoreError::BuildPanicked { .. } => true,
-            CoreError::BudgetExceeded(b) => b.is_transient(),
             // Structural and capacity errors recur on retry.
             CoreError::WeightOverflow
             | CoreError::TooManyDisjuncts { .. }
             | CoreError::IncompatibleTemplates { .. }
             | CoreError::UncoveredHeadAttribute(_)
             | CoreError::MismatchedOrders { .. }
-            | CoreError::MismatchedOrderStyle { .. }
             | CoreError::InvalidArchive(_)
             | CoreError::CapacityExceeded { .. } => false,
         }
@@ -176,17 +159,11 @@ impl fmt::Display for CoreError {
                     )
                 }
             }
-            CoreError::MismatchedOrderStyle { expected, got } => write!(
-                f,
-                "rank window order-style mismatch: this consumer requires a \
-                 {expected} order, but the index/window carries a {got} order"
-            ),
             CoreError::StaleGeneration { built, current } => write!(
                 f,
                 "index was built against dictionary generation {built}, but the \
                  dictionary is at generation {current}; rebuild the index"
             ),
-            CoreError::BudgetExceeded(b) => write!(f, "{b}"),
             CoreError::BuildPanicked { context, message } => {
                 write!(f, "panic caught at build boundary {context}: {message}")
             }
@@ -218,12 +195,6 @@ impl From<QueryError> for CoreError {
 impl From<rae_data::DataError> for CoreError {
     fn from(e: rae_data::DataError) -> Self {
         CoreError::Query(QueryError::Data(e))
-    }
-}
-
-impl From<BudgetExceeded> for CoreError {
-    fn from(e: BudgetExceeded) -> Self {
-        CoreError::BudgetExceeded(e)
     }
 }
 

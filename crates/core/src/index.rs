@@ -36,12 +36,9 @@ use crate::scratch::AccessScratch;
 use crate::weight::{checked_product, split_index, Weight};
 use crate::Result;
 use rae_data::{dict, CodeKeyMap, Database, Relation, SortAlgorithm, Symbol, Value, ValueCode};
-use rae_faults::{degrade, fail_point, Budget};
+use rae_faults::{degrade, fail_point};
 use rae_query::{ConjunctiveQuery, QueryError, TreePlan};
-use rae_yannakakis::{
-    full_reduce, reduce_to_full_acyclic, reduce_to_full_acyclic_with, FullAcyclicJoin,
-    ReduceOptions,
-};
+use rae_yannakakis::{full_reduce, reduce_to_full_acyclic_with, ReduceOptions};
 use rand::Rng;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -154,7 +151,7 @@ struct NodeIndex {
 impl NodeIndex {
     fn row_lookup(&self) -> &CodeKeyMap {
         self.row_by_tuple.get_or_init(|| {
-            // Row count was validated against u32 in `from_parts`. Sized to
+            // Row count was validated against u32 in `from_parts_with`. Sized to
             // the relation *after* reduction, so the table never re-grows,
             // and filled from the flat code mirror in one tight loop (no
             // per-row bounds-checked re-borrow of `rel`).
@@ -222,13 +219,7 @@ impl CqIndex {
     /// assert_eq!(index.inverted_access(&answer), Some(1)); // round-trips
     /// ```
     pub fn build(cq: &ConjunctiveQuery, db: &Database) -> Result<Self> {
-        // The catch boundary sits here (not only around `from_parts`) so a
-        // panic inside the Proposition 4.2 reduction also surfaces as a
-        // structured `BuildPanicked` instead of unwinding into the caller.
-        catch_build("CqIndex::build", || {
-            let fj = reduce_to_full_acyclic(cq, db)?;
-            Self::from_full_join(fj)
-        })
+        Self::build_with(cq, db, ReduceOptions::default())
     }
 
     /// [`CqIndex::build`] with explicit join-tree layout options (root
@@ -240,19 +231,19 @@ impl CqIndex {
         db: &Database,
         options: ReduceOptions,
     ) -> Result<Self> {
-        catch_build("CqIndex::build_with", || {
+        // The catch boundary sits here (not only around `from_parts_with`) so a
+        // panic inside the Proposition 4.2 reduction also surfaces as a
+        // structured `BuildPanicked` instead of unwinding into the caller.
+        catch_build("CqIndex::build", || {
             let fj = reduce_to_full_acyclic_with(cq, db, options)?;
-            Self::from_full_join(fj)
+            Self::from_parts_with(fj.plan, fj.relations, fj.head, BuildOptions::default())
         })
     }
 
-    /// Builds the index from an already-reduced full acyclic join.
-    pub fn from_full_join(fj: FullAcyclicJoin) -> Result<Self> {
-        Self::from_parts(fj.plan, fj.relations, fj.head)
-    }
-
     /// Builds the index from raw parts: a plan, one relation per node (schema
-    /// = bag), and the head attribute order.
+    /// = bag), and the head attribute order, under explicit preprocessing
+    /// options: thread count for the level-synchronous parallel build and
+    /// the sort implementation (see [`BuildOptions`] and DESIGN.md §10).
     ///
     /// Every bag attribute must be a head attribute and vice versa (the
     /// structure enumerates distinct full-join tuples, so non-head bag
@@ -262,42 +253,18 @@ impl CqIndex {
     /// `reduce_to_full_acyclic` does. Any input is therefore accepted: the
     /// mc-UCQ builder passes intersected relations, which carry no witness
     /// and are reduced here.
-    pub fn from_parts(plan: TreePlan, relations: Vec<Relation>, head: Vec<Symbol>) -> Result<Self> {
-        Self::from_parts_with(plan, relations, head, BuildOptions::default())
-    }
-
-    /// [`CqIndex::from_parts`] with explicit preprocessing options: thread
-    /// count for the level-synchronous parallel build and the sort
-    /// implementation (see [`BuildOptions`] and DESIGN.md §10).
     ///
     /// The produced index is byte-identical for every option combination.
+    /// The build is transactional: it consumes owned relations, so on any
+    /// error — injected fault, or a panic caught at this boundary — the
+    /// source `Database` and the dictionary are observably unchanged.
     pub fn from_parts_with(
         plan: TreePlan,
         relations: Vec<Relation>,
         head: Vec<Symbol>,
         options: BuildOptions,
     ) -> Result<Self> {
-        Self::from_parts_budgeted(plan, relations, head, options, &Budget::unlimited())
-    }
-
-    /// [`CqIndex::from_parts_with`] under a resource [`Budget`]: the build
-    /// checks the deadline/cancellation at every phase boundary and level,
-    /// accounts its artifact tables against the memory cap, and degrades
-    /// (radix→comparison sort) when optional scratch no longer fits.
-    /// A breach surfaces as [`CoreError::BudgetExceeded`] naming the phase.
-    ///
-    /// The build is transactional: it consumes owned relations, so on any
-    /// error — budget breach, injected fault, or a panic caught at this
-    /// boundary — the source `Database` and the dictionary are observably
-    /// unchanged.
-    pub fn from_parts_budgeted(
-        plan: TreePlan,
-        relations: Vec<Relation>,
-        head: Vec<Symbol>,
-        options: BuildOptions,
-        budget: &Budget<'_>,
-    ) -> Result<Self> {
-        Self::from_parts_inner(plan, relations, head, options, None, budget)
+        Self::from_parts_inner(plan, relations, head, options, None)
     }
 
     /// [`CqIndex::from_parts_with`] with an explicit sort priority per node:
@@ -311,8 +278,6 @@ impl CqIndex {
         relations: Vec<Relation>,
         head: Vec<Symbol>,
         priorities: &[Vec<usize>],
-        options: BuildOptions,
-        budget: &Budget<'_>,
     ) -> Result<Self> {
         assert_eq!(priorities.len(), plan.node_count(), "one priority per node");
         #[cfg(debug_assertions)]
@@ -325,7 +290,13 @@ impl CqIndex {
             prefix.sort_unstable();
             debug_assert_eq!(prefix, keys, "priority must start with pAtts");
         }
-        Self::from_parts_inner(plan, relations, head, options, Some(priorities), budget)
+        Self::from_parts_inner(
+            plan,
+            relations,
+            head,
+            BuildOptions::default(),
+            Some(priorities),
+        )
     }
 
     /// The `catch_unwind` boundary shared by every build entry point: any
@@ -339,10 +310,9 @@ impl CqIndex {
         head: Vec<Symbol>,
         options: BuildOptions,
         priorities: Option<&[Vec<usize>]>,
-        budget: &Budget<'_>,
     ) -> Result<Self> {
-        catch_build("CqIndex::from_parts", move || {
-            Self::from_parts_phases(plan, relations, head, options, priorities, budget)
+        catch_build("CqIndex::from_parts_with", move || {
+            Self::from_parts_phases(plan, relations, head, options, priorities)
         })
     }
 
@@ -352,7 +322,6 @@ impl CqIndex {
         head: Vec<Symbol>,
         options: BuildOptions,
         priorities: Option<&[Vec<usize>]>,
-        budget: &Budget<'_>,
     ) -> Result<Self> {
         assert_eq!(
             plan.node_count(),
@@ -395,37 +364,15 @@ impl CqIndex {
             threads = 1;
         }
 
-        // Estimated working set: the coded mirrors the phases sort in place
-        // plus the per-row artifact tables the build mints (weights 16B,
-        // starts 16B, bucket/child ids ~8B per row). Checked against the
-        // memory cap before the phases allocate anything.
-        let total_slots: usize = relations.iter().map(|r| r.codes().len()).sum();
-        let est_bytes = total_slots * 8 + total_rows * 40;
-        budget.check_mem("build/sort", est_bytes)?;
-
-        // Radix sorting needs transient scratch (~12B per value slot of the
-        // largest relation). That scratch is optional: under memory-budget
-        // pressure, degrade to the comparison sort (same byte-identical
-        // order) instead of failing the build.
-        let mut sort = options.sort;
-        if !matches!(sort, SortAlgorithm::Comparison) {
-            let scratch = relations.iter().map(|r| r.codes().len()).max().unwrap_or(0) * 12;
-            if !budget.mem_allows(est_bytes + scratch) {
-                degrade::record("sort/scratch");
-                sort = SortAlgorithm::Comparison;
-            }
-        }
-
         // Phase 1 — set semantics (idempotent when already done). Each
         // relation sorts independently: the first parallel stage.
         par_for_each_indexed(&mut relations, threads, |_, rel| {
-            rel.sort_dedup_with(sort);
+            rel.sort_dedup_with(options.sort);
         });
 
         // Phase 2 — global consistency via merge semijoins (edge-sequential:
         // each semijoin consumes its predecessor's reduction). Relations one
         // reduction already left consistent share its witness and skip it.
-        budget.check("build/reduce")?;
         if !Relation::share_consistency_witness(&relations) {
             full_reduce(&plan, &mut relations)?;
         }
@@ -442,9 +389,8 @@ impl CqIndex {
             Some(p) => p.to_vec(),
             None => (0..n).map(|i| plan.parent_shared_cols(i)).collect(),
         };
-        budget.check("build/sort")?;
         par_for_each_indexed(&mut relations, threads, |i, rel| {
-            rel.sort_by_key_then_row_with(&sort_keys[i], sort);
+            rel.sort_by_key_then_row_with(&sort_keys[i], options.sort);
         });
 
         // Phase 4 — level-synchronous weights/buckets: group nodes by tree
@@ -465,7 +411,6 @@ impl CqIndex {
 
         let mut nodes: Vec<Option<BuiltNode>> = (0..n).map(|_| None).collect();
         for level in levels.iter().rev() {
-            budget.check("build/weights")?;
             let work: Vec<(usize, Relation)> = level
                 .iter()
                 .map(|&node| {
@@ -473,7 +418,15 @@ impl CqIndex {
                     (node, rel)
                 })
                 .collect();
-            let built = build_level(&plan, work, &head, &nodes, threads, sort, &sort_keys)?;
+            let built = build_level(
+                &plan,
+                work,
+                &head,
+                &nodes,
+                threads,
+                options.sort,
+                &sort_keys,
+            )?;
             for (node, built_node) in built {
                 nodes[node] = Some(built_node);
             }
@@ -1758,6 +1711,7 @@ fn check_starts<T: Copy + Into<Weight>>(
 mod tests {
     use super::*;
     use crate::testutil::*;
+    use rae_yannakakis::reduce_to_full_acyclic;
 
     /// The database of the paper's Example 4.4.
     fn example_4_4_db() -> Database {

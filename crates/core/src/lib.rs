@@ -66,7 +66,7 @@ pub use renum_ucq::{OrderedUnionEnumeration, UcqEvent, UcqShuffle};
 pub use scratch::AccessScratch;
 pub use shuffle::LazyShuffle;
 pub use weight::{split_index, Weight};
-pub use weighted::{OrderStyle, RankWindow, WeightedCqIndex};
+pub use weighted::WeightedCqIndex;
 
 /// Crate-level result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

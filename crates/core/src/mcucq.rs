@@ -26,7 +26,7 @@
 #![allow(clippy::expect_used)]
 
 use crate::error::CoreError;
-use crate::index::CqIndex;
+use crate::index::{BuildOptions, CqIndex};
 use crate::scratch::AccessScratch;
 use crate::shuffle::LazyShuffle;
 use crate::weight::Weight;
@@ -122,7 +122,12 @@ impl McUcqIndex {
                     .map(|node| fjs[lowest].relations[node].intersect(rest_idx.node_relation(node)))
                     .collect::<std::result::Result<_, _>>()?
             };
-            let idx = CqIndex::from_parts(plan.clone(), relations, head.clone())?;
+            let idx = CqIndex::from_parts_with(
+                plan.clone(),
+                relations,
+                head.clone(),
+                BuildOptions::default(),
+            )?;
             if mask.count_ones() == 1 {
                 // Member indexes serve membership tests and rank lookups at
                 // access time; force their lookup tables during

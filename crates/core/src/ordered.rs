@@ -28,13 +28,12 @@
 #![allow(clippy::expect_used)]
 
 use crate::error::CoreError;
-use crate::index::{BucketView, BuildOptions, CqIndex};
+use crate::index::{BucketView, CqIndex};
 use crate::scratch::AccessScratch;
 use crate::weight::Weight;
 use crate::Result;
-use rae_data::{Database, Relation, Symbol, Value};
-use rae_faults::Budget;
-use rae_query::{realize_order, validate_order, ConjunctiveQuery, LexPlan};
+use rae_data::{Database, Symbol, Value};
+use rae_query::{realize_order, validate_order, ConjunctiveQuery};
 use rae_yannakakis::{reduce_to_full_acyclic, FullAcyclicJoin};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -99,77 +98,20 @@ impl OrderedCqIndex {
     /// [`rae_query::QueryError::OrderVariableMismatch`] when `order` is not
     /// a permutation of the head variables.
     pub fn build(cq: &ConjunctiveQuery, db: &Database, order: &[Symbol]) -> Result<Self> {
-        Self::build_with(cq, db, order, BuildOptions::default())
-    }
-
-    /// [`OrderedCqIndex::build`] with explicit preprocessing options
-    /// (threads / sort ablation, as for [`CqIndex::from_parts_with`]).
-    pub fn build_with(
-        cq: &ConjunctiveQuery,
-        db: &Database,
-        order: &[Symbol],
-        options: BuildOptions,
-    ) -> Result<Self> {
-        Self::build_budgeted(cq, db, order, options, &Budget::unlimited())
-    }
-
-    /// [`OrderedCqIndex::build_with`] under a resource [`Budget`] (deadline,
-    /// memory cap, cancellation), threaded through the underlying
-    /// [`CqIndex`] build; see [`CqIndex::from_parts_budgeted`].
-    pub fn build_budgeted(
-        cq: &ConjunctiveQuery,
-        db: &Database,
-        order: &[Symbol],
-        options: BuildOptions,
-        budget: &Budget<'_>,
-    ) -> Result<Self> {
         // Catch here so panics in the reduction (ahead of the inner
         // `CqIndex` boundary) also convert to `BuildPanicked`.
         crate::error::catch_build("OrderedCqIndex::build", || {
             let fj = reduce_to_full_acyclic(cq, db)?;
-            Self::from_full_join_budgeted(fj, order, options, budget)
+            Self::from_full_join(fj, order)
         })
     }
 
     /// Builds the ordered index from an already-reduced full acyclic join.
-    pub fn from_full_join(
-        fj: FullAcyclicJoin,
-        order: &[Symbol],
-        options: BuildOptions,
-    ) -> Result<Self> {
-        Self::from_full_join_budgeted(fj, order, options, &Budget::unlimited())
-    }
-
-    /// [`OrderedCqIndex::from_full_join`] under a resource [`Budget`].
-    pub fn from_full_join_budgeted(
-        fj: FullAcyclicJoin,
-        order: &[Symbol],
-        options: BuildOptions,
-        budget: &Budget<'_>,
-    ) -> Result<Self> {
+    pub fn from_full_join(fj: FullAcyclicJoin, order: &[Symbol]) -> Result<Self> {
         validate_order(&fj.head, order).map_err(CoreError::Query)?;
         let lex = realize_order(&fj.plan, order)?;
         let relations = lex.derive_relations(fj.relations)?;
-        Self::from_lex_parts(&lex, relations, fj.head, options, budget)
-    }
-
-    /// Builds from a realized [`LexPlan`] and relations already derived for
-    /// its node layout (the mc-UCQ builder's entry point).
-    pub(crate) fn from_lex_parts(
-        lex: &LexPlan,
-        relations: Vec<Relation>,
-        head: Vec<Symbol>,
-        options: BuildOptions,
-        budget: &Budget<'_>,
-    ) -> Result<Self> {
-        let index = CqIndex::from_parts_lex(
-            lex.plan.clone(),
-            relations,
-            head,
-            &lex.priorities,
-            options,
-            budget,
-        )?;
+        let index = CqIndex::from_parts_lex(lex.plan, relations, fj.head, &lex.priorities)?;
         let order_to_head = lex
             .order
             .iter()
@@ -183,9 +125,9 @@ impl OrderedCqIndex {
             .collect();
         Ok(OrderedCqIndex {
             index,
-            order: lex.order.clone(),
+            order: lex.order,
             order_to_head,
-            node_new: lex.new_cols.clone(),
+            node_new: lex.new_cols,
         })
     }
 
@@ -325,21 +267,6 @@ impl OrderedCqIndex {
     /// values, in order.
     pub fn enumerate_prefix(&self, prefix: &[Value]) -> Result<OrderedEnumeration<'_>> {
         Ok(self.range(self.range_of_prefix(prefix)?))
-    }
-
-    /// Mints a style-tagged [`RankWindow`](crate::weighted::RankWindow)
-    /// over this index's **lexicographic** order, clamping out-of-bounds
-    /// ends. Window consumers (the samplers in `rae-sampler`) check the
-    /// tag, so a window minted here cannot silently be served against a
-    /// weighted order or vice versa.
-    pub fn rank_window(&self, ranks: Range<Weight>) -> crate::weighted::RankWindow {
-        let lo = ranks.start.min(self.count());
-        let hi = ranks.end.min(self.count()).max(lo);
-        crate::weighted::RankWindow::new(
-            lo..hi,
-            crate::weighted::OrderStyle::Lexicographic,
-            self.order.clone(),
-        )
     }
 
     /// A constant-delay scan of all answers in the requested order.

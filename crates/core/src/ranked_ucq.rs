@@ -68,7 +68,7 @@ use crate::scratch::AccessScratch;
 use crate::weight::Weight;
 use crate::Result;
 use rae_data::{Database, Symbol, Value};
-use rae_faults::{degrade, Budget};
+use rae_faults::degrade;
 use rae_query::{QueryError, UnionQuery};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -176,30 +176,12 @@ impl RankedUcq {
     /// the tractable class or cannot realize the order, and with
     /// [`rae_query::QueryError::EmptyUnion`] on an empty union.
     pub fn build(ucq: &UnionQuery, db: &Database, order: &[Symbol]) -> Result<Self> {
-        Self::build_budgeted(ucq, db, order, &Budget::unlimited())
-    }
-
-    /// [`RankedUcq::build`] under a resource [`Budget`]: member builds check
-    /// it at their phase boundaries ([`OrderedCqIndex::build_budgeted`]) and
-    /// the pairwise duplicate discovery checks it per pair and per merge
-    /// chunk. The leapfrog cost cap is always on — a budget is only needed
-    /// to bound wall-clock/memory, not to close the output-sensitivity
-    /// worst case.
-    pub fn build_budgeted(
-        ucq: &UnionQuery,
-        db: &Database,
-        order: &[Symbol],
-        budget: &Budget<'_>,
-    ) -> Result<Self> {
         let members = ucq
             .disjuncts()
             .iter()
-            .map(|d| {
-                OrderedCqIndex::build_budgeted(d, db, order, crate::BuildOptions::default(), budget)
-                    .map(Arc::new)
-            })
+            .map(|d| OrderedCqIndex::build(d, db, order).map(Arc::new))
             .collect::<Result<Vec<_>>>()?;
-        Self::from_shared_members_budgeted(members, budget)
+        Self::from_shared_members(members)
     }
 
     /// Builds the union rank structure over pre-built member indexes.
@@ -214,14 +196,6 @@ impl RankedUcq {
     /// already owned elsewhere (e.g. a serving snapshot's base index) join
     /// the union without a copy.
     pub fn from_shared_members(members: Vec<Arc<OrderedCqIndex>>) -> Result<Self> {
-        Self::from_shared_members_budgeted(members, &Budget::unlimited())
-    }
-
-    /// [`RankedUcq::from_shared_members`] under a resource [`Budget`].
-    pub fn from_shared_members_budgeted(
-        members: Vec<Arc<OrderedCqIndex>>,
-        budget: &Budget<'_>,
-    ) -> Result<Self> {
         // Catch boundary for the duplicate-discovery phase (the member
         // builds carry their own); a panic here surfaces as `BuildPanicked`.
         crate::error::catch_build("RankedUcq::from_members", move || {
@@ -238,7 +212,7 @@ impl RankedUcq {
             members.iter().try_fold(0 as Weight, |acc, m| {
                 acc.checked_add(m.count()).ok_or_else(over)
             })?;
-            let non_owned = discover_non_owned(&members, &cmp_positions, budget)?;
+            let non_owned = discover_non_owned(&members, &cmp_positions);
             let total = members
                 .iter()
                 .zip(&non_owned)
@@ -257,7 +231,7 @@ impl RankedUcq {
                 cmp_positions,
                 total,
             };
-            ranked.fences = ranked.build_fences(budget)?;
+            ranked.fences = ranked.build_fences()?;
             Ok(ranked)
         })
     }
@@ -285,9 +259,8 @@ impl RankedUcq {
 
     /// The fences of every member (member 0 gets none): member `i`'s union
     /// `le`-ranks at stride `⌈nᵢ / rowsᵢ⌉`, at most `rowsᵢ` of them, each
-    /// one member access plus a rank descent in every other member. The
-    /// budget is checked once per 1024 fences.
-    fn build_fences(&self, budget: &Budget<'_>) -> Result<Vec<Fences>> {
+    /// one member access plus a rank descent in every other member.
+    fn build_fences(&self) -> Result<Vec<Fences>> {
         let mut scratch = AccessScratch::new();
         let mut out = Vec::with_capacity(self.members.len());
         out.push(Fences::default());
@@ -302,9 +275,6 @@ impl RankedUcq {
             let len = n.div_ceil(stride) as usize;
             let mut ranks = Vec::with_capacity(len);
             for j in 0..len {
-                if j % 1024 == 0 {
-                    budget.check("ranked/fences")?;
-                }
                 let pos = j as Weight * stride;
                 let ans = member
                     .ordered_access_into(pos, &mut scratch)
@@ -607,26 +577,24 @@ impl Iterator for RankedUnionWindow<'_> {
 fn discover_non_owned(
     members: &[Arc<OrderedCqIndex>],
     cmp_positions: &[usize],
-    budget: &Budget<'_>,
-) -> Result<Vec<Vec<Weight>>> {
+) -> Vec<Vec<Weight>> {
     let mut scratch = AccessScratch::new();
     let mut out: Vec<Vec<Weight>> = Vec::with_capacity(members.len());
     out.push(Vec::new());
     for j in 1..members.len() {
         let mut dupes: BTreeSet<Weight> = BTreeSet::new();
         for i in 0..j {
-            budget.check("ranked/leapfrog")?;
             let (a, b) = (members[i].as_ref(), members[j].as_ref());
             let capped = rae_faults::eval_error("ranked/leapfrog")
                 || !leapfrog_matches(a, b, &mut dupes, &mut scratch, step_cap(a, b));
             if capped {
                 degrade::record("ranked/leapfrog");
-                merge_matches(a, b, cmp_positions, &mut dupes, budget)?;
+                merge_matches(a, b, cmp_positions, &mut dupes);
             }
         }
         out.push(dupes.into_iter().collect());
     }
-    Ok(out)
+    out
 }
 
 /// Leapfrog step allowance for a member pair. Each leapfrog step performs
@@ -696,14 +664,13 @@ fn leapfrog_matches(
 /// two members' constant-delay ordered enumerations, inserting into `out`
 /// the `b`-positions of every shared answer. Exactly `O(na + nb)` steps —
 /// the graceful-degradation bound when leapfrog's output sensitivity makes
-/// it the slower algorithm. The budget is probed once per 1024 steps.
+/// it the slower algorithm.
 fn merge_matches(
     a: &OrderedCqIndex,
     b: &OrderedCqIndex,
     cmp_positions: &[usize],
     out: &mut BTreeSet<Weight>,
-    budget: &Budget<'_>,
-) -> Result<()> {
+) {
     let cmp_at = |x: &[Value], y: &[Value]| -> Ordering {
         for &p in cmp_positions {
             match x[p].cmp(&y[p]) {
@@ -732,12 +699,7 @@ fn merge_matches(
     let mut have_a = next_into(&mut ea, &mut ta);
     let mut have_b = next_into(&mut eb, &mut tb);
     let mut pb: Weight = 0;
-    let mut steps = 0u64;
     while have_a && have_b {
-        if steps.is_multiple_of(1024) {
-            budget.check("ranked/merge")?;
-        }
-        steps += 1;
         match cmp_at(&ta, &tb) {
             Ordering::Less => {
                 have_a = next_into(&mut ea, &mut ta);
@@ -754,7 +716,6 @@ fn merge_matches(
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1150,7 +1111,7 @@ mod tests {
         ));
 
         let mut by_merge = BTreeSet::new();
-        merge_matches(a, b, &cmp_positions, &mut by_merge, &Budget::unlimited()).unwrap();
+        merge_matches(a, b, &cmp_positions, &mut by_merge);
         assert_eq!(by_leapfrog, by_merge);
         assert_eq!(by_merge.len(), 200);
 
@@ -1158,28 +1119,10 @@ mod tests {
         // partial set — the end state must be identical.
         let mut completed = BTreeSet::new();
         assert!(!leapfrog_matches(a, b, &mut completed, &mut scratch, 3));
-        merge_matches(a, b, &cmp_positions, &mut completed, &Budget::unlimited()).unwrap();
+        merge_matches(a, b, &cmp_positions, &mut completed);
         assert_eq!(completed, by_merge);
 
         // And the capped full build still answers correctly end to end.
         check_ranked(&u, &db, &["x", "y"]);
-    }
-
-    /// A cancelled budget surfaces as a structured `BudgetExceeded` from the
-    /// budgeted build, not a panic or a wrong answer.
-    #[test]
-    fn cancelled_budget_stops_ranked_build() {
-        use std::sync::atomic::AtomicBool;
-        let db = mixed_db();
-        let u = mixed_union();
-        let syms: Vec<Symbol> = ["x", "y"].iter().map(Symbol::new).collect();
-        let cancel = AtomicBool::new(true);
-        let budget = Budget::unlimited().with_cancel(&cancel);
-        match RankedUcq::build_budgeted(&u, &db, &syms, &budget) {
-            Err(CoreError::BudgetExceeded(b)) => {
-                assert!(rae_faults::Transient::is_transient(&b));
-            }
-            other => panic!("expected BudgetExceeded, got {other:?}"),
-        }
     }
 }

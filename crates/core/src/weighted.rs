@@ -44,77 +44,13 @@
 #![allow(clippy::expect_used)]
 
 use crate::error::CoreError;
-use crate::index::BuildOptions;
 use crate::ordered::{OrderedCqIndex, OrderedEnumeration};
 use crate::scratch::AccessScratch;
 use crate::weight::Weight;
 use crate::Result;
 use rae_data::{Database, Symbol, Value, VarWeights};
-use rae_faults::Budget;
 use rae_query::{classify_weighted_order, ConjunctiveQuery};
 use std::ops::Range;
-
-/// Which comparison an index's rank space (and any window into it) is
-/// defined by. Consumers check this tag so a weighted window is never
-/// silently served by lexicographic ranks or vice versa
-/// ([`CoreError::MismatchedOrderStyle`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrderStyle {
-    /// Ranks compare answers lexicographically under the realized order.
-    Lexicographic,
-    /// Ranks compare answers by sum-of-weights, ties broken
-    /// lexicographically.
-    Weighted,
-}
-
-impl OrderStyle {
-    /// Stable human-readable name (used in error payloads).
-    pub fn name(self) -> &'static str {
-        match self {
-            OrderStyle::Lexicographic => "lexicographic",
-            OrderStyle::Weighted => "weighted",
-        }
-    }
-}
-
-/// A style-tagged rank window minted by an index
-/// ([`OrderedCqIndex::rank_window`] / [`WeightedCqIndex::rank_window`]).
-/// Carrying the style and variable order lets window consumers (the
-/// samplers) verify the window actually describes the rank space they are
-/// about to draw from.
-#[derive(Debug, Clone)]
-pub struct RankWindow {
-    ranks: Range<Weight>,
-    style: OrderStyle,
-    order: Vec<Symbol>,
-}
-
-impl RankWindow {
-    /// Only indexes mint windows; the constructor is crate-private so the
-    /// style tag is trustworthy.
-    pub(crate) fn new(ranks: Range<Weight>, style: OrderStyle, order: Vec<Symbol>) -> Self {
-        RankWindow {
-            ranks,
-            style,
-            order,
-        }
-    }
-
-    /// The half-open rank range.
-    pub fn ranks(&self) -> Range<Weight> {
-        self.ranks.clone()
-    }
-
-    /// The order style the ranks are defined under.
-    pub fn style(&self) -> OrderStyle {
-        self.style
-    }
-
-    /// The variable order the ranks are defined under.
-    pub fn order(&self) -> &[Symbol] {
-        &self.order
-    }
-}
 
 /// One contiguous lex-rank block of answers sharing a `W`-prefix valuation
 /// (hence one weight). `wstart` is the block's first *weighted* rank after
@@ -195,36 +131,11 @@ impl WeightedCqIndex {
         order: &[Symbol],
         weights: &VarWeights,
     ) -> Result<Self> {
-        Self::build_with(cq, db, order, weights, BuildOptions::default())
-    }
-
-    /// [`WeightedCqIndex::build`] with explicit preprocessing options.
-    pub fn build_with(
-        cq: &ConjunctiveQuery,
-        db: &Database,
-        order: &[Symbol],
-        weights: &VarWeights,
-        options: BuildOptions,
-    ) -> Result<Self> {
-        Self::build_budgeted(cq, db, order, weights, options, &Budget::unlimited())
-    }
-
-    /// [`WeightedCqIndex::build_with`] under a resource [`Budget`]
-    /// (deadline, memory cap, cancellation), probed once per weight block
-    /// on top of the underlying ordered build's own probes.
-    pub fn build_budgeted(
-        cq: &ConjunctiveQuery,
-        db: &Database,
-        order: &[Symbol],
-        weights: &VarWeights,
-        options: BuildOptions,
-        budget: &Budget<'_>,
-    ) -> Result<Self> {
         crate::error::catch_build("WeightedCqIndex::build", || {
             let weighted: Vec<Symbol> = weights.weighted_vars().cloned().collect();
             classify_weighted_order(cq, order, &weighted).map_err(CoreError::Query)?;
-            let index = OrderedCqIndex::build_budgeted(cq, db, order, options, budget)?;
-            let (blocks, lex_blocks) = Self::build_blocks(&index, weights, budget)?;
+            let index = OrderedCqIndex::build(cq, db, order)?;
+            let (blocks, lex_blocks) = Self::build_blocks(&index, weights)?;
             Ok(WeightedCqIndex {
                 index,
                 blocks,
@@ -241,7 +152,6 @@ impl WeightedCqIndex {
     fn build_blocks(
         index: &OrderedCqIndex,
         weights: &VarWeights,
-        budget: &Budget<'_>,
     ) -> Result<(Vec<WeightBlock>, Vec<u32>)> {
         let wlen = weights.len();
         let count = index.count();
@@ -250,7 +160,6 @@ impl WeightedCqIndex {
         let mut prefix: Vec<Value> = Vec::with_capacity(wlen);
         let mut at: Weight = 0;
         while at < count {
-            budget.check("weighted/blocks")?;
             // Copy the block's W-prefix out of the scratch borrow, summing
             // its weight, before descending for the block end.
             let weight = {
@@ -459,14 +368,6 @@ impl WeightedCqIndex {
         self.ranked_access_into(self.count().checked_sub(1)?, scratch)
     }
 
-    /// Mints a style-tagged [`RankWindow`] over this index's **weighted**
-    /// rank space, clamping out-of-bounds ends.
-    pub fn rank_window(&self, ranks: Range<Weight>) -> RankWindow {
-        let lo = ranks.start.min(self.count());
-        let hi = ranks.end.min(self.count()).max(lo);
-        RankWindow::new(lo..hi, OrderStyle::Weighted, self.order().to_vec())
-    }
-
     /// A constant-delay scan of one weight block's answers (all answers
     /// sharing the weighted rank window's weight) in lexicographic order.
     /// Weighted rank windows are unions of lex-contiguous blocks, so a
@@ -657,18 +558,5 @@ mod tests {
             Err(CoreError::Query(QueryError::WeightedOrderInterleaved { .. })) => {}
             other => panic!("expected interleaving rejection, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn rank_windows_carry_their_style() {
-        let db = db_ab();
-        let cq = cq("Q(x, y) :- R(x, y)");
-        let idx = WeightedCqIndex::build(&cq, &db, &syms(&["x", "y"]), &weights_x()).unwrap();
-        let ww = idx.rank_window(1..100);
-        assert_eq!(ww.style(), OrderStyle::Weighted);
-        assert_eq!(ww.ranks(), 1..idx.count());
-        let lw = idx.index().rank_window(0..2);
-        assert_eq!(lw.style(), OrderStyle::Lexicographic);
-        assert_eq!(lw.order(), idx.order());
     }
 }

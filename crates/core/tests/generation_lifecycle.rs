@@ -7,7 +7,7 @@
 //! file serializes behind one mutex (own process; other binaries are
 //! unaffected).
 
-use rae_core::{AccessScratch, CoreError, CqIndex, McUcqIndex, UcqShuffle};
+use rae_core::{AccessScratch, BuildOptions, CoreError, CqIndex, McUcqIndex, UcqShuffle};
 use rae_data::{dict, Database, Relation, Schema, Value};
 use rae_query::{naive_eval, naive_eval_union, UnionQuery};
 use rand::rngs::StdRng;
@@ -115,7 +115,7 @@ fn from_parts_refuses_stale_pre_encoded_relations() {
     // An outside sweep stales those mirrors before the index is built.
     dict::advance_generation(std::iter::empty());
     assert!(matches!(
-        CqIndex::from_full_join(fj),
+        CqIndex::from_parts_with(fj.plan, fj.relations, fj.head, BuildOptions::default()),
         Err(CoreError::StaleGeneration { .. })
     ));
 

@@ -1,7 +1,7 @@
 //! Graceful-degradation counters.
 //!
 //! When the engine takes a cheaper fallback instead of failing (radix →
-//! comparison sort under memory pressure, parallel → serial build on spawn
+//! comparison sort when sort scratch is denied, parallel → serial build on spawn
 //! denial, pairwise leapfrog → per-member merge past its cost cap), it
 //! records the event here so chaos tests and operators can observe *that*
 //! the degradation happened without the build APIs having to grow

@@ -1,6 +1,6 @@
 #![deny(missing_docs)]
 
-//! # rae-faults — deterministic failpoints, budgets, and retry policy
+//! # rae-faults — deterministic failpoints, degradation, and retry policy
 //!
 //! The robustness substrate of the workspace, in three parts:
 //!
@@ -11,12 +11,11 @@
 //!    `FaultSchedule` decides deterministically which hit of which site
 //!    fails and how ([`FaultKind::Error`] or [`FaultKind::Panic`]), so every
 //!    chaos run is replayable from its seed.
-//! 2. **Budgets** ([`Budget`]): a deadline / memory / cancellation envelope
-//!    threaded through index builds and the ranked-union duplicate
-//!    discovery and fences. Breaching it is
-//!    a structured [`BudgetExceeded`] — never an OOM or a hang — and where a
-//!    cheaper path exists the engine degrades instead of failing
-//!    (recorded via [`degrade`]).
+//! 2. **Degradation** ([`degrade`]): where a cheaper path exists, the
+//!    engine takes it instead of failing (radix → comparison sort when the
+//!    `sort/scratch` site denies scratch, serial build when `build/spawn`
+//!    denies threads, per-member merge past the `ranked/leapfrog` cost cap)
+//!    and records the event, so chaos tests can observe it.
 //! 3. **Retry** ([`retry`]): every workspace error classifies itself as
 //!    transient or permanent ([`Transient`]), and
 //!    [`retry::with_backoff`] drives the canonical
@@ -30,12 +29,10 @@
 //! `yannakakis/reduce`, `ranked/leapfrog`, `sampler/attempt`,
 //! `serve/apply`, `serve/publish`, `serve/fold`.
 
-mod budget;
 pub mod degrade;
 mod failpoint;
 pub mod retry;
 
-pub use budget::{Breach, Budget, BudgetExceeded};
 pub use failpoint::{active_seed, eval, eval_error, FaultKind};
 pub use retry::{BackoffSchedule, RetryPolicy, Transient};
 

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Classifies an error as transient (retrying the same operation can
-/// succeed — injected faults, stale generations, deadline pressure) or
+/// succeed — injected faults, stale generations) or
 /// permanent (schema errors, capacity exhaustion; retrying is futile).
 ///
 /// Every error type in the workspace taxonomy implements this, so callers
@@ -16,15 +16,6 @@ use std::time::Duration;
 pub trait Transient {
     /// True when retrying the failed operation can succeed.
     fn is_transient(&self) -> bool;
-}
-
-impl Transient for crate::BudgetExceeded {
-    fn is_transient(&self) -> bool {
-        // Deadline and cancellation are circumstances of the *attempt*;
-        // a retry under a fresh budget can succeed. A memory breach is a
-        // property of the input size and will recur.
-        !matches!(self.breach, crate::Breach::Memory { .. })
-    }
 }
 
 /// Retry schedule: bounded attempts with jittered exponential backoff.
@@ -224,26 +215,6 @@ mod tests {
         });
         assert!(out.is_err());
         assert_eq!(calls, 4);
-    }
-
-    #[test]
-    fn budget_breaches_classify() {
-        use crate::{Breach, BudgetExceeded};
-        assert!(BudgetExceeded {
-            phase: "p",
-            breach: Breach::Deadline
-        }
-        .is_transient());
-        assert!(BudgetExceeded {
-            phase: "p",
-            breach: Breach::Cancelled
-        }
-        .is_transient());
-        assert!(!BudgetExceeded {
-            phase: "p",
-            breach: Breach::Memory { spent: 2, limit: 1 }
-        }
-        .is_transient());
     }
 
     #[test]

@@ -11,18 +11,9 @@
 //! [`WeightedCqIndex`]'s sum-of-weights rank space (e.g. "uniform among
 //! the k cheapest answers" or within a weight band). Attempts are
 //! allocation-free like every other sampler here.
-//!
-//! Windows can also arrive pre-minted as style-tagged [`RankWindow`]s;
-//! [`OrderedWindowSampler::for_window`] and
-//! [`WeightedWindowSampler::for_window`] verify the tag so a weighted
-//! window is never silently served by lexicographic ranks or vice versa
-//! ([`rae_core::CoreError::MismatchedOrderStyle`]).
 
 use crate::JoinSampler;
-use rae_core::{
-    AccessScratch, CoreError, CqIndex, OrderStyle, OrderedCqIndex, RankWindow, Weight,
-    WeightedCqIndex,
-};
+use rae_core::{AccessScratch, CqIndex, OrderedCqIndex, Weight, WeightedCqIndex};
 use rae_data::Value;
 use rand::Rng;
 use std::ops::Range;
@@ -78,19 +69,9 @@ impl<'a> OrderedWindowSampler<'a> {
 
     /// A sampler over every answer matching a prefix of order values
     /// (empty prefix ⇒ the whole answer set). Errors only when the rank
-    /// descent's capacity guard trips ([`CoreError::CapacityExceeded`]).
+    /// descent's capacity guard trips ([`rae_core::CoreError::CapacityExceeded`]).
     pub fn for_prefix(index: &'a OrderedCqIndex, prefix: &[Value]) -> rae_core::Result<Self> {
         Ok(Self::new(index, index.range_of_prefix(prefix)?))
-    }
-
-    /// A sampler over a pre-minted style-tagged window. Errors with
-    /// [`CoreError::MismatchedOrderStyle`] when the window's ranks are
-    /// weighted (this sampler draws lexicographic ranks), and with
-    /// [`CoreError::MismatchedOrders`] when it was minted under a
-    /// different variable order than `index` realizes.
-    pub fn for_window(index: &'a OrderedCqIndex, window: &RankWindow) -> rae_core::Result<Self> {
-        check_window(window, OrderStyle::Lexicographic, index.order())?;
-        Ok(Self::new(index, window.ranks()))
     }
 
     /// The sampled rank window.
@@ -142,39 +123,11 @@ impl JoinSampler for OrderedWindowSampler<'_> {
     }
 }
 
-/// Shared window validation: the style tag first (a wrong style means the
-/// caller is about to sample the wrong distribution), then the variable
-/// order (same defense as the ordered-union merge).
-fn check_window(
-    window: &RankWindow,
-    expected: OrderStyle,
-    order: &[rae_data::Symbol],
-) -> rae_core::Result<()> {
-    if window.style() != expected {
-        return Err(CoreError::MismatchedOrderStyle {
-            expected: expected.name(),
-            got: window.style().name(),
-        });
-    }
-    if window.order() != order {
-        return Err(CoreError::MismatchedOrders {
-            expected: order.iter().map(|s| s.as_str().to_string()).collect(),
-            got: window
-                .order()
-                .iter()
-                .map(|s| s.as_str().to_string())
-                .collect(),
-        });
-    }
-    Ok(())
-}
-
 /// A uniform with-replacement sampler over a **weighted** rank window of a
 /// [`WeightedCqIndex`] — every attempt succeeds (no rejections). Windows
 /// come from weighted ranks directly ([`WeightedWindowSampler::new`],
-/// e.g. `0..k` for the k cheapest answers), from a weight band
-/// ([`WeightedWindowSampler::for_weight_range`]), or from a style-checked
-/// pre-minted window ([`WeightedWindowSampler::for_window`]).
+/// e.g. `0..k` for the k cheapest answers) or from a weight band
+/// ([`WeightedWindowSampler::for_weight_range`]).
 ///
 /// ```
 /// use rae_core::WeightedCqIndex;
@@ -230,15 +183,6 @@ impl<'a> WeightedWindowSampler<'a> {
     /// construction ([`WeightedCqIndex::weight_window`]).
     pub fn for_weight_range(index: &'a WeightedCqIndex, weights: Range<u128>) -> Self {
         Self::new(index, index.weight_window(weights))
-    }
-
-    /// A sampler over a pre-minted style-tagged window. Errors with
-    /// [`CoreError::MismatchedOrderStyle`] when the window carries
-    /// lexicographic ranks — drawing them as weighted ranks would sample
-    /// the wrong distribution.
-    pub fn for_window(index: &'a WeightedCqIndex, window: &RankWindow) -> rae_core::Result<Self> {
-        check_window(window, OrderStyle::Weighted, index.order())?;
-        Ok(Self::new(index, window.ranks()))
     }
 
     /// The sampled weighted-rank window.
@@ -441,48 +385,5 @@ mod tests {
         let empty = WeightedWindowSampler::for_weight_range(&widx, 0..lo_w);
         assert_eq!(empty.window_len(), 0);
         assert!(empty.sample(&mut rng).is_none());
-    }
-
-    /// A weighted window applied to a lexicographic sampler (and vice
-    /// versa) must be refused with the structured style error — never
-    /// silently served from the wrong rank space.
-    #[test]
-    fn mismatched_window_styles_are_rejected() {
-        let db = db();
-        let idx = ordered_index(&db);
-        let widx = weighted_index(&db);
-
-        let lex_window = idx.rank_window(0..3);
-        let weighted_window = widx.rank_window(0..3);
-
-        assert!(matches!(
-            OrderedWindowSampler::for_window(&idx, &weighted_window),
-            Err(CoreError::MismatchedOrderStyle {
-                expected: "lexicographic",
-                got: "weighted",
-            })
-        ));
-        assert!(matches!(
-            WeightedWindowSampler::for_window(&widx, &lex_window),
-            Err(CoreError::MismatchedOrderStyle {
-                expected: "weighted",
-                got: "lexicographic",
-            })
-        ));
-
-        // Matching tags pass and reproduce the window bounds.
-        let ok = OrderedWindowSampler::for_window(&idx, &lex_window).unwrap();
-        assert_eq!(ok.window(), 0..3);
-        let ok = WeightedWindowSampler::for_window(&widx, &weighted_window).unwrap();
-        assert_eq!(ok.window(), 0..3);
-
-        // Same style, different realized order ⇒ the order check fires.
-        let q = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
-        let other_order: Vec<Symbol> = ["y", "x", "z"].iter().map(Symbol::new).collect();
-        let other = OrderedCqIndex::build(&q, &db, &other_order).unwrap();
-        assert!(matches!(
-            OrderedWindowSampler::for_window(&other, &lex_window),
-            Err(CoreError::MismatchedOrders { .. })
-        ));
     }
 }

@@ -25,9 +25,9 @@ use crate::delta::{delta_eligible, JoinCtx, JoinPlan};
 use crate::snapshot::{LiveValues, ServingIndex, Shared, Snapshot};
 use crate::Result;
 use crate::ServeError;
-use rae_core::{BuildOptions, OrderedCqIndex, RankedUcq, Weight};
+use rae_core::{OrderedCqIndex, RankedUcq, Weight};
 use rae_data::{Database, FxHashMap, FxHashSet, Relation, Schema, Symbol, Value};
-use rae_faults::{fail_point, Budget};
+use rae_faults::fail_point;
 use rae_query::{Atom, ConjunctiveQuery};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Weak};
@@ -59,10 +59,7 @@ impl std::fmt::Debug for FoldHook {
 }
 
 /// Admission control for the writer: how much pending (unfolded) delta
-/// the serving structure will carry, and the resource budgets under which
-/// publishes and folds run. Budgets surface as structured, transient
-/// [`rae_faults::BudgetExceeded`] errors — the writer degrades (rejects
-/// or retries) instead of stalling readers.
+/// the serving structure will carry.
 #[derive(Debug, Clone)]
 pub struct AdmissionPolicy {
     /// Reject batches once `pending_ops() + batch.len()` exceeds this:
@@ -70,19 +67,12 @@ pub struct AdmissionPolicy {
     /// past this point a fold is cheaper than a wider union. Backpressure
     /// is a *transient* error — retry after a fold.
     pub max_pending_ops: usize,
-    /// Wall-clock budget for a single publish (delta join + delta index
-    /// build + union assembly). `None` = unlimited.
-    pub publish_deadline: Option<Duration>,
-    /// Wall-clock budget for a base fold/rebuild. `None` = unlimited.
-    pub fold_deadline: Option<Duration>,
 }
 
 impl Default for AdmissionPolicy {
     fn default() -> Self {
         AdmissionPolicy {
             max_pending_ops: 4096,
-            publish_deadline: None,
-            fold_deadline: None,
         }
     }
 }
@@ -379,13 +369,6 @@ impl ServeWriter {
         self.strategy == Strategy::DeltaOverlay
     }
 
-    fn budget_for(deadline: Option<Duration>) -> Budget<'static> {
-        match deadline {
-            Some(d) => Budget::unlimited().with_deadline_in(d),
-            None => Budget::unlimited(),
-        }
-    }
-
     /// Applies a batch to the pending row state. Atomic: admission and
     /// validation run for the whole batch first, and a rejected batch
     /// ([`ServeError::Backpressure`] et al.) changes nothing. Does **not**
@@ -468,7 +451,6 @@ impl ServeWriter {
         fail_point!("serve/publish", |site| Err(ServeError::FaultInjected {
             site
         }));
-        let budget = Self::budget_for(self.policy.publish_deadline);
         let plan = self
             .plan
             .as_ref()
@@ -532,16 +514,10 @@ impl ServeWriter {
                 head.iter().cloned(),
                 vec![Atom::new(DELTA_REL, head.iter().cloned())],
             )?;
-            let didx = OrderedCqIndex::build_budgeted(
-                &dcq,
-                &ddb,
-                &self.order,
-                BuildOptions::default(),
-                &budget,
-            )?;
+            let didx = OrderedCqIndex::build(&dcq, &ddb, &self.order)?;
             vec![Arc::clone(&self.base), Arc::new(didx)]
         };
-        let union = RankedUcq::from_shared_members_budgeted(members, &budget)?;
+        let union = RankedUcq::from_shared_members(members)?;
         let mut ranks = Vec::with_capacity(tombstones.len());
         for t in &tombstones {
             ranks.push(
@@ -642,17 +618,10 @@ impl ServeWriter {
     /// state, and publishes the folded snapshot.
     pub fn fold_now(&mut self) -> Result<u64> {
         fail_point!("serve/fold", |site| Err(ServeError::FaultInjected { site }));
-        let budget = Self::budget_for(self.policy.fold_deadline);
         let mut db = self.fold_db()?;
         let retained = self.retained_values();
         db.advance_generation_with_extra_live(retained.iter().flat_map(|vs| vs.iter()))?;
-        let idx = OrderedCqIndex::build_budgeted(
-            &self.query,
-            &db,
-            &self.order,
-            BuildOptions::default(),
-            &budget,
-        )?;
+        let idx = OrderedCqIndex::build(&self.query, &db, &self.order)?;
         self.install_fold(Arc::new(idx), false)
     }
 
@@ -684,7 +653,6 @@ impl ServeWriter {
             .collect();
         let query = self.query.clone();
         let order = self.order.clone();
-        let budget = Self::budget_for(self.policy.fold_deadline);
         let handle = std::thread::Builder::new()
             .name("rae-serve-fold".into())
             .spawn(move || -> Result<(Database, OrderedCqIndex)> {
@@ -693,13 +661,7 @@ impl ServeWriter {
                 for (name, schema, rows) in parts {
                     db.add_relation(name, Relation::from_rows(schema, rows)?)?;
                 }
-                let idx = OrderedCqIndex::build_budgeted(
-                    &query,
-                    &db,
-                    &order,
-                    BuildOptions::default(),
-                    &budget,
-                )?;
+                let idx = OrderedCqIndex::build(&query, &db, &order)?;
                 Ok((db, idx))
             })
             .map_err(|_| ServeError::Invariant("could not spawn the fold worker"))?;

@@ -413,10 +413,7 @@ fn randomized_differential_overlay_vs_oracle() {
 fn backpressure_rejects_oversized_pending_delta() {
     let _g = lock();
     let db = two_rel_db(&[[1, 10]], &[[1, 100]]);
-    let policy = AdmissionPolicy {
-        max_pending_ops: 3,
-        ..AdmissionPolicy::default()
-    };
+    let policy = AdmissionPolicy { max_pending_ops: 3 };
     let (mut w, _idx) = ServeWriter::new(join_query(), &db, &order(), policy).unwrap();
     let mut b = Batch::new();
     b.insert("R", iv(&[5, 50]))

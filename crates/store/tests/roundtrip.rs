@@ -12,7 +12,7 @@ use rae_store::{
 };
 use rae_tpch::{generate, prepare_selections, queries, TpchScale};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A fresh per-test scratch directory under the system temp dir.
@@ -206,6 +206,54 @@ fn union_members_with_differing_heads_or_orders_are_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every single-bit flip and every truncation of the snapshot at `path`,
+/// whose bytes are `pristine`, must be refused by both `load` and
+/// `load_borrowed`: a structured error every time, never a panic, never a
+/// silent load. The file is patched in place, one byte at a time, and
+/// holds `pristine` again on return. Returns how many flips `load` refused.
+fn sweep_corruptions(path: &Path, pristine: &[u8]) -> usize {
+    let mut file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    let mut patch = |at: usize, byte: u8| {
+        file.seek(SeekFrom::Start(at as u64)).unwrap();
+        file.write_all(&[byte]).unwrap();
+    };
+    let mut refused = 0usize;
+    for (i, &byte) in pristine.iter().enumerate() {
+        for bit in 0..8 {
+            patch(i, byte ^ (1 << bit));
+            match load(path) {
+                Err(_) => refused += 1,
+                Ok((_, meta)) => panic!(
+                    "flip at byte {i} bit {bit} loaded silently (digest {:#x})",
+                    meta.artifact_digest
+                ),
+            }
+            // The zero-copy path must refuse the identical corruption —
+            // same checksums, same structured errors, no mapped-memory UB.
+            if let Ok((_, meta)) = load_borrowed(path) {
+                panic!(
+                    "flip at byte {i} bit {bit} borrow-loaded silently (digest {:#x})",
+                    meta.artifact_digest
+                );
+            }
+        }
+        patch(i, byte);
+    }
+
+    // And every truncation, on both paths, shortest last.
+    for cut in (0..pristine.len()).rev() {
+        file.set_len(cut as u64).unwrap();
+        assert!(load(path).is_err(), "truncation to {cut} bytes loaded");
+        assert!(
+            load_borrowed(path).is_err(),
+            "truncation to {cut} bytes borrow-loaded"
+        );
+    }
+    drop(file);
+    std::fs::write(path, pristine).unwrap();
+    refused
+}
+
 /// A small fixed index for the corruption fuzz (keeps the file a few KB so
 /// the exhaustive sweep stays fast).
 fn small_archive() -> ArtifactArchive {
@@ -246,44 +294,10 @@ fn every_single_byte_corruption_is_refused() {
     let pristine = std::fs::read(&path).unwrap();
     let expected = digest_of(&archive);
 
-    let mut refused = 0usize;
-    for i in 0..pristine.len() {
-        for bit in 0..8 {
-            let mut bytes = pristine.clone();
-            bytes[i] ^= 1 << bit;
-            std::fs::write(&path, &bytes).unwrap();
-            match load(&path) {
-                Err(_) => refused += 1,
-                Ok((_, meta)) => panic!(
-                    "flip at byte {i} bit {bit} loaded silently (digest {:#x} vs {expected:#x})",
-                    meta.artifact_digest
-                ),
-            }
-            // The zero-copy path must refuse the identical corruption —
-            // same checksums, same structured errors, no mapped-memory UB.
-            match load_borrowed(&path) {
-                Err(_) => {}
-                Ok((_, meta)) => panic!(
-                    "flip at byte {i} bit {bit} borrow-loaded silently (digest {:#x})",
-                    meta.artifact_digest
-                ),
-            }
-        }
-    }
+    let refused = sweep_corruptions(&path, &pristine);
     assert_eq!(refused, pristine.len() * 8);
 
-    // And every truncation, on both paths.
-    for cut in 0..pristine.len() {
-        std::fs::write(&path, &pristine[..cut]).unwrap();
-        assert!(load(&path).is_err(), "truncation to {cut} bytes loaded");
-        assert!(
-            load_borrowed(&path).is_err(),
-            "truncation to {cut} bytes borrow-loaded"
-        );
-    }
-
     // The pristine bytes still load — the harness itself isn't broken.
-    std::fs::write(&path, &pristine).unwrap();
     assert_eq!(load(&path).unwrap().1.artifact_digest, expected);
     let (_, meta) = load_borrowed(&path).unwrap();
     assert_eq!(meta.artifact_digest, expected);
@@ -334,35 +348,7 @@ fn every_corruption_of_dense_snapshot_is_refused() {
     assert!(idx.storage_is_borrowed());
     assert_eq!(idx.count(), 256);
 
-    // Every single-bit flip on both load paths: a structured error every
-    // time, never a panic, never a wrong load. The file is patched in
-    // place, one byte at a time, and restored after each byte.
-    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-    let mut patch = |at: usize, byte: u8| {
-        file.seek(SeekFrom::Start(at as u64)).unwrap();
-        file.write_all(&[byte]).unwrap();
-    };
-    for (i, &byte) in pristine.iter().enumerate() {
-        for bit in 0..8 {
-            patch(i, byte ^ (1 << bit));
-            assert!(load(&path).is_err(), "flip at byte {i} bit {bit} loaded");
-            assert!(
-                load_borrowed(&path).is_err(),
-                "flip at byte {i} bit {bit} borrow-loaded"
-            );
-        }
-        patch(i, byte);
-    }
-
-    // And every truncation, on both paths, shortest last.
-    for cut in (0..pristine.len()).rev() {
-        file.set_len(cut as u64).unwrap();
-        assert!(load(&path).is_err(), "truncation to {cut} bytes loaded");
-        assert!(
-            load_borrowed(&path).is_err(),
-            "truncation to {cut} bytes borrow-loaded"
-        );
-    }
+    sweep_corruptions(&path, &pristine);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -60,17 +60,17 @@
 //! | [`rae_sampler`] | Zhao-et-al-style baselines (EW/EO/OE/RS) + dedup adaptor |
 //! | [`rae_serve`] | snapshot-swapped concurrent serving with delta maintenance |
 //! | [`rae_tpch`] | synthetic TPC-H generator + the paper's benchmark queries |
-//! | [`rae_faults`] | deterministic failpoints, budgets, transient-error retry |
+//! | [`rae_faults`] | deterministic failpoints, degradation counters, transient-error retry |
 //!
 //! ## Robustness
 //!
 //! Every build entry point is transactional (a panic or injected fault
-//! leaves the `Database` and dictionary observably unchanged), budgets
-//! ([`rae_faults::Budget`]) bound index builds and `RankedUcq`'s duplicate
-//! discovery and fences with structured errors and graceful degradation,
-//! and the whole stack is exercised under seeded fault schedules by the
-//! chaos lifecycle harness (`tests/chaos_lifecycle.rs`,
-//! `--features failpoints`). See DESIGN.md §13.
+//! leaves the `Database` and dictionary observably unchanged and surfaces
+//! as a structured error), a denied resource degrades to a cheaper path
+//! instead of failing ([`rae_faults::degrade`]), and the whole stack is
+//! exercised under seeded fault schedules by the chaos lifecycle harness
+//! (`tests/chaos_lifecycle.rs`, `--features failpoints`). See DESIGN.md
+//! §13.
 
 pub use rae_core;
 pub use rae_data;
@@ -85,12 +85,11 @@ pub use rae_yannakakis;
 pub mod prelude {
     pub use rae_core::{
         AccessScratch, CqIndex, CqSequential, CqShuffle, DeletableSet, LazyShuffle, McUcqIndex,
-        McUcqShuffle, OrderStyle, OrderedCqIndex, OrderedEnumeration, OrderedUnionEnumeration,
-        RankStrategy, RankWindow, RankedScratch, RankedUcq, RankedUnionWindow, UcqEvent,
-        UcqShuffle, Weight, WeightedCqIndex,
+        McUcqShuffle, OrderedCqIndex, OrderedEnumeration, OrderedUnionEnumeration, RankStrategy,
+        RankedScratch, RankedUcq, RankedUnionWindow, UcqEvent, UcqShuffle, Weight, WeightedCqIndex,
     };
     pub use rae_data::{Database, Relation, Schema, Symbol, Value, VarWeights};
-    pub use rae_faults::{Budget, Transient};
+    pub use rae_faults::Transient;
     pub use rae_query::classify_weighted_order;
     pub use rae_query::{
         classify, naive_eval, naive_eval_union, Atom, ConjunctiveQuery, CqClass, Term, UnionQuery,

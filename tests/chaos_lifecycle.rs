@@ -218,61 +218,106 @@ fn chaos_churn_lifecycle_recovers_with_identical_artifacts() {
     );
 }
 
-/// A build forced to fail — by an Error fault and by a Panic fault — must
-/// leave the `Database` and the dictionary observably unchanged
-/// (generation, slot accounting, relation contents), and a retry after
-/// disarming must succeed.
+/// Every build entry point forced to fail — by an Error fault and by a
+/// Panic fault at `build/node` — must return the structured error from its
+/// catch boundary and leave the `Database` and the dictionary observably
+/// unchanged (generation, slot accounting, relation contents), and a retry
+/// after disarming must succeed.
 #[test]
 fn mid_build_fault_leaves_database_and_dict_unchanged() {
     let _s = serial();
     let _quiet = QuietPanics::new();
     let q: ConjunctiveQuery = CHURN_QUERY.parse().unwrap();
+    // The churn query twice under two names: one shared join-tree template,
+    // so both union builders accept it.
+    let union: UnionQuery = format!("{CHURN_QUERY}. Q2{}.", &CHURN_QUERY[1..])
+        .parse()
+        .unwrap();
+    let order = q.head().to_vec();
+    let mut weights = VarWeights::new();
+    weights.set("o", Value::Int(1), 7);
     let cfg = churn_config(7);
     let mut db = Database::new();
     churn::ingest_cycle(&mut db, 0, &cfg).unwrap();
+    let fj = reduce_to_full_acyclic(&q, &db).unwrap();
 
-    for kind in [FaultKind::Error, FaultKind::Panic] {
-        let snapshot = (
-            rae_data::dict::current_generation(),
-            rae_data::dict::interned_count(),
-            rae_data::dict::allocated_slot_count(),
-            rae_data::dict::free_slot_count(),
-            db.relation("churn_orders").unwrap().len(),
-            db.relation("churn_lineitem").unwrap().len(),
-        );
-        let _g = install(FaultSchedule::new(1).always("build/node", kind));
-        let err = CqIndex::build(&q, &db).expect_err("the forced fault must fail the build");
-        match (kind, &err) {
-            (FaultKind::Error, rae_core::CoreError::FaultInjected { site }) => {
-                assert_eq!(*site, "build/node");
+    type Builder<'a> = Box<dyn Fn(&Database) -> rae_core::Result<Weight> + 'a>;
+    let builders: Vec<(&str, Builder<'_>)> = vec![
+        (
+            "CqIndex::build",
+            Box::new(|db| CqIndex::build(&q, db).map(|i| i.count())),
+        ),
+        (
+            "CqIndex::from_parts_with",
+            Box::new(|_| {
+                let (plan, rels, head) = (fj.plan.clone(), fj.relations.clone(), fj.head.clone());
+                CqIndex::from_parts_with(plan, rels, head, rae_core::BuildOptions::default())
+                    .map(|i| i.count())
+            }),
+        ),
+        (
+            "OrderedCqIndex::build",
+            Box::new(|db| OrderedCqIndex::build(&q, db, &order).map(|i| i.count())),
+        ),
+        (
+            "WeightedCqIndex::build",
+            Box::new(|db| WeightedCqIndex::build(&q, db, &order, &weights).map(|i| i.count())),
+        ),
+        (
+            "RankedUcq::build",
+            Box::new(|db| RankedUcq::build(&union, db, &order).map(|i| i.count())),
+        ),
+        (
+            "McUcqIndex::build",
+            Box::new(|db| McUcqIndex::build(&union, db).map(|i| i.count())),
+        ),
+    ];
+
+    for (name, build) in &builders {
+        for kind in [FaultKind::Error, FaultKind::Panic] {
+            let snapshot = (
+                rae_data::dict::current_generation(),
+                rae_data::dict::interned_count(),
+                rae_data::dict::allocated_slot_count(),
+                rae_data::dict::free_slot_count(),
+                db.relation("churn_orders").unwrap().len(),
+                db.relation("churn_lineitem").unwrap().len(),
+            );
+            let _g = install(FaultSchedule::new(1).always("build/node", kind));
+            let err = build(&db).expect_err("the forced fault must fail the build");
+            match (kind, &err) {
+                (FaultKind::Error, rae_core::CoreError::FaultInjected { site }) => {
+                    assert_eq!(*site, "build/node", "{name}");
+                }
+                (FaultKind::Panic, rae_core::CoreError::BuildPanicked { .. }) => {}
+                other => panic!("{name}: unexpected error shape for {kind:?}: {other:?}"),
             }
-            (FaultKind::Panic, rae_core::CoreError::BuildPanicked { .. }) => {}
-            other => panic!("unexpected error shape for {kind:?}: {other:?}"),
+            assert!(
+                err.is_transient(),
+                "{name}: forced-fault build errors are retryable"
+            );
+            let after = (
+                rae_data::dict::current_generation(),
+                rae_data::dict::interned_count(),
+                rae_data::dict::allocated_slot_count(),
+                rae_data::dict::free_slot_count(),
+                db.relation("churn_orders").unwrap().len(),
+                db.relation("churn_lineitem").unwrap().len(),
+            );
+            assert_eq!(
+                snapshot, after,
+                "{name}, {kind:?}: a failed build must not disturb the database or dictionary"
+            );
         }
-        assert!(
-            err.is_transient(),
-            "forced-fault build errors are retryable"
-        );
-        let after = (
-            rae_data::dict::current_generation(),
-            rae_data::dict::interned_count(),
-            rae_data::dict::allocated_slot_count(),
-            rae_data::dict::free_slot_count(),
-            db.relation("churn_orders").unwrap().len(),
-            db.relation("churn_lineitem").unwrap().len(),
-        );
-        assert_eq!(
-            snapshot, after,
-            "{kind:?}: a failed build must not disturb the database or dictionary"
-        );
-    }
 
-    // Disarmed retry succeeds — the canonical with_backoff use.
-    let idx = rae_faults::retry::with_backoff(&rae_faults::retry::RetryPolicy::default(), |_| {
-        CqIndex::build(&q, &db)
-    })
-    .unwrap();
-    assert!(idx.count() > 0);
+        // Disarmed retry succeeds — the canonical with_backoff use.
+        let count =
+            rae_faults::retry::with_backoff(&rae_faults::retry::RetryPolicy::default(), |_| {
+                build(&db)
+            })
+            .unwrap();
+        assert!(count > 0, "{name}");
+    }
 }
 
 /// With `with_backoff` driving retries *while the schedule stays armed*, a

@@ -20,6 +20,11 @@ use std::collections::BTreeSet;
 mod artifacts;
 use artifacts::assert_identical_artifacts;
 
+/// A `CqIndex` over raw parts under the default build options.
+fn from_parts(plan: TreePlan, relations: Vec<Relation>, head: Vec<Symbol>) -> CqIndex {
+    CqIndex::from_parts_with(plan, relations, head, BuildOptions::default()).unwrap()
+}
+
 fn rel(attrs: &[&str], rows: &[&[i64]]) -> Relation {
     Relation::from_rows(
         Schema::new(attrs.iter().copied()).unwrap(),
@@ -68,8 +73,8 @@ fn check_build(label: &str, plan: &TreePlan, rels: Vec<Relation>, head: &[Symbol
     // Naive evaluation over one stored relation per plan node.
     let expected = fj.materialize().unwrap();
     let unwitnessed = cleared(&fj.relations);
-    let built = CqIndex::from_parts(fj.plan.clone(), fj.relations, fj.head.clone()).unwrap();
-    let reduced = CqIndex::from_parts(fj.plan, unwitnessed, fj.head).unwrap();
+    let built = from_parts(fj.plan.clone(), fj.relations, fj.head.clone());
+    let reduced = from_parts(fj.plan, unwitnessed, fj.head);
     assert_identical_artifacts(label, &built, &reduced);
     assert_answers(label, &built, &expected);
 }
@@ -88,10 +93,8 @@ fn tpch_witnessed_builds_equal_reduced_builds() {
         );
         assert!(is_globally_consistent(&fj.plan, &fj.relations), "{name}");
 
-        let witnessed =
-            CqIndex::from_parts(fj.plan.clone(), fj.relations.clone(), fj.head.clone()).unwrap();
-        let reduced =
-            CqIndex::from_parts(fj.plan.clone(), cleared(&fj.relations), fj.head.clone()).unwrap();
+        let witnessed = from_parts(fj.plan.clone(), fj.relations.clone(), fj.head.clone());
+        let reduced = from_parts(fj.plan.clone(), cleared(&fj.relations), fj.head.clone());
         assert_identical_artifacts(name, &witnessed, &reduced);
         assert_answers(name, &witnessed, &expected);
 
@@ -108,9 +111,8 @@ fn tpch_witnessed_builds_equal_reduced_builds() {
                 relations: cleared(&fj.relations),
                 ..fj.clone()
             };
-            let options = BuildOptions::default();
-            let a = OrderedCqIndex::from_full_join(fj.clone(), &order, options).unwrap();
-            let b = OrderedCqIndex::from_full_join(unwitnessed, &order, options).unwrap();
+            let a = OrderedCqIndex::from_full_join(fj.clone(), &order).unwrap();
+            let b = OrderedCqIndex::from_full_join(unwitnessed, &order).unwrap();
             assert_identical_artifacts(&label, a.index(), b.index());
             assert_answers(&label, a.index(), &expected);
             ordered_layouts += 1;
@@ -212,6 +214,6 @@ fn stored_reduction_in_a_swapped_self_join_is_reduced_again() {
     let self_join: ConjunctiveQuery = "Q(x, y) :- E(x, y), E(y, x)".parse().unwrap();
     let expected = naive_eval(&self_join, &db).unwrap();
     assert_eq!(expected.len(), 3, "(1,2), (2,1) and (4,4)");
-    let idx = CqIndex::from_parts(plan, rels, head).unwrap();
+    let idx = from_parts(plan, rels, head);
     assert_answers("swapped self-join", &idx, &expected);
 }
