@@ -1,29 +1,30 @@
 //! Plain-data archives of the built index structures (DESIGN.md §15–16).
 //!
-//! An archive is the process-independent raw-parts form of an index: a
-//! deduplicated value table plus flat `u32` *table-reference* columns and
-//! the precomputed per-row artifact tables (weights, startIndex prefix
-//! sums in the layout the build chose, bucket tables, child-bucket links),
-//! each exactly as the live index holds it. Dictionary codes never appear
-//! in an archive — they are process-local, so serialized rows reference
-//! positions in the archive's own value table instead, which is what makes
-//! the on-disk byte image (and hence `rae-store`'s `artifact_digest`)
-//! stable across processes.
+//! An archive is the process-independent raw-parts form of an index: the
+//! index's own sorted value table ([`ValueTable`]) plus flat `u32` rank
+//! columns and the precomputed per-row artifact tables (weights, startIndex
+//! prefix sums in the layout the build chose, bucket tables, child-bucket
+//! links), each exactly as the live index holds it. Dictionary codes never
+//! appear in an archive or in a live index — rows are ranks into the
+//! index's value table, which is what makes the on-disk byte image (and
+//! hence `rae-store`'s `artifact_digest`) stable across processes.
 //!
 //! Every numeric table is a [`Col`]: owned for fresh builds and owned
 //! snapshot decodes, *borrowed* for zero-copy loads where the table is a
-//! validated view straight into the snapshot file. The same
+//! validated view straight into the snapshot file. That includes the
+//! integer half of the value table and every rank column. The same
 //! `from_archive` validation path serves both — a borrowed archive passes
 //! through identical semantic checks before any answer is served.
 //!
 //! `to_archive` walks the live structure; `from_archive` is the validated
-//! single-copy reconstruction path: it re-interns the value table (one
-//! intern per *distinct* value, one read lock per dictionary shard) and
-//! re-checks every structural invariant the access algorithms rely on —
-//! forest shape, running intersection, bucket partition and bucket ids,
-//! pAtts key grouping and distinct bucket keys, startIndex prefix sums,
-//! bucket totals and maxima, weight products over child buckets, and (for
-//! ordered layouts) within-bucket sort order — surfacing any violation as
+//! single-copy reconstruction path: it adopts the value table after one
+//! pass per half proves it strictly increasing (nothing is interned and no
+//! value is cloned per cell), and re-checks every structural invariant the
+//! access algorithms rely on — forest shape, running intersection, ranks
+//! in range, bucket partition and bucket ids, pAtts key grouping and
+//! distinct bucket keys, startIndex prefix sums, bucket totals and maxima,
+//! weight products over child buckets, and (for ordered layouts)
+//! within-bucket sort order on ranks — surfacing any violation as
 //! [`crate::CoreError::InvalidArchive`] rather than serving wrong answers.
 //! The checks are column-wise passes over plain slices, a few per node. It
 //! builds no lookup table: the inverted-access row tables stay lazy, built
@@ -38,8 +39,9 @@
 
 use crate::column::Col;
 use crate::index::BucketView;
+use crate::value_table::ValueTable;
 use crate::weight::Weight;
-use rae_data::{Symbol, Value};
+use rae_data::Symbol;
 
 /// Per-row startIndex storage of one node (Algorithm 2), shared between
 /// the live index and its archive: each row's start within its bucket, as
@@ -222,7 +224,8 @@ impl Buckets {
 pub struct NodeArchive {
     /// Row count (disambiguates arity-0 nodes, whose `refs` are empty).
     pub rows: u32,
-    /// Flat row-major value-table references (`rows × arity`).
+    /// Flat row-major ranks into the archive's value table
+    /// (`rows × arity`).
     pub refs: Col<u32>,
     /// Per-row subtree answer count (Algorithm 2's `w(t)`).
     pub weights: Col<Weight>,
@@ -240,9 +243,9 @@ pub struct NodeArchive {
 /// and one [`NodeArchive`] per plan node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CqIndexArchive {
-    /// Deduplicated value table every node's `refs` index into, in
-    /// first-occurrence order of the node walk (deterministic).
-    pub values: Vec<Value>,
+    /// The index's distinct values in value order; every node's `refs`
+    /// are ranks into it.
+    pub values: ValueTable,
     /// Sorted attribute bag of each plan node.
     pub bags: Vec<Vec<Symbol>>,
     /// Parent pointer of each plan node (`None` = root).

@@ -21,7 +21,7 @@
 //! That is sound only under conditions [`Col::borrowed`] checks up front
 //! and refuses (with a structured [`ColumnError`], never UB) otherwise:
 //!
-//! * **Pod element types.** `T` is one of `u32`/`u64`/`u128` (the sealed
+//! * **Pod element types.** `T` is one of `u32`/`u64`/`u128`/`i64` (the sealed
 //!   [`Pod`] trait): every bit pattern is a valid value, so no byte
 //!   sequence can construct an invalid `T`.
 //! * **Alignment.** The absolute address of the first element must be a
@@ -45,15 +45,17 @@ mod sealed {
     impl Sealed for u32 {}
     impl Sealed for u64 {}
     impl Sealed for u128 {}
+    impl Sealed for i64 {}
 }
 
 /// Plain-old-data element types a [`Col`] may borrow from raw bytes:
-/// fixed-width unsigned integers where every bit pattern is valid.
+/// fixed-width integers where every bit pattern is valid.
 /// Sealed — the zero-copy safety argument is per-type, not structural.
 pub trait Pod: Copy + Send + Sync + PartialEq + Eq + fmt::Debug + sealed::Sealed + 'static {}
 impl Pod for u32 {}
 impl Pod for u64 {}
 impl Pod for u128 {}
+impl Pod for i64 {}
 
 /// An immutable, address-stable byte buffer borrowed columns can point
 /// into.
@@ -323,7 +325,7 @@ impl<T: Pod> Eq for Col<T> {}
 /// `extend_from_slice` instead of a per-element loop.
 #[cfg(target_endian = "little")]
 pub fn pod_bytes<T: Pod>(v: &[T]) -> &[u8] {
-    // Sound: T is Pod (no padding bytes in u32/u64/u128), and on a
+    // Sound: T is Pod (no padding bytes in u32/u64/u128/i64), and on a
     // little-endian host the memory bytes equal the wire bytes.
     unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
 }
@@ -372,7 +374,7 @@ macro_rules! impl_from_le {
         }
     )*};
 }
-impl_from_le!(u32, u64, u128);
+impl_from_le!(u32, u64, u128, i64);
 
 #[cfg(test)]
 mod tests {

@@ -46,12 +46,13 @@ pub enum CoreError {
         /// The observed count (`usize::MAX` ⇒ u128 rank-space overflow).
         count: usize,
     },
-    /// The index was built against a dictionary generation that has since
-    /// been advanced; its code-based lookup tables may hold recycled codes,
-    /// so access would be unsound. Rebuild the index over the rehydrated
-    /// database.
+    /// A build was handed relations encoded against a dictionary
+    /// generation that has since been advanced: their codes may have been
+    /// recycled, so grouping rows by code would be unsound. Rehydrate the
+    /// relations (or rebuild from the database) and retry. A built index
+    /// holds no codes and never reports this.
     StaleGeneration {
-        /// Generation the index was built against.
+        /// Generation the stale relations were encoded against.
         built: u64,
         /// The dictionary's current generation.
         current: u64,

@@ -33,6 +33,7 @@ use crate::column::Col;
 use crate::error::{catch_build, ensure_u32, CoreError};
 use crate::renum_cq::CqShuffle;
 use crate::scratch::AccessScratch;
+use crate::value_table::{RankIndex, ValueTable};
 use crate::weight::{checked_product, split_index, Weight};
 use crate::Result;
 use rae_data::{dict, CodeKeyMap, Database, Relation, SortAlgorithm, Symbol, Value, ValueCode};
@@ -124,7 +125,9 @@ pub struct BucketView {
 
 #[derive(Debug)]
 struct NodeIndex {
-    rel: Relation,
+    /// The node's canonically sorted rows, flat row-major (`rows ×
+    /// arity`), as ranks into the index's [`ValueTable`].
+    ranks: Col<u32>,
     /// Positions (in the bag) of the attributes shared with the parent.
     key_cols: Vec<usize>,
     /// Per-row subtree answer count (Algorithm 2's `w(t)`), always ≥ 1.
@@ -142,28 +145,40 @@ struct NodeIndex {
     child_buckets: Vec<Col<u32>>,
     /// For each bag column, the head position it feeds.
     bag_to_head: Vec<usize>,
-    /// Lazily built full-tuple-codes → row id lookup (Algorithm 4, line 4).
+    /// Lazily built full-tuple-ranks → row id lookup (Algorithm 4, line 4).
     /// The paper's implementation also builds this index only when inverted
     /// access is actually needed (Section 6.1).
     row_by_tuple: OnceLock<CodeKeyMap>,
 }
 
 impl NodeIndex {
+    /// Number of rows (every row has exactly one weight).
+    #[inline]
+    fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// The ranks of one row, in bag order.
+    #[inline]
+    fn row(&self, row: usize) -> &[u32] {
+        let arity = self.bag_to_head.len();
+        &self.ranks[row * arity..][..arity]
+    }
+
     fn row_lookup(&self) -> &CodeKeyMap {
         self.row_by_tuple.get_or_init(|| {
             // Row count was validated against u32 in `from_parts_with`. Sized to
-            // the relation *after* reduction, so the table never re-grows,
-            // and filled from the flat code mirror in one tight loop (no
-            // per-row bounds-checked re-borrow of `rel`).
-            let arity = self.rel.arity();
-            let rows = self.rel.len();
+            // the node's rows, so the table never re-grows, and filled from
+            // the flat rank column in one tight loop.
+            let arity = self.bag_to_head.len();
+            let rows = self.len();
             let mut map = CodeKeyMap::with_capacity(arity, rows);
             if arity == 0 {
                 for i in 0..rows {
                     map.insert(&[], i as u32);
                 }
             } else {
-                for (i, key) in self.rel.codes().chunks_exact(arity).enumerate() {
+                for (i, key) in self.ranks.chunks_exact(arity).enumerate() {
                     map.insert(key, i as u32);
                 }
             }
@@ -181,9 +196,13 @@ pub struct CqIndex {
     head: Vec<Symbol>,
     root_totals: Vec<Weight>,
     total: Weight,
-    /// Dictionary generation the code-based lookup tables were built
-    /// against; a later sweep invalidates them (see [`CqIndex::try_access`]).
-    generation: rae_data::Generation,
+    /// The index's distinct values in value order; node rows are ranks into
+    /// it, so no read consults the process-global dictionary.
+    values: ValueTable,
+    /// Lazily built value → rank hash index over `values`, for inverted
+    /// access (built with the row tables, see
+    /// [`CqIndex::prepare_inverted_access`]).
+    rank_index: OnceLock<RankIndex>,
 }
 
 impl CqIndex {
@@ -330,12 +349,10 @@ impl CqIndex {
         );
         validate_head(&plan, &head)?;
 
-        // Code-based preprocessing over a stale mirror would bake recycled
-        // codes into the lookup tables; refuse up front (recoverable). The
-        // generation is read BEFORE the staleness checks (same ordering as
-        // `Relation::rehydrate`): a sweep landing after this read leaves the
-        // index stamped behind the new generation, so it still reads as
-        // stale instead of silently wrong.
+        // Code-based preprocessing over a stale mirror would group rows by
+        // recycled codes; refuse up front (recoverable). Only the build reads
+        // codes: it ends by remapping them to ranks into the index's own
+        // value table, so a later sweep cannot affect the built index.
         let generation = dict::current_generation();
         for rel in &relations {
             let coded = rel.arity() != 0 && !rel.codes().is_empty();
@@ -432,7 +449,20 @@ impl CqIndex {
             }
         }
 
-        let nodes: Vec<NodeIndex> = nodes.into_iter().map(|n| n.expect("built").index).collect();
+        // Phase 5 — one table of the nodes' distinct values in value order,
+        // and every node's codes as ranks into it (the build's last read of
+        // dictionary codes).
+        let (rels, mut nodes): (Vec<Relation>, Vec<NodeIndex>) = nodes
+            .into_iter()
+            .map(|n| {
+                let n = n.expect("built");
+                (n.rel, n.index)
+            })
+            .unzip();
+        let (values, ranks) = rank_columns(rels);
+        for (nd, ranks) in nodes.iter_mut().zip(ranks) {
+            nd.ranks = Col::Owned(ranks);
+        }
         let root_totals: Vec<Weight> = plan
             .roots()
             .iter()
@@ -450,7 +480,8 @@ impl CqIndex {
             head,
             root_totals,
             total,
-            generation,
+            values,
+            rank_index: OnceLock::new(),
         })
     }
 
@@ -489,66 +520,6 @@ impl CqIndex {
     /// The head attributes, in answer order.
     pub fn head(&self) -> &[Symbol] {
         &self.head
-    }
-
-    /// The dictionary generation the index was built against.
-    #[inline]
-    pub fn generation(&self) -> rae_data::Generation {
-        self.generation
-    }
-
-    /// Whether the index's lookup tables are still valid against the
-    /// current dictionary generation. A sweep
-    /// ([`rae_data::Database::advance_generation`]) after the build makes
-    /// the index stale: inverted access translates probe values through the
-    /// *current* dictionary, whose codes may have been recycled to mean
-    /// different values than the ones baked into the tables.
-    #[inline]
-    pub fn is_current(&self) -> bool {
-        self.generation == dict::current_generation()
-    }
-
-    /// Errors with [`CoreError::StaleGeneration`] unless the index is
-    /// current (see [`CqIndex::is_current`]).
-    pub fn verify_current(&self) -> Result<()> {
-        if self.is_current() {
-            Ok(())
-        } else {
-            Err(CoreError::StaleGeneration {
-                built: self.generation,
-                current: dict::current_generation(),
-            })
-        }
-    }
-
-    /// Generation-checked [`CqIndex::access`]: `Err` if the index is stale,
-    /// `Ok(None)` if `j` is out of bounds.
-    ///
-    /// The unchecked hot-path methods stay free of the generation probe;
-    /// steady-state serving loops that own the lifecycle can keep using
-    /// them, while callers that interleave access with relation churn get
-    /// the detected error here instead of silently wrong answers.
-    pub fn try_access(&self, j: Weight) -> Result<Option<Vec<Value>>> {
-        self.verify_current()?;
-        Ok(self.access(j))
-    }
-
-    /// Generation-checked [`CqIndex::access_into`] (see
-    /// [`CqIndex::try_access`]).
-    pub fn try_access_into<'s>(
-        &self,
-        j: Weight,
-        scratch: &'s mut AccessScratch,
-    ) -> Result<Option<&'s [Value]>> {
-        self.verify_current()?;
-        Ok(self.access_into(j, scratch))
-    }
-
-    /// Generation-checked [`CqIndex::inverted_access`]: `Err` if the index
-    /// is stale, `Ok(None)` for a non-answer.
-    pub fn try_inverted_access(&self, answer: &[Value]) -> Result<Option<Weight>> {
-        self.verify_current()?;
-        Ok(self.inverted_access(answer))
     }
 
     /// The join-tree plan the index is built over.
@@ -634,9 +605,8 @@ impl CqIndex {
             let mut remainder = sub_index - nd.starts.at(row_id);
             debug_assert!(remainder < nd.weights[row_id]);
 
-            let row = nd.rel.row(row_id);
-            for (&head_pos, value) in nd.bag_to_head.iter().zip(row) {
-                scratch.answer[head_pos].clone_from(value);
+            for (&head_pos, &rank) in nd.bag_to_head.iter().zip(nd.row(row_id)) {
+                self.values.write(rank, &mut scratch.answer[head_pos]);
             }
 
             // SplitIndex inline: children are mixed-radix digits with the
@@ -671,9 +641,10 @@ impl CqIndex {
     /// Algorithm 4 without allocation: resolves the position of `answer`
     /// using the buffers in `scratch`.
     ///
-    /// The answer is first translated to dictionary codes (a value the
-    /// dictionary has never seen is definitively not an answer), then each
-    /// node resolves its row by an allocation-free [`CodeKeyMap`] probe.
+    /// The answer is first translated to ranks through a hash index over
+    /// the index's value table (a value the table does not hold is
+    /// definitively not an answer), then each node resolves its row by an
+    /// allocation-free [`CodeKeyMap`] probe on ranks.
     /// Nodes are processed leaf-to-root so every node's mixed-radix digit is
     /// available when its parent combines them — no recursion, no per-node
     /// vectors.
@@ -685,20 +656,22 @@ impl CqIndex {
         if answer.len() != self.head.len() || self.total == 0 {
             return None;
         }
-        scratch.answer_codes.clear();
-        // One reader-lock acquisition for the whole tuple.
-        if !dict::codes_of(answer, &mut scratch.answer_codes) {
-            return None;
+        let rank_index = self.rank_index();
+        scratch.answer_ranks.clear();
+        for value in answer {
+            scratch
+                .answer_ranks
+                .push(rank_index.rank_of(&self.values, value)?);
         }
         scratch.node_digits.clear();
         scratch.node_digits.resize(self.nodes.len(), 0);
         for &node in self.plan.leaf_to_root() {
             let nd = &self.nodes[node];
-            scratch.key_codes.clear();
+            scratch.key_ranks.clear();
             for &head_pos in &nd.bag_to_head {
-                scratch.key_codes.push(scratch.answer_codes[head_pos]);
+                scratch.key_ranks.push(scratch.answer_ranks[head_pos]);
             }
-            let row_id = nd.row_lookup().get(&scratch.key_codes)? as usize;
+            let row_id = nd.row_lookup().get(&scratch.key_ranks)? as usize;
             // CombineIndex inline over the children's digits (children were
             // all processed earlier in leaf-to-root order). The child's
             // matched row lives in the bucket this row points at whenever
@@ -730,9 +703,14 @@ impl CqIndex {
     /// Forces construction of the inverted-access lookup tables (otherwise
     /// built lazily on the first [`CqIndex::inverted_access`] call).
     pub fn prepare_inverted_access(&self) {
+        let _ = self.rank_index();
         for nd in &self.nodes {
             let _ = nd.row_lookup();
         }
+    }
+
+    fn rank_index(&self) -> &RankIndex {
+        self.rank_index.get_or_init(|| RankIndex::new(&self.values))
     }
 
     /// Sequential enumeration in the index's order (Fact 3.5: random access
@@ -766,9 +744,21 @@ impl CqIndex {
         self.nodes.len()
     }
 
-    /// The canonical (sorted) relation stored at a node.
-    pub fn node_relation(&self, node: usize) -> &Relation {
-        &self.nodes[node].rel
+    /// Number of rows of a node's canonically sorted relation.
+    pub fn node_len(&self, node: usize) -> usize {
+        self.nodes[node].len()
+    }
+
+    /// The values of `row` of `node`, in bag order, as ranks into
+    /// [`CqIndex::values`]: equal ranks are equal values, and rank order is
+    /// value order.
+    pub fn node_ranks(&self, node: usize, row: u32) -> &[u32] {
+        self.nodes[node].row(row as usize)
+    }
+
+    /// The index's distinct values in value order (what node ranks index).
+    pub fn values(&self) -> &ValueTable {
+        &self.values
     }
 
     /// The subtree-answer weight of a row.
@@ -793,9 +783,8 @@ impl CqIndex {
     /// Writes the head values contributed by `row` of `node` into `answer`.
     pub fn write_row_values(&self, node: usize, row: u32, answer: &mut [Value]) {
         let nd = &self.nodes[node];
-        let row = nd.rel.row(row as usize);
-        for (col, &head_pos) in nd.bag_to_head.iter().enumerate() {
-            answer[head_pos] = row[col].clone();
+        for (&head_pos, &rank) in nd.bag_to_head.iter().zip(nd.row(row as usize)) {
+            self.values.write(rank, &mut answer[head_pos]);
         }
     }
 
@@ -829,14 +818,16 @@ impl CqIndex {
         self.nodes[node].starts.at(row as usize)
     }
 
-    /// Whether every per-row artifact table (weights, starts, buckets,
-    /// bucket ids, child links) is a zero-copy view into a snapshot
-    /// buffer — true exactly for indexes reconstructed by the store's
-    /// borrowed load path.
+    /// Whether every per-row artifact table (ranks, weights, starts,
+    /// buckets, bucket ids, child links) and the integer half of the value
+    /// table are zero-copy views into a snapshot buffer — true exactly for
+    /// indexes reconstructed by the store's borrowed load path.
     pub fn storage_is_borrowed(&self) -> bool {
         !self.nodes.is_empty()
+            && self.values.ints.is_borrowed()
             && self.nodes.iter().all(|nd| {
-                nd.weights.is_borrowed()
+                nd.ranks.is_borrowed()
+                    && nd.weights.is_borrowed()
                     && nd.starts.is_borrowed()
                     && nd.buckets.is_borrowed()
                     && nd.bucket_of_row.is_borrowed()
@@ -880,14 +871,82 @@ fn validate_head(plan: &TreePlan, head: &[Symbol]) -> Result<()> {
 // deterministic: worker assignment never influences any produced artifact.
 // ----------------------------------------------------------------------
 
-/// A node built during preprocessing, with the `pAtts` key → bucket id map
-/// its parent's weights pass probes. Only the build reads the map, so it
-/// is dropped when the build finishes.
+/// A node built during preprocessing, with its coded relation and the
+/// `pAtts` key → bucket id map its parent's weights pass probes. Only the
+/// build reads either: the relation becomes ranks at the end of the build
+/// and both are dropped.
 struct BuiltNode {
     index: NodeIndex,
+    rel: Relation,
     /// Probed with borrowed code slices, so no key is ever materialized
     /// on the lookup path.
     bucket_by_key: CodeKeyMap,
+}
+
+/// The end-of-build remap: the distinct values of `rels` as one table in
+/// value order, and each relation's code column as ranks into it. Codes
+/// are dense within the dictionary, so a code → rank array replaces any
+/// hashing, and only a code's first sight reads its value. Ints and
+/// strings sort apart; strings compare by a 16-byte prefix key first, so
+/// most comparisons never dereference a string. Each relation is dropped
+/// as soon as its ranks exist, so at most one node is held twice.
+/// Arity-0 relations get no ranks.
+fn rank_columns(rels: Vec<Relation>) -> (ValueTable, Vec<Vec<u32>>) {
+    let coded = |rel: &&Relation| rel.arity() != 0;
+    let max_code = rels
+        .iter()
+        .filter(coded)
+        .filter_map(|rel| rel.codes().iter().copied().max())
+        .max();
+    // Zero means "not seen yet"; a zeroed allocation costs nothing for the
+    // pages of dictionary codes no node uses.
+    let mut rank_of: Vec<u32> = vec![0; max_code.map_or(0, |c| c as usize + 1)];
+    let mut ints: Vec<(i64, ValueCode)> = Vec::new();
+    let mut strs: Vec<(u128, Symbol, ValueCode)> = Vec::new();
+    for rel in rels.iter().filter(coded) {
+        for (row, codes) in rel.codes().chunks_exact(rel.arity()).enumerate() {
+            for (col, &code) in codes.iter().enumerate() {
+                let seen = &mut rank_of[code as usize];
+                if *seen == 0 {
+                    *seen = 1;
+                    match &rel.row(row)[col] {
+                        Value::Int(i) => ints.push((*i, code)),
+                        Value::Str(s) => strs.push((prefix_key(s), s.clone(), code)),
+                    }
+                }
+            }
+        }
+    }
+    ints.sort_unstable_by_key(|&(i, _)| i);
+    strs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    // Distinct values fit the dictionary's u32 code space, so ranks do too.
+    for (rank, &(_, code)) in ints.iter().enumerate() {
+        rank_of[code as usize] = rank as u32;
+    }
+    for (rank, &(_, _, code)) in strs.iter().enumerate() {
+        rank_of[code as usize] = (ints.len() + rank) as u32;
+    }
+    let ranks = rels
+        .into_iter()
+        .map(|rel| match rel.arity() {
+            0 => Vec::new(),
+            _ => rel.codes().iter().map(|&c| rank_of[c as usize]).collect(),
+        })
+        .collect();
+    let values = ValueTable {
+        ints: Col::Owned(ints.into_iter().map(|(i, _)| i).collect()),
+        strs: strs.into_iter().map(|(_, s, _)| s).collect(),
+    };
+    (values, ranks)
+}
+
+/// A string's first sixteen bytes, big-endian and zero-padded: where two
+/// keys differ, they order as their strings do.
+fn prefix_key(s: &str) -> u128 {
+    let mut head = [0u8; 16];
+    let n = s.len().min(16);
+    head[..n].copy_from_slice(&s.as_bytes()[..n]);
+    u128::from_be_bytes(head)
 }
 
 /// Runs `f(index, item)` over `items`, splitting the slice into contiguous
@@ -1097,7 +1156,7 @@ fn build_node(
 
     Ok(BuiltNode {
         index: NodeIndex {
-            rel,
+            ranks: Col::default(),
             key_cols,
             weights: Col::Owned(weights),
             starts: Starts::from_weights(starts),
@@ -1107,6 +1166,7 @@ fn build_node(
             bag_to_head,
             row_by_tuple: OnceLock::new(),
         },
+        rel,
         bucket_by_key,
     })
 }
@@ -1218,50 +1278,29 @@ fn weights_range(
 // ----------------------------------------------------------------------
 
 impl CqIndex {
-    /// Extracts the process-independent raw parts of this index: a
-    /// deduplicated value table (in first-occurrence order of the
-    /// deterministic node/row/column walk) plus flat table-reference
-    /// columns and the per-row artifact tables. Dictionary codes never
-    /// leave the process; the archive is byte-stable across processes for
-    /// the same logical index.
+    /// Extracts the process-independent raw parts of this index: its
+    /// sorted value table, each node's rank column, and the per-row
+    /// artifact tables, exactly as the index holds them. Dictionary codes
+    /// never leave the process (an index holds none); the archive is
+    /// byte-stable across processes for the same logical index.
     pub fn to_archive(&self) -> CqIndexArchive {
-        let mut values: Vec<Value> = Vec::new();
-        let mut position: std::collections::HashMap<Value, u32> = std::collections::HashMap::new();
+        // Col clones are cheap for borrowed tables (an Arc bump): archiving
+        // a borrowed-loaded index copies only the string values' handles.
         let nodes = self
             .nodes
             .iter()
-            .map(|nd| {
-                let arity = nd.rel.arity();
-                let rows = nd.rel.len();
-                let mut refs = Vec::with_capacity(if arity == 0 { 0 } else { rows * arity });
-                if arity != 0 {
-                    for v in nd.rel.values() {
-                        let next = values.len();
-                        let r = *position.entry(v.clone()).or_insert_with(|| {
-                            values.push(v.clone());
-                            // Distinct values are bounded by the dictionary's
-                            // u32 code space, so the narrowing cannot wrap.
-                            next as u32
-                        });
-                        refs.push(r);
-                    }
-                }
-                // Col clones are cheap for borrowed tables (an Arc bump):
-                // archiving a borrowed-loaded index copies nothing but the
-                // value table.
-                NodeArchive {
-                    rows: rows as u32,
-                    refs: Col::Owned(refs),
-                    weights: nd.weights.clone(),
-                    starts: nd.starts.clone(),
-                    buckets: nd.buckets.clone(),
-                    bucket_of_row: nd.bucket_of_row.clone(),
-                    child_buckets: nd.child_buckets.clone(),
-                }
+            .map(|nd| NodeArchive {
+                rows: nd.len() as u32,
+                refs: nd.ranks.clone(),
+                weights: nd.weights.clone(),
+                starts: nd.starts.clone(),
+                buckets: nd.buckets.clone(),
+                bucket_of_row: nd.bucket_of_row.clone(),
+                child_buckets: nd.child_buckets.clone(),
             })
             .collect();
         CqIndexArchive {
-            values,
+            values: self.values.clone(),
             bags: (0..self.plan.node_count())
                 .map(|i| self.plan.bag(i).to_vec())
                 .collect(),
@@ -1275,25 +1314,30 @@ impl CqIndex {
 
     /// Reconstructs an index from its archived raw parts without re-running
     /// any build phase (no sorting, no semijoin reduction, no weight
-    /// aggregation): one dictionary intern per *distinct* value, then a few
+    /// aggregation, no dictionary work): the value table is adopted after
+    /// one pass per half proves it strictly increasing, and a few
     /// column-wise passes per node re-check the structural invariants. No
     /// lookup table is built: the inverted-access row tables stay lazy, as
     /// after a fresh build.
     ///
     /// Every violation — forest shape, running intersection, a repeated
-    /// head variable, bucket partition and bucket ids, pAtts key grouping
-    /// and distinct bucket keys, startIndex prefix sums, bucket totals and
-    /// maxima, weight products over child buckets, key consistency along
-    /// tree edges — is refused: structural ones as
-    /// [`CoreError::InvalidArchive`]. A checksum-valid but logically broken
-    /// artifact is never served.
+    /// head variable, an unsorted value table or a rank outside it, bucket
+    /// partition and bucket ids, pAtts key grouping and distinct bucket
+    /// keys, startIndex prefix sums, bucket totals and maxima, weight
+    /// products over child buckets, key consistency along tree edges — is
+    /// refused: structural ones as [`CoreError::InvalidArchive`]. A
+    /// checksum-valid but logically broken artifact is never served.
     pub fn from_archive(archive: CqIndexArchive) -> Result<Self> {
         catch_build("CqIndex::from_archive", move || {
-            Self::from_archive_phases(archive)
+            let plan = Self::archived_plan(&archive)?;
+            Self::from_archived_plan(plan, archive, None)
         })
     }
 
-    fn from_archive_phases(a: CqIndexArchive) -> Result<Self> {
+    /// The plan of an archive, with its shape checked: forest shape,
+    /// running intersection, canonical bag order, and the head against the
+    /// bags.
+    pub(crate) fn archived_plan(a: &CqIndexArchive) -> Result<TreePlan> {
         use crate::archive::invalid;
         let n = a.bags.len();
         if a.parent.len() != n || a.nodes.len() != n {
@@ -1344,14 +1388,22 @@ impl CqIndex {
             }
         }
         validate_head(&plan, &a.head)?;
+        Ok(plan)
+    }
 
-        // Intern the value table once (rehydrate discipline: the generation
-        // is read BEFORE any code is produced, so a racing sweep leaves the
-        // index observably stale, never silently wrong).
-        let generation = dict::current_generation();
-        let mut table_codes = Vec::with_capacity(a.values.len());
-        dict::intern_table(&a.values, &mut table_codes).map_err(CoreError::from)?;
-
+    /// The node phase of [`CqIndex::from_archive`] over a plan
+    /// [`CqIndex::archived_plan`] checked. With `order_cols` (an ordered
+    /// layout: per node, its introduced columns most significant first),
+    /// the key-grouping pass also checks that consecutive rows of a bucket
+    /// strictly increase on those columns.
+    pub(crate) fn from_archived_plan(
+        plan: TreePlan,
+        a: CqIndexArchive,
+        order_cols: Option<&[Vec<usize>]>,
+    ) -> Result<Self> {
+        use crate::archive::invalid;
+        let n = plan.node_count();
+        a.values.check().map_err(invalid)?;
         let mut arch_nodes: Vec<Option<NodeArchive>> = a.nodes.into_iter().map(Some).collect();
         let mut nodes: Vec<Option<NodeIndex>> = (0..n).map(|_| None).collect();
         for &node in plan.leaf_to_root() {
@@ -1363,9 +1415,8 @@ impl CqIndex {
                 node,
                 arch,
                 &a.head,
-                &a.values,
-                &table_codes,
-                generation,
+                a.values.len(),
+                order_cols.map(|cols| cols[node].as_slice()),
                 &nodes,
             )?;
             nodes[node] = Some(built);
@@ -1390,45 +1441,52 @@ impl CqIndex {
             head: a.head,
             root_totals,
             total,
-            generation,
+            values: a.values,
+            rank_index: OnceLock::new(),
         })
     }
 }
 
 /// Validates one archived node against its (already validated) children and
 /// assembles the live [`NodeIndex`]. After the table shapes, each invariant
-/// is one tight pass over plain slices, in this order: the bucket partition;
-/// bucket ids (0 at row 0, a step of one at each bucket start and nowhere
-/// else); pAtts key grouping and distinct bucket keys; per child, the link
-/// (bucket id in range, equal shared-attribute values); the Algorithm 2
-/// weight invariant (every row weight is the product of its matched child
-/// bucket totals); startIndex prefix sums; bucket totals and maxima. Passes
-/// after the bucket-id pass read "row `r` starts a bucket" as
-/// `bucket_ids[r] != bucket_ids[r - 1]`.
-#[allow(clippy::too_many_arguments)]
+/// is one tight pass over plain slices, in this order: ranks inside the
+/// value table; the bucket partition; bucket ids (0 at row 0, a step of one
+/// at each bucket start and nowhere else); pAtts key grouping (with the
+/// within-bucket order of an ordered layout) and distinct bucket keys; per
+/// child, the link (bucket id in range, equal shared-attribute ranks); the
+/// Algorithm 2 weight invariant (every row weight is the product of its
+/// matched child bucket totals); startIndex prefix sums; bucket totals and
+/// maxima. Passes after the bucket-id pass read "row `r` starts a bucket"
+/// as `bucket_ids[r] != bucket_ids[r - 1]`.
 fn validate_archived_node(
     plan: &TreePlan,
     node: usize,
     arch: NodeArchive,
     head: &[Symbol],
-    values: &[Value],
-    table_codes: &[ValueCode],
-    generation: rae_data::Generation,
+    table_len: usize,
+    order_cols: Option<&[usize]>,
     nodes: &[Option<NodeIndex>],
 ) -> Result<NodeIndex> {
     use crate::archive::invalid;
     let bag = plan.bag(node);
     let arity = bag.len();
     let rows = arch.rows as usize;
-    let schema = rae_data::Schema::new(bag.iter().cloned()).map_err(CoreError::from)?;
-    if arity != 0 && arch.refs.len() != rows * arity {
+    let expected_refs = if arity == 0 { 0 } else { rows * arity };
+    if arch.refs.len() != expected_refs {
         return Err(invalid(format!(
             "node {node}: {} refs for {rows} rows of arity {arity}",
             arch.refs.len()
         )));
     }
-    let rel = Relation::from_value_table(schema, values, table_codes, &arch.refs, rows, generation)
-        .map_err(CoreError::from)?;
+    let ranks = arch.refs.as_slice();
+    // Ranks inside the value table: one max fold, no branch per cell.
+    if let Some(&max) = ranks.iter().max() {
+        if max as usize >= table_len {
+            return Err(invalid(format!(
+                "node {node}: rank {max} outside the value table of {table_len}"
+            )));
+        }
+    }
     let key_cols = plan.parent_shared_cols(node);
     let bag_to_head: Vec<usize> = bag
         .iter()
@@ -1499,7 +1557,6 @@ fn validate_archived_node(
     let (first_rows, ends) = (buckets.start.as_slice(), buckets.end.as_slice());
     let bucket_ids = arch.bucket_of_row.as_slice();
     let weights = arch.weights.as_slice();
-    let codes = rel.codes();
 
     // The bucket partition: non-empty, contiguous, covering `0..rows`.
     let mut covered: u32 = 0;
@@ -1540,17 +1597,44 @@ fn validate_archived_node(
     }
 
     // pAtts key grouping: a row that does not start a bucket has the
-    // previous row's key.
-    if !key_cols.is_empty() {
-        let mut rows_codes = codes.chunks_exact(arity);
-        if let Some(mut prev) = rows_codes.next() {
-            for (i, (cur, pair)) in rows_codes.zip(bucket_ids.windows(2)).enumerate() {
-                if pair[0] == pair[1] && key_cols.iter().any(|&c| cur[c] != prev[c]) {
-                    return Err(invalid(format!(
-                        "node {node}: bucket {} rows do not share a pAtts key (row {})",
-                        pair[1],
-                        i + 1
-                    )));
+    // previous row's key. In an ordered layout it also compares strictly
+    // above the previous row on the introduced columns (ranks compare as
+    // their values do); equal there means a duplicate row, since the
+    // bucket fixes the pAtts and the introduced columns are the rest.
+    let out_of_order = |bucket: u32| {
+        invalid(format!(
+            "node {node}: bucket {bucket} rows out of order on the realized order columns"
+        ))
+    };
+    let duplicate =
+        |bucket: u32| invalid(format!("node {node}: bucket {bucket} holds duplicate rows"));
+    if arity == 0 {
+        if order_cols.is_some() && rows > nb {
+            return Err(duplicate(0));
+        }
+    } else if !key_cols.is_empty() || order_cols.is_some() {
+        let mut rows_ranks = ranks.chunks_exact(arity);
+        if let Some(mut prev) = rows_ranks.next() {
+            for (i, (cur, pair)) in rows_ranks.zip(bucket_ids.windows(2)).enumerate() {
+                if pair[0] == pair[1] {
+                    if key_cols.iter().any(|&c| cur[c] != prev[c]) {
+                        return Err(invalid(format!(
+                            "node {node}: bucket {} rows do not share a pAtts key (row {})",
+                            pair[1],
+                            i + 1
+                        )));
+                    }
+                    if let Some(cols) = order_cols {
+                        match cols
+                            .iter()
+                            .map(|&c| prev[c].cmp(&cur[c]))
+                            .find(|o| o.is_ne())
+                        {
+                            Some(std::cmp::Ordering::Less) => {}
+                            Some(_) => return Err(out_of_order(pair[1])),
+                            None => return Err(duplicate(pair[1])),
+                        }
+                    }
                 }
                 prev = cur;
             }
@@ -1561,9 +1645,9 @@ fn validate_archived_node(
     // neighbours (the sort makes equal keys adjacent).
     if nb > 1 {
         let width = key_cols.len();
-        let mut keys: Vec<ValueCode> = Vec::with_capacity(nb * width);
+        let mut keys: Vec<u32> = Vec::with_capacity(nb * width);
         for &first in first_rows {
-            let row = &codes[first as usize * arity..][..arity];
+            let row = &ranks[first as usize * arity..][..arity];
             keys.extend(key_cols.iter().map(|&c| row[c]));
         }
         let mut order: Vec<u32> = (0..nb as u32).collect();
@@ -1588,12 +1672,12 @@ fn validate_archived_node(
                 ids[i]
             )));
         }
-        let child_arity = child_node.rel.arity();
-        let (child_codes, child_firsts) = (child_node.rel.codes(), &child_node.buckets.start);
+        let child_arity = child_node.bag_to_head.len();
+        let (child_ranks, child_firsts) = (child_node.ranks.as_slice(), &child_node.buckets.start);
         for &(child_col, own_col) in pairs {
-            let own = codes.iter().skip(own_col).step_by(arity);
-            if let Some(i) = own.zip(ids.iter()).position(|(&code, &id)| {
-                child_codes[child_firsts[id as usize] as usize * child_arity + child_col] != code
+            let own = ranks.iter().skip(own_col).step_by(arity);
+            if let Some(i) = own.zip(ids.iter()).position(|(&rank, &id)| {
+                child_ranks[child_firsts[id as usize] as usize * child_arity + child_col] != rank
             }) {
                 return Err(invalid(format!(
                     "node {node}: row {i} linked to child bucket {} with a \
@@ -1640,7 +1724,7 @@ fn validate_archived_node(
     // Tables move (not copy) into the live node: for a borrowed archive
     // these stay zero-copy views into the snapshot file.
     Ok(NodeIndex {
-        rel,
+        ranks: arch.refs,
         key_cols,
         weights: arch.weights,
         starts: arch.starts,
@@ -2070,14 +2154,11 @@ mod tests {
             )
             .unwrap();
             assert_eq!(other.count(), baseline.count());
+            assert_eq!(other.values(), baseline.values());
             for node in 0..baseline.node_count() {
-                assert_eq!(other.node_relation(node), baseline.node_relation(node));
-                assert_eq!(
-                    other.node_relation(node).codes(),
-                    baseline.node_relation(node).codes()
-                );
                 assert_eq!(other.bucket_count(node), baseline.bucket_count(node));
-                for row in 0..baseline.node_relation(node).len() as u32 {
+                for row in 0..baseline.node_len(node) as u32 {
+                    assert_eq!(other.node_ranks(node, row), baseline.node_ranks(node, row));
                     assert_eq!(other.row_weight(node, row), baseline.row_weight(node, row));
                     assert_eq!(other.row_start(node, row), baseline.row_start(node, row));
                     assert_eq!(

@@ -45,6 +45,7 @@ pub mod renum_cq;
 pub mod renum_ucq;
 pub mod scratch;
 pub mod shuffle;
+pub mod value_table;
 pub mod weight;
 pub mod weighted;
 
@@ -65,6 +66,7 @@ pub use renum_cq::CqShuffle;
 pub use renum_ucq::{OrderedUnionEnumeration, UcqEvent, UcqShuffle};
 pub use scratch::AccessScratch;
 pub use shuffle::LazyShuffle;
+pub use value_table::ValueTable;
 pub use weight::{split_index, Weight};
 pub use weighted::WeightedCqIndex;
 

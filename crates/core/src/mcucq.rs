@@ -31,7 +31,7 @@ use crate::scratch::AccessScratch;
 use crate::shuffle::LazyShuffle;
 use crate::weight::Weight;
 use crate::Result;
-use rae_data::{Database, Relation, Symbol, Value};
+use rae_data::{Database, FxHashSet, Relation, Symbol, Value};
 use rae_query::UnionQuery;
 use rae_yannakakis::reduce_to_full_acyclic;
 use rand::Rng;
@@ -68,6 +68,24 @@ pub struct McUcqIndex {
     /// `suffix_counts[ℓ] = |S_ℓ ∪ … ∪ S_{m-1}|`.
     suffix_counts: Vec<Weight>,
     rank_strategy: RankStrategy,
+}
+
+/// The rows of `rel` that `node` of `index` also holds (node-wise set
+/// intersection over one plan): `rel`'s values become ranks in the index's
+/// table, and a value the table lacks drops the row.
+fn node_intersection(rel: &Relation, index: &CqIndex, node: usize) -> Relation {
+    let held: FxHashSet<&[u32]> = (0..index.node_len(node) as u32)
+        .map(|row| index.node_ranks(node, row))
+        .collect();
+    let mut ranks: Vec<u32> = Vec::with_capacity(rel.arity());
+    let mut out = rel.clone();
+    out.retain_rows(|row| {
+        ranks.clear();
+        row.iter()
+            .all(|v| index.values().rank_of(v).map(|r| ranks.push(r)).is_some())
+            && held.contains(ranks.as_slice())
+    });
+    out
 }
 
 impl McUcqIndex {
@@ -119,8 +137,8 @@ impl McUcqIndex {
             } else {
                 let rest_idx = structs[rest].as_ref().expect("built in mask order");
                 (0..plan.node_count())
-                    .map(|node| fjs[lowest].relations[node].intersect(rest_idx.node_relation(node)))
-                    .collect::<std::result::Result<_, _>>()?
+                    .map(|node| node_intersection(&fjs[lowest].relations[node], rest_idx, node))
+                    .collect()
             };
             let idx = CqIndex::from_parts_with(
                 plan.clone(),

@@ -311,9 +311,12 @@ impl OrderedCqIndex {
     /// bucket's subtree answers compare strictly below / below-or-equal on
     /// the covered order positions of this subtree. A node's covered new
     /// columns are always a prefix of its new-column list (order positions
-    /// are preorder-consecutive), so within the bucket — whose rows are
-    /// value-sorted by exactly those columns — the boundaries are two
-    /// binary searches over the startIndex prefix sums.
+    /// are preorder-consecutive), and the bucket's rows are sorted by
+    /// exactly those columns, so the rows equal to the bound form one run.
+    /// The run is narrowed one column at a time: each bound value becomes a
+    /// position in the value table once, then two binary searches over
+    /// that column's ranks cut the run. The run's ends index the startIndex
+    /// prefix sums.
     fn node_bounds<'v>(
         &self,
         node: usize,
@@ -323,17 +326,7 @@ impl OrderedCqIndex {
     ) -> Result<(Weight, Weight)> {
         let over = || crate::error::rank_overflow("rank-descent sums");
         let new = &self.node_new[node];
-        let rel = self.index.node_relation(node);
         let c = new.iter().take_while(|&&(_, pos)| pos < covered).count();
-        let cmp_row = |r: u32| -> Ordering {
-            for &(col, pos) in &new[..c] {
-                match rel.row(r as usize)[col].cmp(bound(pos)) {
-                    Ordering::Equal => {}
-                    other => return other,
-                }
-            }
-            Ordering::Equal
-        };
         // Total weight of rows before `r` in the bucket = r's startIndex.
         let weight_before = |r: u32| -> Weight {
             if r == bucket.end {
@@ -342,36 +335,34 @@ impl OrderedCqIndex {
                 self.index.row_start(node, r)
             }
         };
-        // First row comparing >= the bound on the covered columns.
+        // The rows equal to the bound so far: `[lo, hi)`.
         let (mut lo, mut hi) = (bucket.start, bucket.end);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if cmp_row(mid) == Ordering::Less {
-                lo = mid + 1;
+        for &(col, pos) in &new[..c] {
+            // `below` table values are smaller than the bound; the value at
+            // rank `below` equals it only when `found`.
+            let (below, found) = self.index.values().lower_bound(bound(pos));
+            let rank = |r: u32| self.index.node_ranks(node, r)[col];
+            lo = first_row(lo, hi, |r| rank(r) >= below);
+            hi = if found {
+                first_row(lo, hi, |r| rank(r) > below)
             } else {
-                hi = mid;
+                lo
+            };
+            if lo == hi {
+                break;
             }
         }
         let lt = weight_before(lo);
         if c < new.len() {
             // The covered prefix ends inside this node's block: children are
             // entirely uncovered, so every equal row counts fully toward le.
-            let (mut lo2, mut hi2) = (lo, bucket.end);
-            while lo2 < hi2 {
-                let mid = lo2 + (hi2 - lo2) / 2;
-                if cmp_row(mid) == Ordering::Greater {
-                    hi2 = mid;
-                } else {
-                    lo2 = mid + 1;
-                }
-            }
-            return Ok((lt, weight_before(lo2)));
+            return Ok((lt, weight_before(hi)));
         }
         // Node fully covered: bucket rows are distinct on (pAtts ∪ new) =
         // all columns, so at most one row compares equal; descend into its
         // children (uncovered children report (0, total), keeping `eq`
         // multiplicative).
-        if lo == bucket.end || cmp_row(lo) != Ordering::Equal {
+        if lo == hi {
             return Ok((lt, lt));
         }
         let row = lo;
@@ -390,6 +381,20 @@ impl OrderedCqIndex {
         let upto = below.checked_add(ceq).ok_or_else(over)?;
         Ok((below, upto))
     }
+}
+
+/// The first row of `[lo, hi)` satisfying `pred`, which must hold on a
+/// suffix of the range (`hi` if none does).
+fn first_row(mut lo: u32, mut hi: u32, pred: impl Fn(u32) -> bool) -> u32 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 // ----------------------------------------------------------------------
@@ -419,9 +424,10 @@ impl OrderedCqIndex {
     /// — on top of everything [`CqIndex::from_archive`] validates — that
     /// the order is a permutation of the head, that the new-column lists
     /// partition the order positions across the plan exactly once, and
-    /// that every bucket's rows are actually sorted on its new columns
-    /// (what [`OrderedCqIndex::ordered_access`]'s binary searches rely
-    /// on). Violations surface as [`CoreError::InvalidArchive`].
+    /// that every bucket's rows strictly increase on its new columns (what
+    /// [`OrderedCqIndex::ordered_access`]'s binary searches rely on),
+    /// compared on ranks inside the index's column-wise key pass.
+    /// Violations surface as [`CoreError::InvalidArchive`].
     pub fn from_archive(archive: crate::archive::OrderedCqIndexArchive) -> Result<Self> {
         crate::error::catch_build("OrderedCqIndex::from_archive", move || {
             Self::from_archive_phases(archive)
@@ -430,18 +436,18 @@ impl OrderedCqIndex {
 
     fn from_archive_phases(a: crate::archive::OrderedCqIndexArchive) -> Result<Self> {
         use crate::archive::invalid;
-        let index = CqIndex::from_archive(a.index)?;
-        validate_order(index.head(), &a.order).map_err(CoreError::Query)?;
-        let order_to_head: Vec<usize> =
-            a.order
-                .iter()
-                .map(|v| {
-                    index.head().iter().position(|h| h == v).ok_or_else(|| {
-                        invalid(format!("order variable {v} is not a head variable"))
-                    })
-                })
-                .collect::<Result<_>>()?;
-        let plan = index.plan();
+        let plan = CqIndex::archived_plan(&a.index)?;
+        let head = &a.index.head;
+        validate_order(head, &a.order).map_err(CoreError::Query)?;
+        let order_to_head: Vec<usize> = a
+            .order
+            .iter()
+            .map(|v| {
+                head.iter()
+                    .position(|h| h == v)
+                    .ok_or_else(|| invalid(format!("order variable {v} is not a head variable")))
+            })
+            .collect::<Result<_>>()?;
         let n = plan.node_count();
         if a.node_new.len() != n {
             return Err(invalid(format!(
@@ -502,38 +508,11 @@ impl OrderedCqIndex {
                 "order position {pos} is introduced at no node"
             )));
         }
-        // Within every bucket, rows must be sorted on the node's new
-        // columns, and no two rows may coincide on all of them (they would
-        // be duplicate rows: the bucket fixes the pAtts and the new columns
-        // are the rest of the bag).
-        for (node, cols) in node_new.iter().enumerate() {
-            let rel = index.node_relation(node);
-            for bucket_id in 0..index.bucket_count(node) {
-                let b = index.bucket(node, bucket_id as u32);
-                for r in b.start..b.end.saturating_sub(1) {
-                    let (prev, next) = (rel.row(r as usize), rel.row(r as usize + 1));
-                    let cmp = cols
-                        .iter()
-                        .map(|&(col, _)| prev[col].cmp(&next[col]))
-                        .find(|c| *c != Ordering::Equal)
-                        .unwrap_or(Ordering::Equal);
-                    match cmp {
-                        Ordering::Greater => {
-                            return Err(invalid(format!(
-                                "node {node}: bucket {bucket_id} rows out of order on the \
-                                 realized order columns"
-                            )));
-                        }
-                        Ordering::Equal => {
-                            return Err(invalid(format!(
-                                "node {node}: bucket {bucket_id} holds duplicate rows"
-                            )));
-                        }
-                        Ordering::Less => {}
-                    }
-                }
-            }
-        }
+        let order_cols: Vec<Vec<usize>> = node_new
+            .iter()
+            .map(|cols| cols.iter().map(|&(col, _)| col).collect())
+            .collect();
+        let index = CqIndex::from_archived_plan(plan, a.index, Some(&order_cols))?;
         Ok(OrderedCqIndex {
             index,
             order: a.order,

@@ -212,6 +212,9 @@ impl RankedUcq {
             members.iter().try_fold(0 as Weight, |acc, m| {
                 acc.checked_add(m.count()).ok_or_else(over)
             })?;
+            rae_faults::fail_point!("build/union_fences", |site| Err(CoreError::FaultInjected {
+                site
+            }));
             let non_owned = discover_non_owned(&members, &cmp_positions);
             let total = members
                 .iter()
@@ -267,7 +270,7 @@ impl RankedUcq {
         for (i, member) in self.members.iter().enumerate().skip(1) {
             let index = member.index();
             let rows: usize = (0..index.node_count())
-                .map(|node| index.node_relation(node).len())
+                .map(|node| index.node_len(node))
                 .sum();
             let n = member.count();
             let stride = n.div_ceil(rows.max(1) as Weight).max(1);
@@ -809,7 +812,7 @@ mod tests {
             let Fences { stride, ranks } = &ranked.fences[i];
             let index = m.index();
             let rows: usize = (0..index.node_count())
-                .map(|node| index.node_relation(node).len())
+                .map(|node| index.node_len(node))
                 .sum();
             assert!(ranks.len() <= rows, "member {i}: {} fences", ranks.len());
             assert_eq!(*stride, m.count().div_ceil(rows.max(1) as Weight).max(1));

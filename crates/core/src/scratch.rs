@@ -3,7 +3,7 @@
 //!
 //! Every per-answer buffer the engine needs — the answer tuple itself, the
 //! iterative descent stack of [`CqIndex::access_into`], mixed-radix digit
-//! vectors, code-gather buffers for inverted access, and the row picks of
+//! vectors, rank-gather buffers for inverted access, and the row picks of
 //! the rejection samplers — lives here. A scratch is created once (cheap:
 //! all buffers start empty), threaded through any number of `*_into` calls,
 //! and reused across queries of different shapes: buffers are resized, never
@@ -17,7 +17,7 @@
 //! [`CqIndex::access_into`]: crate::CqIndex::access_into
 
 use crate::weight::Weight;
-use rae_data::{Value, ValueCode};
+use rae_data::Value;
 
 /// Reusable buffers for the allocation-free access, inverted-access, and
 /// sampling paths.
@@ -32,10 +32,10 @@ pub struct AccessScratch {
     pub(crate) stack: Vec<(u32, u32, Weight)>,
     /// Digit buffer for splitting an index across the plan roots.
     pub(crate) digits: Vec<Weight>,
-    /// Gather buffer for bucket/tuple key codes.
-    pub(crate) key_codes: Vec<ValueCode>,
-    /// Dictionary codes of a probed answer, one per head position.
-    pub(crate) answer_codes: Vec<ValueCode>,
+    /// Gather buffer for one node's tuple ranks.
+    pub(crate) key_ranks: Vec<u32>,
+    /// Value-table ranks of a probed answer, one per head position.
+    pub(crate) answer_ranks: Vec<u32>,
     /// Per-node digit accumulator for inverted access.
     pub(crate) node_digits: Vec<Weight>,
     /// Row-id buffer for samplers that draw one row per node.

@@ -153,6 +153,9 @@ impl WeightedCqIndex {
         index: &OrderedCqIndex,
         weights: &VarWeights,
     ) -> Result<(Vec<WeightBlock>, Vec<u32>)> {
+        rae_faults::fail_point!("build/weighted_blocks", |site| Err(
+            CoreError::FaultInjected { site }
+        ));
         let wlen = weights.len();
         let count = index.count();
         let mut blocks: Vec<WeightBlock> = Vec::new();

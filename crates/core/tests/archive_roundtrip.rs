@@ -1,10 +1,15 @@
 //! Archive round-trip: `to_archive` → `from_archive` must reproduce the
 //! exact answer stream, and `from_archive` must refuse tampered archives
 //! with a structured `CoreError::InvalidArchive` (never a panic, never a
-//! wrong answer).
+//! wrong answer), whether the archive's columns are owned or borrowed.
 
+#[path = "support/borrow.rs"]
+mod borrow;
+
+use borrow::{borrowed_cq, borrowed_ordered};
 use rae_core::{
-    CoreError, CqIndex, CqIndexArchive, NodeArchive, OrderedCqIndex, RankedUcq, Starts,
+    CoreError, CqIndex, CqIndexArchive, NodeArchive, OrderedCqIndex, OrderedCqIndexArchive,
+    RankedUcq, Starts,
 };
 use rae_data::{Database, Relation, Schema, Symbol, Value};
 use rae_query::QueryError;
@@ -152,19 +157,56 @@ fn tampered_parent_pointers_are_refused() {
 
 #[test]
 fn tampered_value_ref_is_refused() {
+    let (archive, leaf, _) = two_node_archive();
+    // A rank one past the value table in row 3's x column. It would pass
+    // every later check: row 3 is alone in its bucket, and x is in no key
+    // and no link.
+    let table = archive.values.len() as u32;
+    assert_refused(archive, leaf, "outside the value table", |n| {
+        n.refs.to_mut()[6] = table;
+    });
+}
+
+#[test]
+fn unsorted_int_values_are_refused() {
+    let (mut archive, _, _) = two_node_archive();
+    archive.values.ints.to_mut().swap(0, 1);
+    assert_invalid(archive, "integer values not strictly increasing");
+}
+
+#[test]
+fn unsorted_string_values_are_refused() {
+    let (mut archive, _, _) = two_node_archive();
+    // Equal neighbours are refused too: ranks must name distinct values.
+    archive.values.strs[1] = archive.values.strs[0].clone();
+    assert_invalid(archive, "string values not strictly increasing");
+}
+
+#[test]
+fn ordered_bucket_out_of_order_on_ranks_is_refused() {
     let db = db();
     let cq = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
-    let idx = CqIndex::build(&cq, &db).unwrap();
-    let mut archive = idx.to_archive();
-    let table = archive.values.len() as u32;
-    let node = archive
-        .nodes
-        .iter_mut()
-        .find(|n| !n.refs.is_empty())
+    let order = [Symbol::new("x"), Symbol::new("y"), Symbol::new("z")];
+    let mut archive = OrderedCqIndex::build(&cq, &db, &order)
+        .unwrap()
+        .to_archive();
+    // The leaf {y, z}, keyed on y, introduces z: its y = 10 bucket holds
+    // (10, x) then (10, y). Swapping them breaks only the order on z —
+    // the leaf has unit weights, no children, and one key per bucket.
+    let leaf = archive
+        .index
+        .parent
+        .iter()
+        .position(Option::is_some)
         .unwrap();
-    node.refs.to_mut()[0] = table + 3;
-    // Surfaces as the data layer's structured out-of-range error, wrapped.
-    assert!(CqIndex::from_archive(archive).is_err());
+    assert_eq!(
+        archive.index.bags[leaf],
+        [Symbol::new("y"), Symbol::new("z")]
+    );
+    let node = &mut archive.index.nodes[leaf];
+    assert_eq!(node.buckets.start.as_slice(), &[0, 2, 3]);
+    node.refs.to_mut().swap(1, 3);
+    assert_invalid_ordered(archive, "rows out of order on the realized order columns");
 }
 
 #[test]
@@ -190,7 +232,7 @@ fn tampered_sort_order_is_refused_for_ordered_layouts() {
     let Some((node, row)) = target else {
         panic!("expected some bucket with two rows");
     };
-    let arity = plain.node_relation(node).arity();
+    let arity = archive.index.bags[node].len();
     let refs = archive.index.nodes[node].refs.to_mut();
     for c in 0..arity {
         refs.swap(row * arity + c, (row + 1) * arity + c);
@@ -244,6 +286,39 @@ fn two_node_archive() -> (CqIndexArchive, usize, usize) {
     (archive, leaf, root)
 }
 
+/// Expects `from_archive` to refuse `archive` — owned and borrowed — with
+/// an `InvalidArchive` naming `needle`.
+fn assert_invalid(archive: CqIndexArchive, needle: &str) {
+    let borrowed = borrowed_cq(&archive);
+    for (path, archive) in [("owned", archive), ("borrowed", borrowed)] {
+        match CqIndex::from_archive(archive) {
+            Err(CoreError::InvalidArchive(detail)) => {
+                assert!(
+                    detail.contains(needle),
+                    "{path}: expected {needle:?}, got: {detail}"
+                );
+            }
+            other => panic!("{path}: expected InvalidArchive ({needle}), got {other:?}"),
+        }
+    }
+}
+
+/// [`assert_invalid`] for an ordered archive.
+fn assert_invalid_ordered(archive: OrderedCqIndexArchive, needle: &str) {
+    let borrowed = borrowed_ordered(&archive);
+    for (path, archive) in [("owned", archive), ("borrowed", borrowed)] {
+        match OrderedCqIndex::from_archive(archive) {
+            Err(CoreError::InvalidArchive(detail)) => {
+                assert!(
+                    detail.contains(needle),
+                    "{path}: expected {needle:?}, got: {detail}"
+                );
+            }
+            other => panic!("{path}: expected InvalidArchive ({needle}), got {other:?}"),
+        }
+    }
+}
+
 /// Applies `tamper` to node `node` and expects a refusal naming `needle`.
 fn assert_refused(
     mut archive: CqIndexArchive,
@@ -252,15 +327,7 @@ fn assert_refused(
     tamper: impl FnOnce(&mut NodeArchive),
 ) {
     tamper(&mut archive.nodes[node]);
-    match CqIndex::from_archive(archive) {
-        Err(CoreError::InvalidArchive(detail)) => {
-            assert!(
-                detail.contains(needle),
-                "expected {needle:?}, got: {detail}"
-            );
-        }
-        other => panic!("expected InvalidArchive ({needle}), got {other:?}"),
-    }
+    assert_invalid(archive, needle);
 }
 
 #[test]

@@ -1,14 +1,21 @@
-//! Index invalidation across dictionary generations: stale detection on
-//! every checked entry point, correct rebuilds with **reused scratch**, and
-//! differential checks (CqIndex / McUcqIndex / UcqShuffle vs. the naive
-//! evaluator) across drop/re-ingest + sweep cycles.
+//! Indexes across dictionary generations: built and loaded indexes keep
+//! answering through sweeps that recycle codes, stale *input* relations
+//! are refused by the build, rebuilds reuse scratch, and differential
+//! checks (CqIndex / McUcqIndex / UcqShuffle vs. the naive evaluator) hold
+//! across drop/re-ingest + sweep cycles.
 //!
 //! Every test may advance the process-wide dictionary generation, so the
 //! file serializes behind one mutex (own process; other binaries are
 //! unaffected).
 
-use rae_core::{AccessScratch, BuildOptions, CoreError, CqIndex, McUcqIndex, UcqShuffle};
-use rae_data::{dict, Database, Relation, Schema, Value};
+#[path = "support/borrow.rs"]
+mod borrow;
+
+use borrow::borrowed_ordered;
+use rae_core::{
+    AccessScratch, BuildOptions, CoreError, CqIndex, McUcqIndex, OrderedCqIndex, UcqShuffle,
+};
+use rae_data::{dict, Database, Relation, Schema, Symbol, Value};
 use rae_query::{naive_eval, naive_eval_union, UnionQuery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,60 +51,95 @@ const S0: &[(i64, i64)] = &[(10, 7), (10, 8), (11, 7), (12, 9)];
 const R1: &[(i64, i64)] = &[(6, 13), (7, 13), (8, 14)];
 const S1: &[(i64, i64)] = &[(13, 5), (14, 5), (14, 6)];
 
+/// Every access, inverted access and order-prefix range of `ordered`,
+/// plus every access of `plain`, as plain values.
+type Observed = (Vec<Vec<Value>>, Vec<Option<u128>>, Vec<(u128, u128)>);
+
+fn observe(plain: &CqIndex, ordered: &OrderedCqIndex, scratch: &mut AccessScratch) -> Observed {
+    let mut answers = Vec::new();
+    let mut ranks = Vec::new();
+    let mut ranges = Vec::new();
+    for j in 0..plain.count() {
+        let answer = plain.access_into(j, scratch).unwrap().to_vec();
+        ranks.push(plain.inverted_access_of(&answer, scratch));
+        answers.push(answer);
+    }
+    for k in 0..ordered.count() {
+        let answer = ordered.ordered_access(k).unwrap();
+        ranks.push(ordered.ordered_inverted_access(&answer));
+        for p in 0..=ordered.order().len() {
+            let prefix: Vec<Value> = ordered.order_to_head()[..p]
+                .iter()
+                .map(|&h| answer[h].clone())
+                .collect();
+            ranges.push(ordered.prefix_bounds(&prefix).unwrap());
+        }
+        answers.push(answer);
+    }
+    (answers, ranks, ranges)
+}
+
 #[test]
-fn sweep_invalidates_index_and_rebuild_reuses_scratch() {
+fn sweep_keeps_indexes_answering_and_rebuild_reuses_scratch() {
     let _guard = serialized();
     let cq = rae_query::parser::parse_cq("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let mut db = two_rel_db("gl-a-", R0, S0);
     let mut scratch = AccessScratch::new();
 
     let idx = CqIndex::build(&cq, &db).unwrap();
-    let built_at = idx.generation();
+    let order = [Symbol::new("y"), Symbol::new("z"), Symbol::new("x")];
+    let ordered = OrderedCqIndex::build(&cq, &db, &order).unwrap();
+    let loaded = OrderedCqIndex::from_archive(borrowed_ordered(&ordered.to_archive())).unwrap();
+    assert!(loaded.index().storage_is_borrowed());
     let expected = naive_eval(&cq, &db).unwrap();
     assert_eq!(idx.count() as usize, expected.len());
     for j in 0..idx.count() {
-        let ans = idx.try_access_into(j, &mut scratch).unwrap().unwrap();
+        let ans = idx.access_into(j, &mut scratch).unwrap();
         assert!(expected.contains_row(ans));
     }
+    let before = observe(&idx, &ordered, &mut scratch);
+    assert_eq!(observe(&idx, &loaded, &mut scratch), before);
+    let old_codes: Vec<u32> = db
+        .relation("R")
+        .unwrap()
+        .rows()
+        .flatten()
+        .map(|v| dict::code_of(v).unwrap())
+        .collect();
 
-    // Drop + re-ingest a fresh cohort, then sweep.
+    // Drop the cohort and sweep, so its codes are freed; the fresh cohort
+    // then reuses them for other values.
     db.remove_relation("R").unwrap();
     db.remove_relation("S").unwrap();
+    db.advance_generation().unwrap();
     db.add_relation("R", edge_rel("gl-a2-", R1)).unwrap();
     db.add_relation("S", edge_rel("gl-a2-", S1)).unwrap();
-    let generation = db.advance_generation().unwrap();
-    assert!(generation > built_at);
+    db.advance_generation().unwrap();
+    let new_codes: Vec<u32> = db
+        .relation("R")
+        .unwrap()
+        .rows()
+        .flatten()
+        .map(|v| dict::code_of(v).unwrap())
+        .collect();
+    assert!(
+        new_codes.iter().any(|c| old_codes.contains(c)),
+        "the fresh cohort must reuse a swept code"
+    );
 
-    // Every checked entry point reports stale, with both generations.
-    assert!(!idx.is_current());
-    match idx.try_access(0) {
-        Err(CoreError::StaleGeneration { built, current }) => {
-            assert_eq!(built, built_at);
-            assert_eq!(current, generation);
-        }
-        other => panic!("expected StaleGeneration, got {other:?}"),
-    }
-    assert!(matches!(
-        idx.try_access_into(0, &mut scratch),
-        Err(CoreError::StaleGeneration { .. })
-    ));
-    assert!(matches!(
-        idx.try_inverted_access(&[]),
-        Err(CoreError::StaleGeneration { .. })
-    ));
+    // Indexes hold ranks into their own value tables, never dictionary
+    // codes: the built and the borrowed-loaded index answer exactly as
+    // before the sweep.
+    assert_eq!(observe(&idx, &ordered, &mut scratch), before);
+    assert_eq!(observe(&idx, &loaded, &mut scratch), before);
 
     // Rebuild over the new cohort; the SAME scratch keeps working and the
     // answers match naive evaluation of the new instance.
     let fresh = CqIndex::build(&cq, &db).unwrap();
-    assert_eq!(fresh.generation(), generation);
     let expected = naive_eval(&cq, &db).unwrap();
     assert_eq!(fresh.count() as usize, expected.len());
     for j in 0..fresh.count() {
-        let borrowed = fresh
-            .try_access_into(j, &mut scratch)
-            .unwrap()
-            .unwrap()
-            .to_vec();
+        let borrowed = fresh.access_into(j, &mut scratch).unwrap().to_vec();
         assert!(expected.contains_row(&borrowed));
         assert_eq!(fresh.inverted_access(&borrowed), Some(j));
         assert_eq!(fresh.access(j).unwrap(), borrowed, "scratch vs allocating");
@@ -120,10 +162,9 @@ fn from_parts_refuses_stale_pre_encoded_relations() {
     ));
 
     // `CqIndex::build`, by contrast, re-encodes values during instantiation
-    // and therefore produces a *current* index even from a stale database —
-    // stale codes never flow into the lookup tables.
+    // and therefore builds a correct index even from a stale database —
+    // stale codes never reach the build.
     let idx = CqIndex::build(&cq, &db).unwrap();
-    assert!(idx.is_current());
     let expected = naive_eval(&cq, &db).unwrap();
     assert_eq!(idx.count() as usize, expected.len());
 }
@@ -178,17 +219,20 @@ fn mc_ucq_differential_across_generations() {
 #[test]
 fn unchecked_hot_path_is_still_coherent_for_current_indexes() {
     let _guard = serialized();
-    // The unchecked methods skip the generation probe; for a current index
-    // they must agree with the checked ones (the zero-alloc contract keeps
-    // the probe off the steady-state path).
+    // The scratch paths and the allocating wrappers agree on an index built
+    // after a sweep, and keep agreeing after another one.
     let cq = rae_query::parser::parse_cq("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let mut db = two_rel_db("gl-d-", R0, S0);
     db.advance_generation().unwrap();
     let idx = CqIndex::build(&cq, &db).unwrap();
     let mut scratch = AccessScratch::new();
-    for j in 0..idx.count() {
-        let checked = idx.try_access(j).unwrap().unwrap();
-        let unchecked = idx.access_into(j, &mut scratch).unwrap();
-        assert_eq!(checked.as_slice(), unchecked);
+    for sweep in 0..2 {
+        for j in 0..idx.count() {
+            let owned = idx.access(j).unwrap();
+            let unchecked = idx.access_into(j, &mut scratch).unwrap();
+            assert_eq!(owned.as_slice(), unchecked, "sweep {sweep}");
+            assert_eq!(idx.inverted_access_of(&owned, &mut scratch), Some(j));
+        }
+        db.advance_generation().unwrap();
     }
 }

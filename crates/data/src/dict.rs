@@ -318,67 +318,6 @@ fn insert_locked(shard: &mut Shard, s: usize, value: &Value) -> Result<ValueCode
     Ok(code)
 }
 
-/// Interns a whole value table, appending one code per value to `out`
-/// (not cleared). The codes are the ones per-value [`intern`] calls would
-/// return, but the values are grouped by shard first, so each shard's read
-/// lock is taken once for all its already-interned values, and its write
-/// lock at most once for the rest. On error `out` holds an unspecified
-/// partial result.
-pub fn intern_table(values: &[Value], out: &mut Vec<ValueCode>) -> Result<(), DataError> {
-    let base = out.len();
-    // Pass 1: each value's shard (parked in its output slot), counted.
-    let mut offsets = [0usize; SHARD_COUNT + 1];
-    out.reserve(values.len());
-    for value in values {
-        fail_point!("dict/intern", |site| Err(DataError::FaultInjected { site }));
-        let s = shard_of(value);
-        offsets[s + 1] += 1;
-        out.push(s as ValueCode);
-    }
-    for s in 0..SHARD_COUNT {
-        offsets[s + 1] += offsets[s];
-    }
-    // Pass 2: table positions grouped by shard (a counting sort).
-    let slots = &mut out[base..];
-    let mut by_shard = vec![0usize; values.len()];
-    let mut next = offsets;
-    for (i, &s) in slots.iter().enumerate() {
-        by_shard[next[s as usize]] = i;
-        next[s as usize] += 1;
-    }
-    // Pass 3: one read lock per shard, then one write lock for its misses
-    // once the read guard is released.
-    for s in 0..SHARD_COUNT {
-        let positions = &by_shard[offsets[s]..offsets[s + 1]];
-        if positions.is_empty() {
-            continue;
-        }
-        let mut missed = false;
-        {
-            let guard = read_shard(&shards()[s]);
-            for &i in positions {
-                slots[i] = match guard.map.get(&values[i]) {
-                    Some(&local) => (local << SHARD_BITS) | s as ValueCode,
-                    None => {
-                        missed = true;
-                        NO_CODE
-                    }
-                };
-            }
-        }
-        if missed {
-            let mut guard = write_shard(&shards()[s]);
-            fail_point!("dict/shard_write");
-            for &i in positions {
-                if slots[i] == NO_CODE {
-                    slots[i] = insert_locked(&mut guard, s, &values[i])?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Looks up the code of `value` without interning.
 ///
 /// `None` means the value is not interned in the current generation — for
@@ -624,29 +563,6 @@ mod tests {
         let i = intern(&Value::Int(777_003)).unwrap();
         let s = intern(&Value::str("777003")).unwrap();
         assert_ne!(i, s);
-    }
-
-    #[test]
-    fn intern_table_matches_per_value_interning() {
-        // Half already interned, half fresh, with repeats and both kinds.
-        let known: Vec<Value> = (0..40).map(|i| Value::Int(881_000 + i)).collect();
-        let known_codes: Vec<ValueCode> = known.iter().map(|v| intern(v).unwrap()).collect();
-        let mut table = known.clone();
-        table.extend((0..40).map(|i| Value::str(format!("intern-table-fresh-{i}"))));
-        table.push(known[3].clone());
-        table.push(Value::str("intern-table-fresh-7"));
-        let mut codes = vec![NO_CODE];
-        intern_table(&table, &mut codes).unwrap();
-        assert_eq!(codes[0], NO_CODE, "existing output is kept");
-        assert_eq!(&codes[1..41], known_codes.as_slice());
-        for (value, &code) in table.iter().zip(&codes[1..]) {
-            assert_eq!(code_of(value), Some(code));
-        }
-        assert_eq!(
-            codes[table.len()],
-            codes[1 + 40 + 7],
-            "a repeat gets one code"
-        );
     }
 
     #[test]

@@ -56,15 +56,6 @@ pub enum DataError {
         /// The failpoint site, e.g. `"dict/intern"`.
         site: &'static str,
     },
-    /// A flat row column referenced a position past the end of its value
-    /// table (snapshot-load bulk construction,
-    /// [`crate::Relation::from_value_table`]).
-    ValueRefOutOfRange {
-        /// The offending table reference.
-        reference: u32,
-        /// Length of the value table.
-        table: usize,
-    },
     /// A column index passed to a relation operation is not below the
     /// relation's arity ([`crate::Relation::select_project`]).
     ColumnOutOfRange {
@@ -97,7 +88,6 @@ impl rae_faults::Transient for DataError {
             | DataError::UnknownRelation(_)
             | DataError::UnknownAttribute { .. }
             | DataError::DuplicateRelation(_)
-            | DataError::ValueRefOutOfRange { .. }
             | DataError::ColumnOutOfRange { .. }
             | DataError::DictionaryFull => false,
         }
@@ -151,11 +141,6 @@ impl fmt::Display for DataError {
             DataError::FaultInjected { site } => {
                 write!(f, "injected fault at failpoint `{site}`")
             }
-            DataError::ValueRefOutOfRange { reference, table } => write!(
-                f,
-                "row column references value-table position {reference}, \
-                 but the table holds {table} values"
-            ),
             DataError::ColumnOutOfRange {
                 context,
                 column,

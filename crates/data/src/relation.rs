@@ -103,67 +103,6 @@ impl Relation {
         Ok(rel)
     }
 
-    /// Bulk constructor for snapshot loading: rows are given as indices into
-    /// a deduplicated value `table` whose dictionary codes (`table_codes`,
-    /// layout-parallel to `table`) were interned up front — one intern per
-    /// *distinct* value instead of one per occurrence, which is what makes a
-    /// cold-start load from disk cheap relative to a rebuild.
-    ///
-    /// `refs` is row-major (`rows × arity`); `row_count` disambiguates
-    /// arity-0 relations (where `refs` is empty but rows may exist). The
-    /// generation stamp is read *before* the code table was produced by the
-    /// caller, so the caller passes it in: a sweep landing mid-load leaves
-    /// the relation stamped behind and it reads as stale rather than
-    /// silently mixed (same discipline as [`Relation::rehydrate`]).
-    pub fn from_value_table(
-        schema: Schema,
-        table: &[Value],
-        table_codes: &[ValueCode],
-        refs: &[u32],
-        row_count: usize,
-        generation: Generation,
-    ) -> Result<Self> {
-        let arity = schema.arity();
-        if table.len() != table_codes.len() {
-            return Err(DataError::ArityMismatch {
-                context: "value table / code table length mismatch".to_string(),
-                expected: table.len(),
-                actual: table_codes.len(),
-            });
-        }
-        if refs.len() != row_count * arity {
-            return Err(DataError::ArityMismatch {
-                context: format!("relation {schema:?} flat ref column"),
-                expected: row_count * arity,
-                actual: refs.len(),
-            });
-        }
-        if arity == 0 {
-            let mut rel = Relation::new(schema);
-            rel.data = vec![Value::Int(0); row_count];
-            rel.codes = vec![0; row_count];
-            return Ok(rel);
-        }
-        // One range check up front, then two plain gathers (a clone per
-        // cell and a code per cell), with no error path inside either loop.
-        if let Some(&r) = refs.iter().find(|&&r| r as usize >= table.len()) {
-            return Err(DataError::ValueRefOutOfRange {
-                reference: r,
-                table: table.len(),
-            });
-        }
-        let codes: Vec<ValueCode> = refs.iter().map(|&r| table_codes[r as usize]).collect();
-        let data: Vec<Value> = refs.iter().map(|&r| table[r as usize].clone()).collect();
-        Ok(Relation {
-            schema,
-            data,
-            codes,
-            generation,
-            sorted_by: None,
-            witness: None,
-        })
-    }
-
     /// The relation's schema.
     #[inline]
     pub fn schema(&self) -> &Schema {

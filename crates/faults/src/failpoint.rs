@@ -146,6 +146,8 @@ mod imp {
         "store/write",
         "store/fsync",
         "store/torn",
+        "build/weighted_blocks",
+        "build/union_fences",
     ];
 
     impl FaultSchedule {

@@ -27,7 +27,9 @@
 //! `dict/intern`, `dict/shard_write`, `dict/sweep`, `relation/rehydrate`,
 //! `sort/scratch`, `build/spawn`, `build/node`, `build/weights`,
 //! `yannakakis/reduce`, `ranked/leapfrog`, `sampler/attempt`,
-//! `serve/apply`, `serve/publish`, `serve/fold`.
+//! `serve/apply`, `serve/publish`, `serve/fold`, `store/write`,
+//! `store/fsync`, `store/torn`, `build/weighted_blocks`,
+//! `build/union_fences`.
 
 pub mod degrade;
 mod failpoint;

@@ -66,20 +66,20 @@ impl JoinSampler for RsSampler<'_> {
             let rows = scratch.row_ids();
             rows.clear();
             for node in 0..idx.node_count() {
-                let n = idx.node_relation(node).len();
+                let n = idx.node_len(node);
                 debug_assert!(n > 0);
                 rows.push(rng.gen_range(0..u32::try_from(n).expect("row count fits u32")));
             }
         }
-        // Join check on every tree edge, over dictionary codes (u32
+        // Join check on every tree edge, over the index's value ranks (u32
         // compares instead of Value compares).
         {
             let rows: &[u32] = scratch.row_ids();
             for (parent, child, parent_cols, child_cols) in &self.edges {
-                let p_codes = idx.node_relation(*parent).row_codes(rows[*parent] as usize);
-                let c_codes = idx.node_relation(*child).row_codes(rows[*child] as usize);
+                let p_ranks = idx.node_ranks(*parent, rows[*parent]);
+                let c_ranks = idx.node_ranks(*child, rows[*child]);
                 for (&pc, &cc) in parent_cols.iter().zip(child_cols.iter()) {
-                    if p_codes[pc] != c_codes[cc] {
+                    if p_ranks[pc] != c_ranks[cc] {
                         return None;
                     }
                 }

@@ -275,14 +275,16 @@ fn recovery_falls_back_past_a_newest_snapshot_that_fails_realization() {
 }
 
 /// A snapshot of the previous format version is rebuilt, not migrated:
-/// the newest file in the directory is a checksum-valid snapshot stamped
-/// `FORMAT_VERSION - 1`, and recovery must quarantine it and serve the
-/// older current-version snapshot. Checked through the owned and the
-/// zero-copy store entry points and through the serving cold start.
+/// the newest file in the directory is a checksum-valid v3 snapshot (the
+/// layout before indexes stored their sorted value table), the older one
+/// a v4 snapshot, and recovery must quarantine the v3 file and serve the
+/// v4 one. Checked through the owned and the zero-copy store entry points
+/// and through the serving cold start.
 #[test]
 fn recovery_quarantines_a_previous_version_snapshot() {
     let _guard = lock();
-    let old_version = rae_store::FORMAT_VERSION - 1;
+    assert_eq!(rae_store::FORMAT_VERSION, 4, "update the planted version");
+    let old_version = 3u32;
     for via in ["recover_dir", "recover_dir_with", "ServingIndex::recover"] {
         let dir = scratch("version");
         let (mut writer, _index) = setup();
@@ -295,9 +297,9 @@ fn recovery_quarantines_a_previous_version_snapshot() {
         let current = dir.join(format!("snap-{current_epoch}.rae"));
         let (archive, current_meta) = rae_store::load_archive(&current).unwrap();
 
-        // The same index one epoch newer, its header re-stamped with the
-        // previous version (and a matching header checksum, so the
-        // version check is what refuses it).
+        // The same index one epoch newer, its header re-stamped as v3 (and
+        // a matching header checksum, so the version check is what
+        // refuses it).
         let stale_epoch = current_epoch + 1;
         let stale = dir.join(format!("snap-{stale_epoch}.rae"));
         rae_store::save(&stale, &archive, stale_epoch, "stale").unwrap();

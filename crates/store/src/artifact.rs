@@ -22,7 +22,7 @@ use crate::error::StoreError;
 use crate::wire::{ColSource, Reader, Writer};
 use rae_core::{
     Buckets, Col, CqIndex, CqIndexArchive, NodeArchive, OrderedCqIndex, OrderedCqIndexArchive,
-    RankedUcq, StableBytes, Starts,
+    RankedUcq, StableBytes, Starts, ValueTable,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -229,11 +229,13 @@ fn encode_cq(prefix: &str, a: &CqIndexArchive, out: &mut Vec<(String, Vec<u8>)>)
     w.pad_to_16();
     out.push((format!("{prefix}plan"), w.into_bytes()));
 
+    // The sorted value table: the int column aligned for a zero-copy
+    // view, then the strings, length-prefixed.
     let mut w = Writer::new();
-    w.put_len(a.values.len());
-    for v in &a.values {
-        w.put_value(v);
-    }
+    w.put_len(a.values.ints.len());
+    w.pad_to_16();
+    w.put_col(&a.values.ints);
+    w.put_symbols(&a.values.strs);
     w.pad_to_16();
     out.push((format!("{prefix}values"), w.into_bytes()));
 
@@ -374,13 +376,12 @@ fn decode_cq(
     r.finish_padded()?;
 
     let name = format!("{prefix}values");
-    let mut r = Reader::new(&name, section(sections, &name)?.bytes);
-    let count = r.get_len(1)?;
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(r.get_value()?);
-    }
+    let mut r = reader(&name, section(sections, &name)?, owner);
+    let len = r.get_len(8)?;
+    let ints: Col<i64> = r.get_col(len)?;
+    let strs = r.get_symbols()?;
     r.finish_padded()?;
+    let values = ValueTable { ints, strs };
 
     let mut nodes = Vec::with_capacity(n);
     for i in 0..n {
@@ -499,12 +500,15 @@ fn decode_ordered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rae_data::{Symbol, Value};
+    use rae_data::Symbol;
 
     pub(crate) fn tiny_cq_archive() -> CqIndexArchive {
         // One node, one attribute, two rows — hand-rolled but consistent.
         CqIndexArchive {
-            values: vec![Value::Int(1), Value::Int(2)],
+            values: ValueTable {
+                ints: Col::Owned(vec![1, 2]),
+                strs: Vec::new(),
+            },
             bags: vec![vec![Symbol::new("x")]],
             parent: vec![None],
             head: vec![Symbol::new("x")],

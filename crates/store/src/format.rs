@@ -1,7 +1,7 @@
 //! The on-disk container and the crash-consistent publish protocol
 //! (DESIGN.md §15).
 //!
-//! ## File layout (format v3)
+//! ## File layout (format v4)
 //!
 //! ```text
 //! header  (32 B): magic "RAESTOR1" | version u32 | endian tag u32
@@ -29,7 +29,8 @@
 //! [`load_borrowed`] maps the file read-only (falling back to a 16-aligned
 //! heap read where mapping fails), runs the exact same checksum + digest
 //! validation, then decodes with *borrowed* columns: every numeric table
-//! of the resulting index is a validated view into the mapping, kept alive
+//! of the resulting index — rank columns and the integer values included —
+//! is a validated view into the mapping, kept alive
 //! by a shared owner handle. A buffer that cannot support views (odd
 //! alignment, big-endian host) silently falls back to the owned decode —
 //! same artifact, same digest, just copied. Mutating a published snapshot
@@ -66,7 +67,9 @@ use std::sync::Arc;
 /// v2: 32-byte header with alignment tag; 16-aligned section payloads
 /// (zero-copy loadable); struct-of-arrays bucket tables. v3: every node's
 /// startIndex is stored as built, compact `u64` or wide `u128` prefix sums.
-pub const FORMAT_VERSION: u32 = 3;
+/// v4: each index stores its sorted value table (an aligned `i64` column,
+/// then the strings), and node rows are ranks into it.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// File extension of live snapshot files (`recover_dir` scans for it).
 pub const SNAPSHOT_EXT: &str = "rae";

@@ -15,7 +15,7 @@
 use crate::error::StoreError;
 use rae_core::column::{pod_bytes, pod_vec_from_bytes, FromLeBytes};
 use rae_core::{Col, ColumnError, Pod, StableBytes};
-use rae_data::{Symbol, Value};
+use rae_data::Symbol;
 use std::sync::Arc;
 
 /// Where a decoded column's storage comes from.
@@ -66,10 +66,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Collection lengths are always `u64` on the wire (flat columns can
     /// exceed the `u32` element-id space: rows × arity).
     pub fn put_len(&mut self, n: usize) {
@@ -89,19 +85,6 @@ impl Writer {
         self.put_len(syms.len());
         for s in syms {
             self.put_symbol(s);
-        }
-    }
-
-    pub fn put_value(&mut self, v: &Value) {
-        match v {
-            Value::Int(i) => {
-                self.put_u8(0);
-                self.put_i64(*i);
-            }
-            Value::Str(s) => {
-                self.put_u8(1);
-                self.put_symbol(s);
-            }
         }
     }
 
@@ -144,7 +127,7 @@ macro_rules! impl_put_le {
         }
     )*};
 }
-impl_put_le!(u32, u64, u128);
+impl_put_le!(u32, u64, u128, i64);
 
 /// A bounds-checked cursor over one section payload. Every read failure is
 /// a [`StoreError::Corrupt`] naming the section.
@@ -221,13 +204,6 @@ impl<'a> Reader<'a> {
         Ok(u128::from_le_bytes(a))
     }
 
-    pub fn get_i64(&mut self) -> Result<i64, StoreError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(i64::from_le_bytes(a))
-    }
-
     /// Reads a `u64` length and sanity-bounds it against the bytes left
     /// (each element needs at least `min_elem_bytes`), so a corrupted
     /// length cannot drive a multi-gigabyte allocation.
@@ -258,14 +234,6 @@ impl<'a> Reader<'a> {
     pub fn get_symbols(&mut self) -> Result<Vec<Symbol>, StoreError> {
         let n = self.get_len(8)?;
         (0..n).map(|_| self.get_symbol()).collect()
-    }
-
-    pub fn get_value(&mut self) -> Result<Value, StoreError> {
-        match self.get_u8()? {
-            0 => Ok(Value::Int(self.get_i64()?)),
-            1 => Ok(Value::Str(self.get_symbol()?)),
-            tag => Err(self.corrupt(format!("unknown value tag {tag}"))),
-        }
     }
 
     /// Advances to the next 16-byte payload boundary, verifying the
@@ -352,8 +320,7 @@ mod tests {
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_u128(u128::MAX / 3);
-        w.put_value(&Value::Int(-42));
-        w.put_value(&Value::str("héllo"));
+        w.put_symbol(&Symbol::new("héllo"));
         w.put_symbols(&[Symbol::new("a"), Symbol::new("b")]);
         let bytes = w.into_bytes();
         let mut r = Reader::new("test", &bytes);
@@ -361,8 +328,7 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_u128().unwrap(), u128::MAX / 3);
-        assert_eq!(r.get_value().unwrap(), Value::Int(-42));
-        assert_eq!(r.get_value().unwrap(), Value::str("héllo"));
+        assert_eq!(r.get_symbol().unwrap(), Symbol::new("héllo"));
         assert_eq!(
             r.get_symbols().unwrap(),
             vec![Symbol::new("a"), Symbol::new("b")]

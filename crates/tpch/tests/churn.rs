@@ -5,8 +5,8 @@
 //! whole file serializes behind one mutex (this binary is its own process;
 //! other test binaries are unaffected).
 
-use rae_core::{CoreError, CqIndex};
-use rae_data::dict;
+use rae_core::CqIndex;
+use rae_data::{dict, Value};
 use rae_tpch::churn::{
     drop_and_reclaim, ingest_cycle, run_churn, ChurnConfig, CHURN_QUERY, CHURN_RELATIONS,
 };
@@ -80,7 +80,7 @@ fn per_cycle_index_matches_naive_evaluation() {
 }
 
 #[test]
-fn sweep_stales_out_the_previous_cycle_index() {
+fn sweep_leaves_the_previous_cycle_index_answering() {
     let _guard = serialized();
     let cfg = small_cfg(2);
     let mut db = rae_tpch::churn::base_database(&TpchScale::tiny(), 21);
@@ -89,25 +89,21 @@ fn sweep_stales_out_the_previous_cycle_index() {
     drop_and_reclaim(&mut db).unwrap();
     ingest_cycle(&mut db, 0, &cfg).unwrap();
     let old = CqIndex::build(&query, &db).unwrap();
-    assert!(old.is_current());
-    assert!(old.try_access(0).unwrap().is_some());
+    let answers: Vec<Vec<Value>> = old.enumerate().take(200).collect();
+    assert!(!answers.is_empty());
 
-    // Next cycle: drop + sweep + fresh cohort.
+    // Next cycle: drop + sweep + fresh cohort. The sweep recycles the
+    // dropped cohort's codes, which the old index never holds: it keeps
+    // serving its own cycle's answers at the same ranks.
     drop_and_reclaim(&mut db).unwrap();
     ingest_cycle(&mut db, 1, &cfg).unwrap();
-
-    assert!(!old.is_current());
-    assert!(matches!(
-        old.try_access(0),
-        Err(CoreError::StaleGeneration { .. })
-    ));
-    assert!(matches!(
-        old.try_inverted_access(&[]),
-        Err(CoreError::StaleGeneration { .. })
-    ));
-    // The rebuilt index over the new cohort is current and non-trivial.
+    for (j, answer) in answers.iter().enumerate() {
+        assert_eq!(old.access(j as u128).as_ref(), Some(answer));
+        assert_eq!(old.inverted_access(answer), Some(j as u128));
+    }
+    // The rebuilt index over the new cohort is non-trivial.
     let fresh = CqIndex::build(&query, &db).unwrap();
-    assert!(fresh.try_access(0).unwrap().is_some());
+    assert!(fresh.access(0).is_some());
 }
 
 #[test]

@@ -66,6 +66,11 @@ impl QuietPanics {
 
 impl Drop for QuietPanics {
     fn drop(&mut self) {
+        // `set_hook` panics on a panicking thread, which would turn a
+        // failing test into an abort of the whole binary.
+        if std::thread::panicking() {
+            return;
+        }
         if let Some(prev) = self.prev.take() {
             std::panic::set_hook(prev);
         }
@@ -317,6 +322,70 @@ fn mid_build_fault_leaves_database_and_dict_unchanged() {
             })
             .unwrap();
         assert!(count > 0, "{name}");
+    }
+}
+
+/// Faults in the phases that run after the member indexes are built —
+/// `WeightedCqIndex`'s block directory (`build/weighted_blocks`) and
+/// `RankedUcq`'s duplicate discovery and fences (`build/union_fences`) —
+/// fire outside every inner `CqIndex` boundary, so only the builders' own
+/// outer `catch_build` turns a Panic into `BuildPanicked`. A disarmed
+/// retry succeeds.
+#[test]
+fn faults_after_the_member_builds_are_caught_by_the_outer_boundary() {
+    let _s = serial();
+    let _quiet = QuietPanics::new();
+    let q: ConjunctiveQuery = CHURN_QUERY.parse().unwrap();
+    let union: UnionQuery = format!("{CHURN_QUERY}. Q2{}.", &CHURN_QUERY[1..])
+        .parse()
+        .unwrap();
+    let order = q.head().to_vec();
+    let mut weights = VarWeights::new();
+    weights.set("o", Value::Int(1), 7);
+    let mut db = Database::new();
+    churn::ingest_cycle(&mut db, 0, &churn_config(9)).unwrap();
+    let members: Vec<std::sync::Arc<OrderedCqIndex>> = union
+        .disjuncts()
+        .iter()
+        .map(|d| std::sync::Arc::new(OrderedCqIndex::build(d, &db, &order).unwrap()))
+        .collect();
+
+    type Builder<'a> = Box<dyn Fn() -> rae_core::Result<Weight> + 'a>;
+    let cases: Vec<(&str, &str, Builder<'_>)> = vec![
+        (
+            "build/weighted_blocks",
+            "WeightedCqIndex::build",
+            Box::new(|| WeightedCqIndex::build(&q, &db, &order, &weights).map(|i| i.count())),
+        ),
+        (
+            "build/union_fences",
+            "RankedUcq::build",
+            Box::new(|| RankedUcq::build(&union, &db, &order).map(|i| i.count())),
+        ),
+        (
+            "build/union_fences",
+            "RankedUcq::from_shared_members",
+            Box::new(|| RankedUcq::from_shared_members(members.clone()).map(|i| i.count())),
+        ),
+    ];
+    for (site, name, build) in &cases {
+        for kind in [FaultKind::Error, FaultKind::Panic] {
+            let _g = install(FaultSchedule::new(10).always(site, kind));
+            let err = build().expect_err("the forced fault must fail the build");
+            match (kind, &err) {
+                (FaultKind::Error, rae_core::CoreError::FaultInjected { site: fired }) => {
+                    assert_eq!(fired, site, "{name}");
+                }
+                (FaultKind::Panic, rae_core::CoreError::BuildPanicked { .. }) => {}
+                other => panic!("{name}: unexpected error shape for {kind:?}: {other:?}"),
+            }
+            assert!(err.is_transient(), "{name}");
+            assert!(
+                rae_faults::fired().iter().any(|f| f.site == *site),
+                "{name}: {site} never fired"
+            );
+        }
+        assert!(build().unwrap() > 0, "{name}: disarmed retry");
     }
 }
 

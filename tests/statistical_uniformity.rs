@@ -157,9 +157,14 @@ fn samplers_chi_squared_uniform_before_and_after_generation_advance() {
             n,
         );
         if phase == "before" {
+            let answers: Vec<Vec<Value>> = idx.enumerate().collect();
             churn_and_advance(&mut db, "chi-samp", "chi-samp2");
-            // The pre-advance index is now stale and says so.
-            assert!(idx.try_access(0).is_err());
+            // The pre-advance index holds no dictionary codes: the sweep
+            // leaves its answers and ranks unchanged.
+            for (j, answer) in answers.iter().enumerate() {
+                assert_eq!(idx.access(j as u128).as_ref(), Some(answer));
+                assert_eq!(idx.inverted_access(answer), Some(j as u128));
+            }
         }
     }
 }

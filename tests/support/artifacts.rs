@@ -11,10 +11,13 @@ use rae_core::CqIndex;
 pub fn assert_identical_artifacts(label: &str, a: &CqIndex, b: &CqIndex) {
     assert_eq!(a.count(), b.count(), "{label}: answer count");
     assert_eq!(a.node_count(), b.node_count(), "{label}: node count");
+    assert_eq!(a.values(), b.values(), "{label}: value table");
     for node in 0..a.node_count() {
-        let (ra, rb) = (a.node_relation(node), b.node_relation(node));
-        assert_eq!(ra, rb, "{label}: node {node} relation rows");
-        assert_eq!(ra.codes(), rb.codes(), "{label}: node {node} code mirror");
+        assert_eq!(
+            a.node_len(node),
+            b.node_len(node),
+            "{label}: node {node} rows"
+        );
         assert_eq!(
             a.node_key_cols(node),
             b.node_key_cols(node),
@@ -33,7 +36,12 @@ pub fn assert_identical_artifacts(label: &str, a: &CqIndex, b: &CqIndex) {
             );
         }
         let children = a.plan().children(node).len();
-        for row in 0..ra.len() as u32 {
+        for row in 0..a.node_len(node) as u32 {
+            assert_eq!(
+                a.node_ranks(node, row),
+                b.node_ranks(node, row),
+                "{label}: node {node} row {row} ranks"
+            );
             assert_eq!(
                 a.row_weight(node, row),
                 b.row_weight(node, row),
