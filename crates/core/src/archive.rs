@@ -42,6 +42,7 @@ use crate::index::BucketView;
 use crate::value_table::ValueTable;
 use crate::weight::Weight;
 use rae_data::Symbol;
+use std::ops::Range;
 
 /// Per-row startIndex storage of one node (Algorithm 2), shared between
 /// the live index and its archive: each row's start within its bucket, as
@@ -105,6 +106,21 @@ impl Starts {
             },
             Starts::Wide(v) => v[start..end].partition_point(|&s| s <= j),
         }
+    }
+
+    /// The row of a bucket (row range `rows`, weight `total`) owning
+    /// sub-answer `j`, and `j`'s remainder in it. Weights are ≥ 1, so
+    /// `total == rows.len()` exactly when every row weighs 1: row
+    /// `rows.start + j`, remainder 0, nothing read. Otherwise the
+    /// [`Starts::rank_leq`] search.
+    #[inline]
+    pub(crate) fn locate(&self, rows: Range<usize>, total: Weight, j: Weight) -> (usize, Weight) {
+        debug_assert!(j < total);
+        if total == rows.len() as Weight {
+            return (rows.start + j as usize, 0);
+        }
+        let row = rows.start + self.rank_leq(rows.start, rows.end, j) - 1;
+        (row, j - self.at(row))
     }
 
     /// Whether the storage is a zero-copy view into a snapshot buffer.

@@ -73,8 +73,9 @@ impl<'a> CqSequential<'a> {
 
     /// Positions the cursor so the next [`CqSequential::next_ref`] returns
     /// answer `j` of the enumeration order, in O(log n) (one access-style
-    /// descent). Returns `false` (and exhausts the cursor) when
-    /// `j ≥ count()`.
+    /// descent, sharing [`CqIndex::access_into`]'s row location, so
+    /// unit-weight buckets cost no search). Returns `false` (and exhausts
+    /// the cursor) when `j ≥ count()`.
     ///
     /// This is what lets a ranked/paginated scan start mid-stream and then
     /// proceed with constant delay (see `crate::ordered`).
@@ -103,20 +104,10 @@ impl<'a> CqSequential<'a> {
     /// Algorithm 3 descent, writing rows instead of values).
     fn seek_subtree(&mut self, node: usize, bucket: BucketView, sub: Weight) {
         let index = self.index;
-        debug_assert!(sub < bucket.total);
-        // First row whose startIndex exceeds `sub`, minus one: the owner.
-        let (mut lo, mut hi) = (bucket.start, bucket.end);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if index.row_start(node, mid) <= sub {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let row = lo - 1;
+        let rows = bucket.start as usize..bucket.end as usize;
+        let (row, mut remainder) = index.starts(node).locate(rows, bucket.total, sub);
+        let row = row as u32;
         self.rows[node] = row;
-        let mut remainder = sub - index.row_start(node, row);
         for (child_pos, &child) in index.plan().children(node).iter().enumerate().rev() {
             let cb = index.child_bucket(node, row, child_pos);
             self.seek_subtree(child, cb, remainder % cb.total);

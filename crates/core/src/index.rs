@@ -547,6 +547,11 @@ impl CqIndex {
     /// reused across calls, so after the first call on a given shape the
     /// routine allocates nothing.
     ///
+    /// Each node's row is an O(log n) search over startIndex, skipped when
+    /// the bucket's total equals its row count: all weights are then 1 and
+    /// sub-answer `k` is row `start + k` (every leaf bucket, and every
+    /// bucket whose rows each have one sub-answer below).
+    ///
     /// ```
     /// use rae_core::{AccessScratch, CqIndex};
     /// use rae_data::{Database, Relation, Schema, Value};
@@ -590,19 +595,11 @@ impl CqIndex {
         }
         while let Some((node, bucket_id, sub_index)) = scratch.stack.pop() {
             let nd = &self.nodes[node as usize];
-            // Only the bucket columns the descent reads: its row range here,
-            // a child bucket's total below.
-            let bucket_id = bucket_id as usize;
-            let (first, end) = (
-                nd.buckets.start[bucket_id] as usize,
-                nd.buckets.end[bucket_id],
-            );
-            debug_assert!(sub_index < nd.buckets.total[bucket_id]);
-            // Binary search: the last row of the bucket with startIndex ≤ j,
-            // over the compact u64 layout whenever starts fit.
-            let offset = nd.starts.rank_leq(first, end as usize, sub_index);
-            let row_id = first + offset - 1;
-            let mut remainder = sub_index - nd.starts.at(row_id);
+            // Only the bucket columns the descent reads: its row range and
+            // total here, a child bucket's total below.
+            let (b, buckets) = (bucket_id as usize, &nd.buckets);
+            let rows = buckets.start[b] as usize..buckets.end[b] as usize;
+            let (row_id, mut remainder) = nd.starts.locate(rows, buckets.total[b], sub_index);
             debug_assert!(remainder < nd.weights[row_id]);
 
             for (&head_pos, &rank) in nd.bag_to_head.iter().zip(nd.row(row_id)) {
@@ -816,6 +813,11 @@ impl CqIndex {
     /// The startIndex of `row` within its bucket (Algorithm 2).
     pub fn row_start(&self, node: usize, row: u32) -> Weight {
         self.nodes[node].starts.at(row as usize)
+    }
+
+    /// The startIndex column of `node`, for the sequential cursor's seek.
+    pub(crate) fn starts(&self, node: usize) -> &Starts {
+        &self.nodes[node].starts
     }
 
     /// Whether every per-row artifact table (ranks, weights, starts,
@@ -2170,6 +2172,81 @@ mod tests {
             for j in 0..baseline.count() {
                 assert_eq!(other.access(j), baseline.access(j));
             }
+        }
+    }
+
+    /// The chain R(a, b) — S(b, c) — T(c, d), rooted at R. S's bucket
+    /// b = 1 is unit-weight (each row matches one T row) and its bucket
+    /// b = 2 is not (c = 20 matches two T rows).
+    fn chain_index() -> CqIndex {
+        let bags = [&["a", "b"][..], &["b", "c"], &["c", "d"]]
+            .iter()
+            .map(|bag| syms(bag).into_iter().collect())
+            .collect();
+        let plan = TreePlan::new(bags, vec![None, Some(0), Some(1)]).unwrap();
+        let rels = vec![
+            rel_int(&["a", "b"], &[&[7, 1], &[8, 2], &[9, 1]]),
+            rel_int(
+                &["b", "c"],
+                &[&[1, 10], &[1, 11], &[1, 12], &[2, 20], &[2, 21]],
+            ),
+            rel_int(
+                &["c", "d"],
+                &[
+                    &[10, 100],
+                    &[11, 110],
+                    &[12, 120],
+                    &[20, 200],
+                    &[20, 201],
+                    &[21, 210],
+                ],
+            ),
+        ];
+        let head = syms(&["a", "b", "c", "d"]);
+        CqIndex::from_parts_with(plan, rels, head, BuildOptions::serial()).unwrap()
+    }
+
+    #[test]
+    fn unit_weight_buckets_are_located_without_reading_starts() {
+        let untouched = chain_index();
+        let mut tampered = chain_index();
+        let is_unit = |b: BucketView| b.total == Weight::from(b.end - b.start);
+        let mixed = (0..tampered.node_count()).any(|node| {
+            let buckets = 0..tampered.bucket_count(node) as u32;
+            let units: Vec<bool> = buckets.map(|b| is_unit(tampered.bucket(node, b))).collect();
+            units.contains(&true) && units.contains(&false)
+        });
+        assert!(
+            mixed,
+            "no node has both a unit-weight and a non-unit bucket"
+        );
+        // Every row of a unit-weight bucket claims startIndex 0, breaking
+        // the prefix sum of each such bucket with two rows or more.
+        let mut overwritten = 0;
+        for nd in &mut tampered.nodes {
+            for b in 0..nd.buckets.len() {
+                let bucket = nd.buckets.at(b);
+                if !is_unit(bucket) {
+                    continue;
+                }
+                for row in bucket.start as usize + 1..bucket.end as usize {
+                    match &mut nd.starts {
+                        Starts::Compact(starts) => starts.to_mut()[row] = 0,
+                        Starts::Wide(starts) => starts.to_mut()[row] = 0,
+                    }
+                    overwritten += 1;
+                }
+            }
+        }
+        assert!(overwritten > 0, "no startIndex was overwritten");
+        let mut scratch = AccessScratch::new();
+        for j in 0..untouched.count() {
+            let expected = at(&untouched, j);
+            let got = tampered.access_into(j, &mut scratch);
+            assert_eq!(got, Some(&expected[..]), "access_into({j})");
+            let mut cursor = tampered.sequential();
+            assert!(cursor.seek(j));
+            assert_eq!(cursor.next_ref(), Some(&expected[..]), "seek({j})");
         }
     }
 

@@ -44,7 +44,7 @@
 #![allow(clippy::expect_used)]
 
 use crate::error::CoreError;
-use crate::ordered::{OrderedCqIndex, OrderedEnumeration};
+use crate::ordered::OrderedCqIndex;
 use crate::scratch::AccessScratch;
 use crate::weight::Weight;
 use crate::Result;
@@ -369,16 +369,6 @@ impl WeightedCqIndex {
     /// Allocation-free [`WeightedCqIndex::max_answer`].
     pub fn max_answer_into<'s>(&self, scratch: &'s mut AccessScratch) -> Option<&'s [Value]> {
         self.ranked_access_into(self.count().checked_sub(1)?, scratch)
-    }
-
-    /// A constant-delay scan of one weight block's answers (all answers
-    /// sharing the weighted rank window's weight) in lexicographic order.
-    /// Weighted rank windows are unions of lex-contiguous blocks, so a
-    /// general weighted window scan chains block scans; single-block scans
-    /// are the building block and what the samplers need.
-    pub fn enumerate_block(&self, block: usize) -> OrderedEnumeration<'_> {
-        let b = &self.blocks[block];
-        self.index.range(b.lex_lo..b.lex_lo + b.len)
     }
 }
 

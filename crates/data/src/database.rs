@@ -107,11 +107,6 @@ impl Database {
         self.relations.contains_key(name)
     }
 
-    /// Names of all registered relations (arbitrary order).
-    pub fn relation_names(&self) -> impl Iterator<Item = &Symbol> {
-        self.relations.keys()
-    }
-
     /// Number of registered relations.
     pub fn relation_count(&self) -> usize {
         self.relations.len()

@@ -331,12 +331,6 @@ impl Relation {
         self.push_row(row.to_vec())
     }
 
-    /// Compares two rows lexicographically in schema order.
-    #[inline]
-    pub fn cmp_rows(a: &[Value], b: &[Value]) -> Ordering {
-        a.cmp(b)
-    }
-
     /// Sorts rows lexicographically and removes duplicates (set semantics).
     pub fn sort_dedup(&mut self) {
         self.sort_dedup_with(SortAlgorithm::Auto);
@@ -720,11 +714,6 @@ impl Relation {
     /// Whether `row` occurs in the relation (linear scan; tests only).
     pub fn contains_row(&self, row: &[Value]) -> bool {
         self.rows().any(|r| r == row)
-    }
-
-    /// Memory footprint estimate in values.
-    pub fn value_count(&self) -> usize {
-        self.data.len()
     }
 }
 

@@ -228,12 +228,6 @@ impl ConjunctiveQuery {
         }
         false
     }
-
-    /// Returns a copy of the query with a new head (used to form the *full*
-    /// variant of a CQ or to project differently). Validates safety.
-    pub fn with_head(&self, head: impl IntoIterator<Item = impl Into<Symbol>>) -> Result<Self> {
-        ConjunctiveQuery::new(self.name.clone(), head, self.body.clone())
-    }
 }
 
 impl fmt::Display for ConjunctiveQuery {

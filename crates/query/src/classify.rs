@@ -1,7 +1,7 @@
 //! Acyclicity and free-connexity classification (Section 2 of the paper).
 
 use crate::ast::ConjunctiveQuery;
-use crate::gyo::{gyo_reduce, JoinForest};
+use crate::gyo::gyo_reduce;
 use crate::hypergraph::Hypergraph;
 use std::collections::BTreeSet;
 
@@ -50,12 +50,6 @@ pub fn is_acyclic(cq: &ConjunctiveQuery) -> bool {
 /// Convenience: whether the CQ is free-connex.
 pub fn is_free_connex(cq: &ConjunctiveQuery) -> bool {
     classify(cq) == CqClass::FreeConnex
-}
-
-/// A join forest of the body hypergraph, if the CQ is acyclic.
-pub fn body_join_forest(cq: &ConjunctiveQuery) -> Option<(Hypergraph, JoinForest)> {
-    let h = body_hypergraph(cq);
-    gyo_reduce(&h).map(|f| (h, f))
 }
 
 #[cfg(test)]
