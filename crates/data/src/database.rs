@@ -6,7 +6,6 @@ use crate::error::DataError;
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
 use crate::symbol::Symbol;
-use crate::value::Value;
 use crate::Result;
 use std::fmt;
 
@@ -56,23 +55,11 @@ impl Database {
     /// All relations registered here are rehydrated/re-stamped, so the
     /// database is fully current afterwards; their codes do not change
     /// (sweep survivors are never remapped). Any *other* relation in the
-    /// process — other databases, standalone clones, and `rae-core` indexes
-    /// built before the sweep — becomes stale and must be rehydrated or
-    /// rebuilt (stale access is detected, not silently wrong).
+    /// process — other databases and standalone clones — becomes stale and
+    /// must be rehydrated before code-based use (stale use is detected, not
+    /// silently wrong). Built indexes are unaffected: they hold ranks into
+    /// their own value tables, so the sweep only bounds dictionary memory.
     pub fn advance_generation(&mut self) -> Result<Generation> {
-        self.advance_generation_with_extra_live(std::iter::empty())
-    }
-
-    /// [`Database::advance_generation`] with additional values kept live
-    /// beyond this database's own — the serving lifecycle uses it to keep
-    /// the values of still-pinned published snapshots probe-able (their
-    /// *slots* are protected by [`dict::GenerationPin`] quarantine; keeping
-    /// the values in the live set additionally keeps `dict::code_of` probes
-    /// against those snapshots answering correctly until the pins drop).
-    pub fn advance_generation_with_extra_live<'a>(
-        &mut self,
-        extra_live: impl IntoIterator<Item = &'a crate::Value>,
-    ) -> Result<Generation> {
         // Stale relations must be re-encoded *before* the sweep so the live
         // set is computed against mirrors that match current codes.
         for rel in self.relations.values_mut() {
@@ -80,15 +67,8 @@ impl Database {
                 rel.rehydrate()?;
             }
         }
-        // Reborrow the extra values at a local lifetime so the chained live
-        // iterator does not tie the borrow of `self.relations` to `'a`.
-        let extra: Vec<&Value> = extra_live.into_iter().collect();
-        let generation = dict::advance_generation(
-            self.relations
-                .values()
-                .flat_map(Relation::values)
-                .chain(extra.iter().map(|v| -> &Value { v })),
-        );
+        let generation =
+            dict::advance_generation(self.relations.values().flat_map(Relation::values));
         for rel in self.relations.values_mut() {
             rel.stamp_generation(generation);
         }

@@ -42,8 +42,9 @@
 //! its mirror is **stale**: code equality no longer implies value equality.
 //! Stale relations are detected (not silently mis-joined) — mutating a stale
 //! relation returns [`DataError::StaleGeneration`], and `rae-core` indexes
-//! refuse to build over (and report stale access on) relations from an old
-//! generation. [`crate::Relation::rehydrate`] re-encodes a stale mirror.
+//! refuse to build over relations from an old generation (a built index
+//! holds ranks into its own value table, not codes, so a sweep cannot
+//! stale it). [`crate::Relation::rehydrate`] re-encodes a stale mirror.
 //!
 //! [`advance_generation`] is a **process-level** operation (the dictionary
 //! is global): every database in the process must either contribute its
@@ -54,19 +55,16 @@
 //! sweep mid-flight.
 //!
 //! Concurrency: read-mostly `RwLock`s, one per shard. `code_of` (probe
-//! without inserting, used by inverted access) takes only the shard's read
-//! lock; `intern` upgrades to the write lock on a genuine miss.
+//! without inserting, used to resolve query constants) takes only the
+//! shard's read lock; `intern` upgrades to the write lock on a genuine miss.
 
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::value::Value;
 use crate::DataError;
 use rae_faults::fail_point;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Codes are dense `u32`s; `u32::MAX` is reserved as a sentinel for hash-map
 /// internals.
@@ -93,12 +91,6 @@ struct Shard {
     /// Local slots freed by [`advance_generation`] and cleared for reuse,
     /// consumed before fresh slots are minted.
     free: Vec<u32>,
-    /// Slots freed by a sweep while some [`GenerationPin`] older than that
-    /// sweep was alive, tagged with the generation the sweep produced. They
-    /// graduate to `free` only once every pin from before their sweep is
-    /// gone (see [`release_quarantine`]) — recycling them earlier would let
-    /// a pinned reader's code mean a *different* value mid-read.
-    quarantine: Vec<(Generation, Vec<u32>)>,
     /// High-water slot count (fresh slots minted so far).
     next_local: u32,
 }
@@ -124,118 +116,6 @@ fn write_shard(lock: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
 }
 
 static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// Alive [`GenerationPin`]s: generation → pin count. A `BTreeMap` so the
-/// oldest pinned generation is `keys().next()`.
-static PINS: Mutex<BTreeMap<Generation, usize>> = Mutex::new(BTreeMap::new());
-
-fn lock_pins() -> MutexGuard<'static, BTreeMap<Generation, usize>> {
-    // The registry only holds counters; a panic under the guard cannot
-    // leave them half-written in a way reads would misinterpret.
-    PINS.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The oldest generation some alive pin holds, if any.
-fn min_pinned() -> Option<Generation> {
-    lock_pins().keys().next().copied()
-}
-
-/// Holds the dictionary generation it was created at: while the pin is
-/// alive, no slot freed by a sweep *newer than that generation* is recycled
-/// (it sits in per-shard quarantine instead). This is the safety half of
-/// concurrent serving — a reader thread holding a published snapshot can
-/// keep probing the snapshot's codes while the writer sweeps, without an
-/// unchecked hot-path access ever resolving a code to a recycled slot's new
-/// value. (Keeping swept values *probe-able* for the snapshot is the
-/// liveness half, handled by the sweeper passing them as extra live
-/// values — see [`crate::Database::advance_generation_with_extra_live`].)
-///
-/// Dropping the pin releases the hold; quarantined slots are reclaimed
-/// lazily by later interns.
-#[derive(Debug)]
-pub struct GenerationPin {
-    generation: Generation,
-}
-
-impl GenerationPin {
-    /// The generation this pin holds.
-    pub fn generation(&self) -> Generation {
-        self.generation
-    }
-}
-
-impl Drop for GenerationPin {
-    fn drop(&mut self) {
-        let mut pins = lock_pins();
-        if let Some(count) = pins.get_mut(&self.generation) {
-            *count -= 1;
-            if *count == 0 {
-                pins.remove(&self.generation);
-            }
-        }
-    }
-}
-
-/// Pins the current generation (see [`GenerationPin`]).
-///
-/// Pinning races a concurrent sweep benignly: if the generation advances
-/// between the read and the registration, the stale registration is undone
-/// and the pin moves forward — the returned pin's generation is always one
-/// whose sweep-freed predecessors either were quarantined or had already
-/// been freed before any snapshot at this generation could exist.
-pub fn pin_current_generation() -> GenerationPin {
-    let mut pins = lock_pins();
-    loop {
-        let g = current_generation();
-        *pins.entry(g).or_insert(0) += 1;
-        // `advance_generation` bumps the counter *before* consulting the
-        // registry, so if the generation is unchanged here, our registration
-        // is visible to every sweep that could free generation-`g` codes.
-        if current_generation() == g {
-            return GenerationPin { generation: g };
-        }
-        // A sweep raced the registration: undo it and pin the new
-        // generation instead.
-        if let Some(count) = pins.get_mut(&g) {
-            *count -= 1;
-            if *count == 0 {
-                pins.remove(&g);
-            }
-        }
-    }
-}
-
-/// Number of alive generation pins (observability for tests).
-pub fn pinned_generation_count() -> usize {
-    lock_pins().values().sum()
-}
-
-/// Moves every quarantine entry whose pins are all gone onto the shard's
-/// free list. An entry tagged `g` (freed by the sweep that produced
-/// generation `g`) is releasable when no alive pin is older than `g`: pins
-/// at `≥ g` were taken after that sweep and never saw the freed codes.
-fn release_quarantine(shard: &mut Shard) {
-    if shard.quarantine.is_empty() {
-        return;
-    }
-    let min = min_pinned();
-    let Shard {
-        free, quarantine, ..
-    } = shard;
-    quarantine.retain_mut(|(tag, slots)| {
-        // MSRV 1.75: spelled as a match, `Option::is_none_or` is 1.82+.
-        let releasable = match min {
-            None => true,
-            Some(m) => m >= *tag,
-        };
-        if releasable {
-            free.append(slots);
-            false
-        } else {
-            true
-        }
-    });
-}
 
 /// The shard a value hash-partitions into.
 #[inline]
@@ -298,11 +178,6 @@ fn insert_locked(shard: &mut Shard, s: usize, value: &Value) -> Result<ValueCode
     if let Some(&local) = shard.map.get(value) {
         return compose_code(s, local);
     }
-    if shard.free.is_empty() {
-        // Reclaim pin-expired quarantined slots before minting fresh ones,
-        // so pinning delays reuse instead of leaking slot space.
-        release_quarantine(shard);
-    }
     let local = match shard.free.pop() {
         Some(recycled) => recycled,
         None => {
@@ -329,43 +204,6 @@ pub fn code_of(value: &Value) -> Option<ValueCode> {
         .map
         .get(value)
         .map(|&local| (local << SHARD_BITS) | s as u32)
-}
-
-/// Looks up the codes of a whole tuple, appending them to `out` (not
-/// cleared). Returns `false` — leaving `out` in an unspecified, partially
-/// extended state — as soon as any value is unknown, which for answer probes
-/// means "not an answer".
-///
-/// This is the hot-path variant for inverted access: lookups are grouped by
-/// shard, so each shard's read lock is acquired at most once per tuple (not
-/// once per attribute) and each value is hashed for shard selection only
-/// once. Steady-state it allocates nothing (`out` grows to the tuple arity
-/// once and is reused by the caller's scratch).
-pub fn codes_of(values: &[Value], out: &mut Vec<ValueCode>) -> bool {
-    // Pass 1: record each value's shard in the output slots.
-    let start = out.len();
-    for value in values {
-        out.push(shard_of(value) as ValueCode);
-    }
-    // Pass 2: one guard per distinct shard, overwriting slots with codes.
-    // Shard ids and codes share the slot space safely: slots still holding
-    // a shard id are exactly the not-yet-visited ones for a later shard.
-    let slots = &mut out[start..];
-    for s in 0..SHARD_COUNT as ValueCode {
-        if !slots.contains(&s) {
-            continue;
-        }
-        let guard = read_shard(&shards()[s as usize]);
-        for (slot, value) in slots.iter_mut().zip(values) {
-            if *slot == s {
-                match guard.map.get(value) {
-                    Some(&local) => *slot = (local << SHARD_BITS) | s,
-                    None => return false,
-                }
-            }
-        }
-    }
-    true
 }
 
 /// Interns a batch of values, optionally in parallel.
@@ -464,53 +302,18 @@ pub fn advance_generation<'a>(live: impl IntoIterator<Item = &'a Value>) -> Gene
     // within one generation. The counter itself advances exactly once —
     // never half-way.
     let next = GENERATION.fetch_add(1, Ordering::AcqRel) + 1;
-    // Pins taken before this sweep (generation < next) may still be probing
-    // the codes we are about to free; route those slots through quarantine.
-    // `min_pinned` is read after the bump, matching the registration-order
-    // handshake in `pin_current_generation`.
-    let quarantine_freed = min_pinned().is_some_and(|m| m < next);
     for (guard, live) in guards.iter_mut().zip(&live_locals) {
-        let Shard {
-            map,
-            free,
-            quarantine,
-            ..
-        } = &mut **guard;
-        let mut freed = Vec::new();
+        let Shard { map, free, .. } = &mut **guard;
         map.retain(|_, local| {
             if live.contains(local) {
                 true
             } else {
-                freed.push(*local);
+                free.push(*local);
                 false
             }
         });
-        if !freed.is_empty() {
-            if quarantine_freed {
-                quarantine.push((next, freed));
-            } else {
-                free.append(&mut freed);
-            }
-        }
-        // While all the write locks are held anyway, reclaim whatever older
-        // quarantine entries have outlived their pins.
-        release_quarantine(guard);
     }
     next
-}
-
-/// Number of freed slots currently quarantined behind generation pins.
-pub fn quarantined_slot_count() -> usize {
-    shards()
-        .iter()
-        .map(|s| {
-            read_shard(s)
-                .quarantine
-                .iter()
-                .map(|(_, v)| v.len())
-                .sum::<usize>()
-        })
-        .sum()
 }
 
 /// Number of distinct values interned in the current generation.
@@ -574,24 +377,6 @@ mod tests {
             code_of(&Value::str("never-interned-probe-xyzzy")),
             Some(code)
         );
-    }
-
-    #[test]
-    fn codes_of_batches_a_tuple() {
-        let a = intern(&Value::Int(555_001)).unwrap();
-        let b = intern(&Value::str("codes-of-batch-test")).unwrap();
-        let mut out = Vec::new();
-        assert!(codes_of(
-            &[Value::Int(555_001), Value::str("codes-of-batch-test")],
-            &mut out
-        ));
-        assert_eq!(out, vec![a, b]);
-        // Unknown value anywhere in the tuple → false.
-        let mut out = Vec::new();
-        assert!(!codes_of(
-            &[Value::Int(555_001), Value::str("codes-of-never-interned")],
-            &mut out
-        ));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod weights;
 
 pub use codemap::CodeKeyMap;
 pub use database::Database;
-pub use dict::{Generation, GenerationPin, ValueCode};
+pub use dict::{Generation, ValueCode};
 pub use error::DataError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use relation::{key_of, Relation, RowKey};

@@ -28,12 +28,10 @@
 //!   (the builds run under `rae-core`'s transactional `catch_build`) never
 //!   unpublish the old snapshot — readers keep serving the previous epoch.
 //!
-//! Old snapshots stay valid across dictionary-generation sweeps because
-//! every snapshot pins its generation ([`rae_data::GenerationPin`]): the
-//! sweep quarantines freed code slots instead of recycling them, and the
-//! writer keeps the values of still-alive snapshots in the live set
-//! (`advance_generation_with_extra_live`), so the unchecked hot access
-//! paths of a pinned snapshot remain both safe and correct.
+//! A snapshot reads no shared state: each member index holds ranks into
+//! its own sorted value table, so a fold's dictionary sweep (which only
+//! bounds the dictionary's memory under churn) cannot change what an old
+//! snapshot serves, and readers may hold one for as long as they like.
 //!
 //! The delta fast path applies to **full, self-join-free** CQs (every
 //! variable free, no repeated relation symbols/variables, no constants) —

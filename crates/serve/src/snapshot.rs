@@ -10,7 +10,7 @@
 use crate::Result;
 use crate::ServeError;
 use rae_core::{DeletableSet, RankedScratch, RankedUcq, Weight};
-use rae_data::{Generation, GenerationPin, Symbol, Value};
+use rae_data::{Symbol, Value};
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -22,9 +22,9 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// ranks. All operations are `&self` and lock-free; snapshots are shared
 /// across reader threads via `Arc`.
 ///
-/// The snapshot pins the dictionary generation it was published at
-/// ([`GenerationPin`]), so later sweeps quarantine — rather than recycle —
-/// any code slot this structure may still dereference.
+/// A snapshot reads nothing outside itself: every member index holds ranks
+/// into its own value table, so dictionary sweeps by later folds cannot
+/// change what a held snapshot serves.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Base ⊎ delta with duplicates counted once (union rank algebra).
@@ -36,30 +36,8 @@ pub struct Snapshot {
     live: DeletableSet,
     /// Monotone publication counter (0 = initial snapshot).
     epoch: u64,
-    /// The dictionary generation this snapshot was published at.
-    generation: Generation,
-    /// Values the dictionary sweep must keep while this snapshot is alive.
-    /// Only the writer that published the snapshot reads them: its
-    /// `retained` list chains them into the live set of every fold's
-    /// sweep. A recovered snapshot carries none, because no writer
-    /// published it, so no `retained` list holds it and nothing would read
-    /// the set.
-    pub(crate) live_values: Option<LiveValues>,
     /// Answers contributed by the delta member (0 for a folded snapshot).
     delta_count: Weight,
-    /// Keeps the generation pinned for the lifetime of the snapshot.
-    _pin: GenerationPin,
-}
-
-/// The values a writer-published snapshot may serve or be probed with.
-#[derive(Debug)]
-pub(crate) struct LiveValues {
-    /// Distinct values of the base rows: computed once per base (when the
-    /// writer starts and at each fold) and shared by every snapshot
-    /// published over that base.
-    pub(crate) base: Arc<Vec<Value>>,
-    /// Distinct values of the rows inserted since that base was built.
-    pub(crate) delta: Arc<Vec<Value>>,
 }
 
 impl Snapshot {
@@ -67,7 +45,6 @@ impl Snapshot {
         union: RankedUcq,
         mut tombstone_ranks: Vec<Weight>,
         epoch: u64,
-        live_values: Option<LiveValues>,
         delta_count: Weight,
     ) -> Result<Self> {
         tombstone_ranks.sort_unstable();
@@ -81,19 +58,12 @@ impl Snapshot {
                 ));
             }
         }
-        // Pin *after* the structure is fully built: everything above reads
-        // the current generation, and the register-then-recheck handshake
-        // in `pin_current_generation` closes the race against a sweep.
-        let pin = rae_data::dict::pin_current_generation();
         Ok(Snapshot {
             union,
             tombstone_ranks,
             live,
             epoch,
-            generation: pin.generation(),
-            live_values,
             delta_count,
-            _pin: pin,
         })
     }
 
@@ -105,11 +75,6 @@ impl Snapshot {
     /// The publication epoch of this snapshot.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The dictionary generation this snapshot pins.
-    pub fn generation(&self) -> Generation {
-        self.generation
     }
 
     /// Tombstoned (deleted-but-unfolded) answers — O(1).
@@ -402,9 +367,7 @@ impl ServingIndex {
     /// zero-copy from the mapped file).
     ///
     /// Recovery reads and checksums the winning file once and decodes the
-    /// base from those bytes (see [`rae_store::recover_dir_with`]); it
-    /// computes no live-value set, since no writer sweeps on behalf of a
-    /// recovered snapshot.
+    /// base from those bytes (see [`rae_store::recover_dir_with`]).
     pub fn recover(dir: &std::path::Path) -> Result<(Self, rae_store::SnapshotMeta)> {
         // Zero-copy cold start: the recovered index serves straight from a
         // read-only mapping of the snapshot file, falling back to an owned
@@ -424,7 +387,7 @@ impl ServingIndex {
         // The epoch-0-style read state: the base alone, no tombstones, no
         // delta.
         let union = RankedUcq::from_shared_members(vec![Arc::new(base)])?;
-        let snap = Arc::new(Snapshot::assemble(union, Vec::new(), meta.epoch, None, 0)?);
+        let snap = Arc::new(Snapshot::assemble(union, Vec::new(), meta.epoch, 0)?);
         let shared = Arc::new(Shared::new(snap));
         Ok((ServingIndex { shared }, meta))
     }

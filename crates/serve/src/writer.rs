@@ -22,7 +22,7 @@
 //! intact; retrying the publish is always safe (idempotent).
 
 use crate::delta::{delta_eligible, JoinCtx, JoinPlan};
-use crate::snapshot::{LiveValues, ServingIndex, Shared, Snapshot};
+use crate::snapshot::{ServingIndex, Shared, Snapshot};
 use crate::Result;
 use crate::ServeError;
 use rae_core::{OrderedCqIndex, RankedUcq, Weight};
@@ -30,7 +30,7 @@ use rae_data::{Database, FxHashMap, FxHashSet, Relation, Schema, Symbol, Value};
 use rae_faults::fail_point;
 use rae_query::{Atom, ConjunctiveQuery};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -217,9 +217,6 @@ pub struct ServeWriter {
     atom_rel: Vec<usize>,
     /// The shared base index of the current fold generation.
     base: Arc<OrderedCqIndex>,
-    /// Distinct values of the base rows, computed once per base and
-    /// shared by every snapshot published over it.
-    base_values: Arc<Vec<Value>>,
     /// Seeded-join universe: base rows plus every row inserted since the
     /// last fold (superset of current; exact filters run on the results).
     ctx: JoinCtx,
@@ -228,10 +225,6 @@ pub struct ServeWriter {
     shared: Arc<Shared>,
     epoch: u64,
     policy: AdmissionPolicy,
-    /// Published snapshots that may still be alive in reader threads;
-    /// their values join the sweep live set, their pins protect their
-    /// code slots.
-    retained: Vec<Weak<Snapshot>>,
     fold: Option<FoldJob>,
     /// When set, every completed fold persists the new base here as
     /// `snap-<epoch>.rae` via `rae-store`'s atomic-publish protocol.
@@ -292,20 +285,9 @@ impl ServeWriter {
         let realized = base.order().to_vec();
 
         // Epoch-0 snapshot: the base alone, no tombstones, no delta.
-        let base_values = Arc::new(distinct_values(rels.iter().flat_map(|r| &r.base)));
-        let live_values = LiveValues {
-            base: Arc::clone(&base_values),
-            delta: Arc::default(),
-        };
         let union = RankedUcq::from_shared_members(vec![Arc::clone(&base)])?;
-        let snap = Arc::new(Snapshot::assemble(
-            union,
-            Vec::new(),
-            0,
-            Some(live_values),
-            0,
-        )?);
-        let shared = Arc::new(Shared::new(Arc::clone(&snap)));
+        let snap = Arc::new(Snapshot::assemble(union, Vec::new(), 0, 0)?);
+        let shared = Arc::new(Shared::new(snap));
 
         let mut writer = ServeWriter {
             query,
@@ -316,18 +298,15 @@ impl ServeWriter {
             rel_of,
             atom_rel,
             base,
-            base_values,
             ctx: JoinCtx::new(Vec::new()),
             in_ctx: Vec::new(),
             shared,
             epoch: 0,
             policy,
-            retained: vec![Arc::downgrade(&snap)],
             fold: None,
             persist_dir: None,
             on_fold: None,
         };
-        drop(snap);
         writer.rebuild_ctx();
         let index = ServingIndex {
             shared: Arc::clone(&writer.shared),
@@ -532,7 +511,6 @@ impl ServeWriter {
             union,
             ranks,
             self.epoch + 1,
-            Some(self.live_values()),
             delta_count,
         )?)
     }
@@ -541,40 +519,8 @@ impl ServeWriter {
     fn swap_in(&mut self, snap: Snapshot) -> Result<u64> {
         let snap = Arc::new(snap);
         self.epoch = snap.epoch();
-        self.retained.retain(|w| w.strong_count() > 0);
-        self.retained.push(Arc::downgrade(&snap));
         self.shared.publish(snap);
         Ok(self.epoch)
-    }
-
-    /// Values of still-alive published snapshots, to keep in the sweep
-    /// live set (their pins already protect the code *slots*): each shared
-    /// base set once (compared with `Arc::ptr_eq`), then every snapshot's
-    /// own delta values.
-    fn retained_values(&self) -> Vec<Arc<Vec<Value>>> {
-        let mut out: Vec<Arc<Vec<Value>>> = Vec::new();
-        for snap in self.retained.iter().filter_map(Weak::upgrade) {
-            let Some(live) = &snap.live_values else {
-                continue;
-            };
-            if !out.iter().any(|vs| Arc::ptr_eq(vs, &live.base)) {
-                out.push(Arc::clone(&live.base));
-            }
-            if !live.delta.is_empty() {
-                out.push(Arc::clone(&live.delta));
-            }
-        }
-        out
-    }
-
-    /// The live values of a snapshot published from the current state:
-    /// the shared base set plus the distinct values of the delta rows — a
-    /// superset of every value the snapshot can serve or be probed with.
-    fn live_values(&self) -> LiveValues {
-        LiveValues {
-            base: Arc::clone(&self.base_values),
-            delta: Arc::new(distinct_values(self.rels.iter().flat_map(|r| &r.delta))),
-        }
     }
 
     /// Rebuilds the seeded-join universe from the (new) base + delta.
@@ -613,14 +559,13 @@ impl ServeWriter {
 
     /// Synchronously folds the pending delta into a fresh base: rebuilds
     /// the database from the current rows, advances the dictionary
-    /// generation (old snapshots stay valid through their pins and the
-    /// extra-live value set), rebuilds the base index, clears the pending
-    /// state, and publishes the folded snapshot.
+    /// generation with those rows as the live set (held snapshots read no
+    /// dictionary, so the sweep only bounds its memory), rebuilds the base
+    /// index, clears the pending state, and publishes the folded snapshot.
     pub fn fold_now(&mut self) -> Result<u64> {
         fail_point!("serve/fold", |site| Err(ServeError::FaultInjected { site }));
         let mut db = self.fold_db()?;
-        let retained = self.retained_values();
-        db.advance_generation_with_extra_live(retained.iter().flat_map(|vs| vs.iter()))?;
+        db.advance_generation()?;
         let idx = OrderedCqIndex::build(&self.query, &db, &self.order)?;
         self.install_fold(Arc::new(idx), false)
     }
@@ -700,18 +645,12 @@ impl ServeWriter {
             rel.deleted = x.difference(&current).cloned().collect();
             rel.base = x;
         }
-        // Sweep with the new base as the live set, keeping alive (a) the
-        // values of still-pinned published snapshots and (b) the values
-        // of rows inserted while the fold ran (they are not in X).
-        let retained = self.retained_values();
-        let fresh = self.rels.iter().flat_map(|r| r.delta.iter().flatten());
-        db.advance_generation_with_extra_live(
-            retained.iter().flat_map(|vs| vs.iter()).chain(fresh),
-        )?;
-        // The worker built the index before this sweep, so its generation
-        // stamp trails by one. That is fine for serving: snapshot access
-        // paths are the unchecked ones, and the snapshot's pin plus the
-        // extra-live set above keep them safe and correct (DESIGN.md §14).
+        // Sweep with the new base as the live set. Rows inserted while the
+        // fold ran are not in X, so their values may be swept; the writer
+        // keeps them as `Value`s and the next publish re-interns them. The
+        // worker's index holds ranks into its own value table, so the sweep
+        // cannot change what it serves (DESIGN.md §14).
+        db.advance_generation()?;
         self.install_fold(Arc::new(idx), true)?;
         Ok(true)
     }
@@ -744,19 +683,12 @@ impl ServeWriter {
                 rel.delta.clear();
             }
         }
-        self.base_values = Arc::new(distinct_values(self.rels.iter().flat_map(|r| &r.base)));
         self.rebuild_ctx();
         let epoch = match self.strategy {
             Strategy::DeltaOverlay => self.publish_overlay(),
             Strategy::RebuildPerPublish => {
                 let union = RankedUcq::from_shared_members(vec![Arc::clone(&self.base)])?;
-                self.swap_in(Snapshot::assemble(
-                    union,
-                    Vec::new(),
-                    self.epoch + 1,
-                    Some(self.live_values()),
-                    0,
-                )?)
+                self.swap_in(Snapshot::assemble(union, Vec::new(), self.epoch + 1, 0)?)
             }
         }?;
         // Persist the folded base AFTER publication: a persistence
@@ -801,118 +733,5 @@ impl ServeWriter {
     /// folds here instead of polling.
     pub fn on_fold(&mut self, hook: impl FnMut(&FoldEvent) + Send + 'static) {
         self.on_fold = Some(FoldHook(Box::new(hook)));
-    }
-}
-
-/// The distinct values of `rows`: the one place the serving lifecycle
-/// hashes every value of a row set (once per base, and per publish only
-/// over the delta rows).
-fn distinct_values<'a>(rows: impl Iterator<Item = &'a Vec<Value>>) -> Vec<Value> {
-    // An owned set: a set of borrows measured ~10% slower, because every
-    // probe then chases a pointer into the row storage.
-    let set: FxHashSet<Value> = rows.flatten().cloned().collect();
-    set.into_iter().collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Folds sweep the process-global dictionary: tests that fold hold
-    /// this lock (the crate's other unit tests never touch the dictionary).
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn lock() -> MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn iv(vals: &[i64]) -> Vec<Value> {
-        vals.iter().map(|&v| Value::Int(v)).collect()
-    }
-
-    fn writer() -> (ServeWriter, ServingIndex) {
-        let mut db = Database::new();
-        for (name, attrs) in [("R", ["o", "t"]), ("S", ["o", "p"])] {
-            let rows = (1..=2).map(|o| iv(&[o, 10 * o + 1]));
-            let rel = Relation::from_rows(Schema::new(attrs).unwrap(), rows).unwrap();
-            db.add_relation(name, rel).unwrap();
-        }
-        let query: ConjunctiveQuery = "Q(o, t, p) :- R(o, t), S(o, p)".parse().unwrap();
-        let order: Vec<Symbol> = ["o", "t", "p"].into_iter().map(Symbol::new).collect();
-        ServeWriter::new(query, &db, &order, AdmissionPolicy::default()).unwrap()
-    }
-
-    fn live(snap: &Snapshot) -> &LiveValues {
-        snap.live_values
-            .as_ref()
-            .expect("writer-published snapshot")
-    }
-
-    fn sorted(values: &[Value]) -> Vec<Value> {
-        let mut v = values.to_vec();
-        v.sort();
-        v
-    }
-
-    #[test]
-    fn overlay_publishes_share_one_base_value_set() {
-        let _g = lock();
-        let (mut w, idx) = writer();
-        let snap0 = idx.snapshot();
-        let base0 = Arc::clone(&live(&snap0).base);
-        assert_eq!(sorted(&base0), iv(&[1, 2, 11, 21]));
-        assert!(live(&snap0).delta.is_empty());
-
-        // Each overlay shares the base set and adds only the values of the
-        // rows inserted since the fold.
-        let mut b = Batch::new();
-        b.insert("R", iv(&[3, 30])).insert("S", iv(&[3, 9]));
-        w.commit(&b).unwrap();
-        let snap1 = idx.snapshot();
-        assert!(Arc::ptr_eq(&live(&snap1).base, &base0));
-        assert_eq!(sorted(&live(&snap1).delta), iv(&[3, 9, 30]));
-
-        let mut b = Batch::new();
-        b.insert("R", iv(&[4, 40])).delete("S", iv(&[1, 11]));
-        w.commit(&b).unwrap();
-        let snap2 = idx.snapshot();
-        assert!(Arc::ptr_eq(&live(&snap2).base, &base0));
-        assert_eq!(sorted(&live(&snap2).delta), iv(&[3, 4, 9, 30, 40]));
-
-        // The sweep's extra-live list holds the shared base set once, plus
-        // each alive snapshot's own delta values.
-        let retained = w.retained_values();
-        assert_eq!(retained.len(), 3);
-        assert_eq!(
-            retained.iter().filter(|v| Arc::ptr_eq(v, &base0)).count(),
-            1
-        );
-
-        // A fold computes the next base set once; the folded snapshot has
-        // no delta values.
-        w.fold_now().unwrap();
-        let folded = idx.snapshot();
-        assert!(!Arc::ptr_eq(&live(&folded).base, &base0));
-        assert_eq!(
-            sorted(&live(&folded).base),
-            iv(&[1, 2, 3, 4, 9, 11, 21, 30, 40])
-        );
-        assert!(live(&folded).delta.is_empty());
-    }
-
-    #[test]
-    fn recovered_snapshot_carries_no_live_values() {
-        let _g = lock();
-        let dir = std::env::temp_dir().join(format!("rae-serve-live-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let (mut w, _idx) = writer();
-        w.persist_folds_to(&dir);
-        w.fold_now().unwrap();
-        let (recovered, _meta) = ServingIndex::recover(&dir).unwrap();
-        let snap = recovered.snapshot();
-        assert!(snap.live_values.is_none());
-        assert_eq!(snap.count(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

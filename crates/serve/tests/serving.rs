@@ -1,13 +1,13 @@
 //! Integration tests for the serving lifecycle: overlay exactness against
-//! a fold-and-rebuild oracle, concurrent readers under churn, and the
-//! stale-generation (pin/quarantine) regression.
+//! a fold-and-rebuild oracle, concurrent readers under churn, and held
+//! snapshots that keep serving across folds and dictionary sweeps.
 //!
 //! Publishing folds sweep the **process-global** dictionary generation, so
 //! every test serializes on [`lock`] — concurrent sweeps from parallel
 //! tests would stale each other's relations mid-build.
 
 use rae_core::{OrderedCqIndex, RankedScratch, Weight};
-use rae_data::{Database, Relation, Schema, Symbol, Value};
+use rae_data::{dict, Database, Relation, Schema, Symbol, Value};
 use rae_query::ConjunctiveQuery;
 use rae_serve::{enumeration_digest, AdmissionPolicy, Batch, ServeError, ServeWriter};
 use rand::rngs::StdRng;
@@ -524,24 +524,21 @@ fn background_fold_overlaps_with_writes_and_integrates_the_diff() {
     check_snapshot(&idx.snapshot(), &cq, &m);
 }
 
-/// Satellite-3 regression: seeded multi-threaded churn with generation
-/// sweeps while reader threads keep serving *old pinned snapshots*. Before
-/// generation pinning, a sweep could recycle a code slot out from under a
-/// previously published snapshot and the readers would see torn answers;
-/// with the pin + quarantine + extra-live handshake every retained
-/// snapshot keeps serving its exact original answer list.
+/// Seeded multi-threaded churn with a fold (and so a dictionary sweep)
+/// each round while reader threads keep serving an *old held snapshot*.
+/// Snapshots hold ranks into their members' own value tables, so a sweep
+/// that recycles codes underneath them must not change a single answer.
 #[test]
-fn pinned_snapshots_survive_concurrent_generation_sweeps() {
+fn held_snapshots_survive_concurrent_folds() {
     let _g = lock();
     let cq = join_query();
-    let r: Vec<[i64; 2]> = (0..30).map(|o| [o, o + 10]).collect();
+    let r: Vec<[i64; 2]> = (0..30).map(|o| [o, o + 1000]).collect();
     let s: Vec<[i64; 2]> = (0..30).map(|o| [o, o + 500]).collect();
     let db = two_rel_db(&r, &s);
     let (mut w, idx) = ServeWriter::new(cq, &db, &order(), AdmissionPolicy::default()).unwrap();
 
     let snap0 = idx.snapshot();
     let digest0 = snap0.digest();
-    let gen0 = snap0.generation();
     let stop = Arc::new(AtomicBool::new(false));
 
     // Readers hammer the *old* snapshot and the live sequence while the
@@ -556,9 +553,9 @@ fn pinned_snapshots_survive_concurrent_generation_sweeps() {
             let mut reader = idx.reader();
             let mut old_checks = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                // Old pinned snapshot: answers must never change.
+                // Old held snapshot: answers must never change.
                 let k = rng.gen_range(0..old.count());
-                let t = old.ordered_access(k).expect("pinned snapshot rank");
+                let t = old.ordered_access(k).expect("held snapshot rank");
                 assert_eq!(old.ordered_inverted_access(&t), Some(k));
                 old_checks += 1;
                 // Fresh snapshot: internally consistent at every epoch.
@@ -575,12 +572,12 @@ fn pinned_snapshots_survive_concurrent_generation_sweeps() {
     }
 
     // Writer: delete/insert churn with a fold (= dictionary sweep) each
-    // round. Every round retires distinct string values so the sweep has
-    // real garbage to reclaim — and must quarantine, not recycle, the
-    // slots the pinned snapshot still dereferences.
+    // round. Each deleted row's `t` (`round + 1000`) is used by no other
+    // row, so the fold sweeps a value the old snapshot still serves, and
+    // the next round's fresh strings may recycle its code.
     for round in 0..6i64 {
         let mut b = Batch::new();
-        b.delete("R", iv(&[round, round + 10]))
+        b.delete("R", iv(&[round, round + 1000]))
             .insert(
                 "R",
                 vec![Value::Int(round + 100), Value::str(format!("t{round}"))],
@@ -590,9 +587,10 @@ fn pinned_snapshots_survive_concurrent_generation_sweeps() {
                 vec![Value::Int(round + 100), Value::str(format!("p{round}"))],
             );
         w.commit(&b).unwrap();
+        let before = dict::current_generation();
         w.fold_now().unwrap();
         assert!(
-            idx.snapshot().generation() > gen0,
+            dict::current_generation() > before,
             "fold must advance the generation"
         );
     }
@@ -602,14 +600,9 @@ fn pinned_snapshots_survive_concurrent_generation_sweeps() {
         let old_checks = h.join().expect("reader panicked");
         assert!(old_checks > 0);
     }
-    // After all that churn the pinned snapshot still serves its original
+    // After all that churn the held snapshot still serves its original
     // answers, byte for byte.
     assert_eq!(snap0.digest(), digest0);
-    assert!(rae_data::dict::pinned_generation_count() >= 1);
-    drop(snap0);
-    // With the pin gone, the next sweep may release the quarantine.
-    w.fold_now().unwrap();
-    let _ = rae_data::dict::quarantined_slot_count();
 }
 
 #[test]
@@ -681,13 +674,14 @@ fn concurrent_readers_see_monotone_epochs_under_churn() {
     assert!(w.epoch() >= 60);
 }
 
-/// Pins an overlay snapshot whose base and delta both hold values the next
-/// fold drops, runs `fold`, and checks that every rank of the pinned
-/// snapshot still round-trips (access → inverted access) after the fold's
-/// dictionary sweep. Inverted access resolves answer values through the
-/// dictionary, so a value missing from the sweep's live set would make
-/// its answers unfindable.
-fn pinned_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
+/// Holds an overlay snapshot whose base and delta both hold values the next
+/// fold drops, runs `fold`, and checks that every rank of the held snapshot
+/// still round-trips (access → inverted access) after the fold's dictionary
+/// sweep, with its delta answer and its tombstone intact. Access and
+/// inverted access resolve values through each member's own value table,
+/// so the sweep may free and recycle every code the snapshot's values once
+/// had without changing an answer.
+fn held_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
     let cq = join_query();
     let row = |o: i64, tag: &str| vec![Value::Int(o), Value::str(format!("{tag}{o}"))];
     let mut db = Database::new();
@@ -701,17 +695,20 @@ fn pinned_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
     }
     let (mut w, idx) = ServeWriter::new(cq, &db, &order(), AdmissionPolicy::default()).unwrap();
 
-    // The pinned overlay: one delta answer (o = 100), one tombstone (o = 0).
+    // The held overlay: one delta answer (o = 100), one tombstone (o = 0).
     let mut b = Batch::new();
     b.insert("R", row(100, "dr"))
         .insert("S", row(100, "ds"))
         .delete("R", row(0, "r"));
     w.commit(&b).unwrap();
-    let pinned = idx.snapshot();
-    assert_eq!(pinned.delta_count(), 1);
-    let answers: Vec<Vec<Value>> = (0..pinned.count())
-        .map(|k| pinned.ordered_access(k).unwrap())
+    let held = idx.snapshot();
+    let answers: Vec<Vec<Value>> = (0..held.count())
+        .map(|k| held.ordered_access(k).unwrap())
         .collect();
+    let delta_answer = vec![Value::Int(100), Value::str("dr100"), Value::str("ds100")];
+    let dead_answer = vec![Value::Int(0), Value::str("r0"), Value::str("s0")];
+    assert_eq!(answers.last(), Some(&delta_answer));
+    assert!(!answers.contains(&dead_answer));
 
     // Drop the delta rows and one base answer before the fold, so the
     // folded base holds none of their values.
@@ -721,18 +718,21 @@ fn pinned_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
         .delete("R", row(1, "r"))
         .delete("S", row(1, "s"));
     w.commit(&b).unwrap();
-    let before = idx.snapshot().generation();
+    let before = dict::current_generation();
     fold(&mut w);
-    assert!(idx.snapshot().generation() > before, "the fold must sweep");
+    assert!(dict::current_generation() > before, "the fold must sweep");
     assert_eq!(idx.snapshot().count(), 18);
 
-    assert_eq!(pinned.count(), answers.len() as Weight);
+    assert_eq!(held.count(), answers.len() as Weight);
+    assert_eq!(held.delta_count(), 1);
+    assert_eq!(held.tombstone_count(), 1);
+    assert_eq!(held.ordered_inverted_access(&dead_answer), None);
     let mut scratch = RankedScratch::default();
     for (k, answer) in answers.iter().enumerate() {
         let k = k as Weight;
-        assert_eq!(pinned.ordered_access(k).as_ref(), Some(answer), "rank {k}");
+        assert_eq!(held.ordered_access(k).as_ref(), Some(answer), "rank {k}");
         assert_eq!(
-            pinned.ordered_inverted_access_of(answer, &mut scratch),
+            held.ordered_inverted_access_of(answer, &mut scratch),
             Some(k),
             "rank {k}: {answer:?}"
         );
@@ -740,18 +740,38 @@ fn pinned_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
 }
 
 #[test]
-fn snapshot_pinned_across_fold_now_round_trips_every_rank() {
+fn snapshot_held_across_fold_now_round_trips_every_rank() {
     let _g = lock();
-    pinned_overlay_survives_fold(|w| {
+    held_overlay_survives_fold(|w| {
         w.fold_now().unwrap();
     });
 }
 
 #[test]
-fn snapshot_pinned_across_background_fold_round_trips_every_rank() {
+fn snapshot_held_across_background_fold_round_trips_every_rank() {
     let _g = lock();
-    pinned_overlay_survives_fold(|w| {
+    held_overlay_survives_fold(|w| {
         w.begin_fold().unwrap();
         assert!(w.finish_fold().unwrap());
+    });
+}
+
+/// A fold, then a sweep that keeps nothing live: every code the held
+/// snapshot's values ever had is freed, and fresh interns recycle them.
+#[test]
+fn snapshot_held_across_empty_live_sweep_round_trips_every_rank() {
+    let _g = lock();
+    held_overlay_survives_fold(|w| {
+        w.fold_now().unwrap();
+        dict::advance_generation(std::iter::empty());
+        let freed = dict::free_slot_count();
+        assert!(freed > 0, "the sweep must free the snapshot's codes");
+        for i in 0..freed {
+            dict::intern(&Value::str(format!("recycled-{i}"))).unwrap();
+        }
+        assert!(
+            dict::free_slot_count() < freed,
+            "fresh interns must recycle the freed slots"
+        );
     });
 }
