@@ -46,17 +46,6 @@ pub enum CoreError {
         /// The observed count (`usize::MAX` ⇒ u128 rank-space overflow).
         count: usize,
     },
-    /// A build was handed relations encoded against a dictionary
-    /// generation that has since been advanced: their codes may have been
-    /// recycled, so grouping rows by code would be unsound. Rehydrate the
-    /// relations (or rebuild from the database) and retry. A built index
-    /// holds no codes and never reports this.
-    StaleGeneration {
-        /// Generation the stale relations were encoded against.
-        built: u64,
-        /// The dictionary's current generation.
-        current: u64,
-    },
     /// A build path panicked (a bug, an injected chaos fault, or a worker
     /// thread dying) and the panic was converted to an error at the build
     /// boundary. Builds consume owned relation copies, so the source
@@ -85,8 +74,6 @@ impl rae_faults::Transient for CoreError {
     fn is_transient(&self) -> bool {
         match self {
             CoreError::Query(e) => e.is_transient(),
-            // A sweep raced the build/access; rehydrate + rebuild succeeds.
-            CoreError::StaleGeneration { .. } => true,
             // Injected chaos and caught panics: the retry path is the test.
             CoreError::FaultInjected { .. } | CoreError::BuildPanicked { .. } => true,
             // Structural and capacity errors recur on retry.
@@ -160,11 +147,6 @@ impl fmt::Display for CoreError {
                     )
                 }
             }
-            CoreError::StaleGeneration { built, current } => write!(
-                f,
-                "index was built against dictionary generation {built}, but the \
-                 dictionary is at generation {current}; rebuild the index"
-            ),
             CoreError::BuildPanicked { context, message } => {
                 write!(f, "panic caught at build boundary {context}: {message}")
             }
@@ -258,16 +240,5 @@ mod tests {
         }
         let msg = ensure_u32("rows", over).unwrap_err().to_string();
         assert!(msg.contains("u32"), "message should name the id space");
-    }
-
-    #[test]
-    fn stale_generation_error_reports_both_generations() {
-        let e = CoreError::StaleGeneration {
-            built: 3,
-            current: 5,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains('3') && msg.contains('5'));
-        assert!(std::error::Error::source(&e).is_none());
     }
 }

@@ -36,7 +36,7 @@ use crate::scratch::AccessScratch;
 use crate::value_table::{RankIndex, ValueTable};
 use crate::weight::{checked_product, split_index, Weight};
 use crate::Result;
-use rae_data::{dict, CodeKeyMap, Database, Relation, SortAlgorithm, Symbol, Value, ValueCode};
+use rae_data::{CodeKeyMap, Database, Relation, SortAlgorithm, Symbol, Value, ValueCode};
 use rae_faults::{degrade, fail_point};
 use rae_query::{ConjunctiveQuery, QueryError, TreePlan};
 use rae_yannakakis::{full_reduce, reduce_to_full_acyclic_with, ReduceOptions};
@@ -197,7 +197,7 @@ pub struct CqIndex {
     root_totals: Vec<Weight>,
     total: Weight,
     /// The index's distinct values in value order; node rows are ranks into
-    /// it, so no read consults the process-global dictionary.
+    /// it, so no read consults a dictionary.
     values: ValueTable,
     /// Lazily built value → rank hash index over `values`, for inverted
     /// access (built with the row tables, see
@@ -271,12 +271,13 @@ impl CqIndex {
     /// consistency witness ([`Relation::mark_consistent`]), as the output of
     /// `reduce_to_full_acyclic` does. Any input is therefore accepted: the
     /// mc-UCQ builder passes intersected relations, which carry no witness
-    /// and are reduced here.
+    /// and are reduced here, and relations from different dictionaries are
+    /// put on one ([`Relation::share_dictionary`]).
     ///
     /// The produced index is byte-identical for every option combination.
     /// The build is transactional: it consumes owned relations, so on any
     /// error — injected fault, or a panic caught at this boundary — the
-    /// source `Database` and the dictionary are observably unchanged.
+    /// source `Database` is observably unchanged.
     pub fn from_parts_with(
         plan: TreePlan,
         relations: Vec<Relation>,
@@ -349,20 +350,11 @@ impl CqIndex {
         );
         validate_head(&plan, &head)?;
 
-        // Code-based preprocessing over a stale mirror would group rows by
-        // recycled codes; refuse up front (recoverable). Only the build reads
-        // codes: it ends by remapping them to ranks into the index's own
-        // value table, so a later sweep cannot affect the built index.
-        let generation = dict::current_generation();
-        for rel in &relations {
-            let coded = rel.arity() != 0 && !rel.codes().is_empty();
-            if coded && rel.generation() != generation {
-                return Err(CoreError::StaleGeneration {
-                    built: rel.generation(),
-                    current: generation,
-                });
-            }
-        }
+        // Code-based preprocessing compares codes across relations: put
+        // relations from different dictionaries on one first. Only the
+        // build reads codes: it ends by remapping them to ranks into the
+        // index's own value table.
+        Relation::share_dictionary(&mut relations)?;
 
         // Serial below the parallel-worthwhile floor (also keeps unit-test
         // workloads from spawning threads for micro relations).
@@ -1903,7 +1895,8 @@ mod tests {
         let empty = built(&cq, &db);
         assert_eq!(empty.count_via_access(), 0);
         // Singleton.
-        db.set_relation("R", rel_int(&["a", "b"], &[&[1, 2]]));
+        db.set_relation("R", rel_int(&["a", "b"], &[&[1, 2]]))
+            .unwrap();
         let mut db1 = Database::new();
         add(&mut db1, "R", rel_int(&["a", "b"], &[&[1, 2]]));
         let one = built(&cq, &db1);

@@ -555,7 +555,7 @@ mod tests {
     #[test]
     fn empty_members_are_fine() {
         let mut db = db3();
-        db.set_relation("S", rel_int(&["a", "b"], &[]));
+        db.set_relation("S", rel_int(&["a", "b"], &[])).unwrap();
         check_against_reference("Q1(x, y) :- R(x, y). Q2(x, y) :- S(x, y).", &db);
     }
 

@@ -10,8 +10,8 @@
 //!
 //! The archive stores the same table, so a cold start checks that each half
 //! is strictly increasing and adopts it: the integer column stays a
-//! zero-copy view into a snapshot, and no value goes through the
-//! process-global dictionary.
+//! zero-copy view into a snapshot, and no value goes through a
+//! dictionary.
 
 use crate::column::Col;
 use rae_data::fxhash::FxHasher;

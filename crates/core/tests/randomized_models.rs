@@ -4,11 +4,7 @@
 //! `CqSequential::next_ref`) against their allocating counterparts over
 //! randomized acyclic instances, and differential checks of `CqIndex` /
 //! `McUcqIndex` / `UcqShuffle` against the naive evaluator across relation
-//! drop/re-ingest cycles.
-//!
-//! Nothing here advances the dictionary generation (drop/re-ingest without
-//! a sweep only grows the dictionary), so these tests are safe to run in
-//! parallel; sweep-crossing differentials live in the serialized
+//! drop/re-ingest cycles. Compaction-crossing differentials live in the
 //! `generation_lifecycle` suite.
 
 use proptest::prelude::*;
@@ -249,8 +245,7 @@ proptest! {
             sorted.dedup();
             prop_assert_eq!(sorted.len(), expected.len(), "phase {}: UcqShuffle set", phase);
 
-            // Drop both relations and re-ingest the second cohort (no
-            // sweep: append-only growth keeps parallel tests safe).
+            // Drop both relations and re-ingest the second cohort.
             db.remove_relation("R").unwrap();
             db.remove_relation("S").unwrap();
             db.add_relation("R", edge_relation(&r2)).unwrap();

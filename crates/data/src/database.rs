@@ -1,78 +1,81 @@
-//! Named collections of relations, plus the relation lifecycle driver
-//! (drop, re-ingest, dictionary-generation advance).
+//! Named collections of relations sharing one value dictionary, plus the
+//! dictionary's compaction under drop/re-ingest churn.
 
-use crate::dict::{self, Generation};
+use crate::dict::Dictionary;
 use crate::error::DataError;
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
 use crate::symbol::Symbol;
 use crate::Result;
 use std::fmt;
+use std::sync::Arc;
 
-/// A database: a mapping from relation symbols to relations.
+/// A database: a mapping from relation symbols to relations, all encoded
+/// in the database's own [`Dictionary`]. Clones share the dictionary.
 #[derive(Clone, Default)]
 pub struct Database {
     relations: FxHashMap<Symbol, Relation>,
+    dict: Arc<Dictionary>,
 }
 
 impl Database {
-    /// Creates an empty database.
+    /// Creates an empty database with an empty dictionary.
     pub fn new() -> Self {
         Database::default()
     }
 
-    /// Registers `rel` under `name`, rejecting duplicates.
+    /// The dictionary every relation of this database is encoded in. Build
+    /// relations straight into it with [`Relation::new_in`].
+    pub fn dictionary(&self) -> &Arc<Dictionary> {
+        &self.dict
+    }
+
+    /// Registers `rel` under `name`, rejecting duplicates. A relation from
+    /// another dictionary is re-encoded in this database's.
     pub fn add_relation(&mut self, name: impl Into<Symbol>, rel: Relation) -> Result<()> {
         let name = name.into();
         if self.relations.contains_key(&name) {
             return Err(DataError::DuplicateRelation(name));
         }
-        self.relations.insert(name, rel);
-        Ok(())
+        self.set_relation(name, rel)
     }
 
-    /// Registers or replaces `rel` under `name`.
-    pub fn set_relation(&mut self, name: impl Into<Symbol>, rel: Relation) {
+    /// Registers or replaces `rel` under `name`. A relation from another
+    /// dictionary is re-encoded in this database's.
+    pub fn set_relation(&mut self, name: impl Into<Symbol>, mut rel: Relation) -> Result<()> {
+        rel.encode_into(&self.dict)?;
         self.relations.insert(name.into(), rel);
+        Ok(())
     }
 
     /// Drops the relation named `name`, returning it.
     ///
-    /// Dropping alone does **not** reclaim dictionary codes — the dropped
-    /// relation's values stay interned until the next
-    /// [`Database::advance_generation`] sweep excludes them from the live
-    /// set. This is the first half of the drop/re-ingest churn cycle.
+    /// Its values stay in the dictionary; [`Database::compact_dictionary`]
+    /// drops the values no remaining relation uses.
     pub fn remove_relation(&mut self, name: &str) -> Result<Relation> {
         self.relations
             .remove(name)
             .ok_or_else(|| DataError::UnknownRelation(Symbol::new(name)))
     }
 
-    /// Advances the process-wide dictionary generation with **this
-    /// database's** values as the live set, reclaiming the codes of every
-    /// value that only dropped relations used. Returns the new generation.
-    ///
-    /// All relations registered here are rehydrated/re-stamped, so the
-    /// database is fully current afterwards; their codes do not change
-    /// (sweep survivors are never remapped). Any *other* relation in the
-    /// process — other databases and standalone clones — becomes stale and
-    /// must be rehydrated before code-based use (stale use is detected, not
-    /// silently wrong). Built indexes are unaffected: they hold ranks into
-    /// their own value tables, so the sweep only bounds dictionary memory.
-    pub fn advance_generation(&mut self) -> Result<Generation> {
-        // Stale relations must be re-encoded *before* the sweep so the live
-        // set is computed against mirrors that match current codes.
-        for rel in self.relations.values_mut() {
-            if !rel.is_current() {
-                rel.rehydrate()?;
-            }
+    /// Re-encodes every relation in a fresh dictionary that holds only
+    /// their values, and makes it this database's. This is how a
+    /// long-lived database bounds its dictionary under drop/re-ingest
+    /// churn. Relations, clones and databases still holding the old
+    /// dictionary keep it alive and stay valid; built indexes hold ranks
+    /// into their own value tables and never read a dictionary. On error
+    /// the database is unchanged.
+    pub fn compact_dictionary(&mut self) -> Result<()> {
+        let fresh = Arc::new(Dictionary::new());
+        let mut compacted = FxHashMap::default();
+        for (name, rel) in &self.relations {
+            let mut rel = rel.clone();
+            rel.encode_into(&fresh)?;
+            compacted.insert(name.clone(), rel);
         }
-        let generation =
-            dict::advance_generation(self.relations.values().flat_map(Relation::values));
-        for rel in self.relations.values_mut() {
-            rel.stamp_generation(generation);
-        }
-        Ok(generation)
+        self.relations = compacted;
+        self.dict = fresh;
+        Ok(())
     }
 
     /// Fetches a relation by name.
@@ -160,7 +163,7 @@ mod tests {
             Err(DataError::DuplicateRelation(_))
         ));
         // set_relation overwrites without error.
-        db.set_relation("R", sample_rel());
+        db.set_relation("R", sample_rel()).unwrap();
     }
 
     #[test]

@@ -28,27 +28,9 @@ pub enum DataError {
     },
     /// Registering a relation under a name already in use.
     DuplicateRelation(Symbol),
-    /// The global value dictionary ran out of `u32` codes (a shard exhausted
-    /// its slot space of 2^28 − 1 simultaneously live values).
+    /// A value dictionary ran out of `u32` codes (a shard exhausted its slot
+    /// space of 2^28 − 1 values).
     DictionaryFull,
-    /// A relation's code mirror was encoded against an older dictionary
-    /// generation than the current one; a sweep may have recycled its codes,
-    /// so code-based operations would be unsound. Rehydrate first
-    /// ([`crate::Relation::rehydrate`]).
-    StaleGeneration {
-        /// Generation the relation's mirror was encoded against.
-        relation: u64,
-        /// The dictionary's current generation.
-        dictionary: u64,
-    },
-    /// Two relations encoded against different dictionary generations were
-    /// combined in a code-based operation (their codes are incomparable).
-    GenerationMismatch {
-        /// Generation of the left operand.
-        left: u64,
-        /// Generation of the right operand.
-        right: u64,
-    },
     /// A deterministic fault fired at the named failpoint (only reachable
     /// under the `failpoints` feature of `rae-faults`). Always transient:
     /// the chaos harness retries these.
@@ -78,8 +60,6 @@ pub enum DataError {
 impl rae_faults::Transient for DataError {
     fn is_transient(&self) -> bool {
         match self {
-            // A sweep raced the operation; rehydrate and retry.
-            DataError::StaleGeneration { .. } | DataError::GenerationMismatch { .. } => true,
             // Injected chaos and worker panics: the retry path is the test.
             DataError::FaultInjected { .. } | DataError::WorkerPanicked { .. } => true,
             // Schema/shape errors and slot exhaustion recur on retry.
@@ -125,19 +105,6 @@ impl fmt::Display for DataError {
             DataError::DictionaryFull => {
                 write!(f, "value dictionary exhausted its u32 code space")
             }
-            DataError::StaleGeneration {
-                relation,
-                dictionary,
-            } => write!(
-                f,
-                "relation was encoded against dictionary generation {relation}, \
-                 but the dictionary is at generation {dictionary}; rehydrate before use"
-            ),
-            DataError::GenerationMismatch { left, right } => write!(
-                f,
-                "cannot combine relations from dictionary generations {left} and {right}; \
-                 their codes are incomparable"
-            ),
             DataError::FaultInjected { site } => {
                 write!(f, "injected fault at failpoint `{site}`")
             }

@@ -16,19 +16,21 @@
 //! (query classification, Yannakakis reduction, the enumeration indexes of
 //! the paper) operate on these types.
 //!
-//! Every stored value is additionally *dictionary encoded* through the
-//! process-wide interner in [`dict`]: relations maintain a flat `u32` code
-//! mirror of their rows ([`Relation::row_codes`]), and the borrowed-slice
-//! hash map [`CodeKeyMap`] lets joins, bucket keys, and inverted-access
-//! probes run entirely on integer codes with zero per-probe allocation.
+//! Every stored value is additionally *dictionary encoded*: relations
+//! maintain a flat `u32` code mirror of their rows
+//! ([`Relation::row_codes`]), and the borrowed-slice hash map
+//! [`CodeKeyMap`] lets joins, bucket keys, and semijoin probes run entirely
+//! on integer codes with zero per-probe allocation.
 //!
-//! The dictionary is **sharded** (parallel ingest interns disjoint shards
-//! without lock contention) and **generational**: dropping relations and
-//! calling [`Database::advance_generation`] reclaims the codes of values no
-//! live relation uses, bounding dictionary memory across drop/re-ingest
-//! churn. Relations record the generation their mirror was encoded against;
-//! stale mirrors are detected ([`DataError::StaleGeneration`]) and repaired
-//! with [`Relation::rehydrate`]. See `dict`'s module docs and DESIGN.md §9.
+//! Each [`Database`] owns one append-only [`Dictionary`], shared by `Arc`
+//! with the relations it encodes; codes are comparable only within one
+//! dictionary, and a relation from another is re-encoded
+//! ([`Relation::encode_into`]) where relations meet. The dictionary is
+//! **sharded** (parallel ingest interns disjoint shards without lock
+//! contention). Nothing is ever recycled, so nothing can go stale; a
+//! churning database bounds its dictionary with
+//! [`Database::compact_dictionary`]. See `dict`'s module docs and DESIGN.md
+//! §9.
 //!
 //! The hash maps exported from [`fxhash`] use a small hand-rolled FxHash
 //! implementation (the classic Firefox/rustc hash) because hashing tuples of
@@ -50,7 +52,7 @@ pub mod weights;
 
 pub use codemap::CodeKeyMap;
 pub use database::Database;
-pub use dict::{Generation, ValueCode};
+pub use dict::{Dictionary, ValueCode};
 pub use error::DataError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use relation::{key_of, Relation, RowKey};

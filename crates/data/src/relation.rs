@@ -1,18 +1,17 @@
 //! Flat, row-major relations with a dictionary-encoded code mirror.
 //!
-//! Every relation records the dictionary [`Generation`] its mirror was
-//! encoded against. After [`dict::advance_generation`] recycles codes, a
-//! relation from an older generation is *stale*: its mirror may hold codes
-//! that now mean different values, so code-based operations on it are
-//! detected and refused ([`DataError::StaleGeneration`]) until
-//! [`Relation::rehydrate`] re-encodes the mirror.
+//! Every relation holds the [`Dictionary`] its codes belong to. Codes of
+//! two relations are comparable only when they share one; operations that
+//! combine relations re-encode an operand from another dictionary with
+//! [`Relation::encode_into`] first.
 
-use crate::dict::{self, Generation, ValueCode};
+use crate::dict::{Dictionary, ValueCode};
 use crate::error::DataError;
 use crate::schema::Schema;
 use crate::sort::{self, SortAlgorithm, RADIX_MIN_ROWS};
 use crate::value::Value;
 use crate::Result;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -35,18 +34,20 @@ pub fn key_of(row: &[Value], cols: &[usize]) -> RowKey {
 /// need sets use [`Relation::sort_dedup`] (the Yannakakis layer always does).
 ///
 /// Alongside the `Value` storage, every relation maintains a flat `u32`
-/// mirror of dictionary codes (one per value, via [`crate::dict`]), kept in
-/// lockstep by every mutation. Code equality is value equality, so hash
-/// probes on the hot path ([`crate::CodeKeyMap`]) run on borrowed
-/// `&[u32]` slices instead of owned `Box<[Value]>` keys.
+/// mirror of dictionary codes (one per value, issued by its
+/// [`Dictionary`]), kept in lockstep by every mutation. Code equality is
+/// value equality, so hash probes on the hot path ([`crate::CodeKeyMap`])
+/// run on borrowed `&[u32]` slices instead of owned `Box<[Value]>` keys.
 #[derive(Clone)]
 pub struct Relation {
     schema: Schema,
     data: Vec<Value>,
     /// Dictionary-code mirror of `data` (same length, same layout).
     codes: Vec<ValueCode>,
-    /// Dictionary generation the mirror was encoded against.
-    generation: Generation,
+    /// The dictionary that issued `codes`. `None` until the first coded
+    /// row: an empty or arity-0 relation needs none, so placeholders
+    /// allocate nothing.
+    dict: Option<Arc<Dictionary>>,
     /// Sort fingerprint: `Some(key_cols)` when the rows are currently in
     /// `(key_cols, full row)` value order (`Some([])` ⇒ full-row order).
     /// Lets downstream passes skip redundant re-sorts; invalidated by any
@@ -65,8 +66,8 @@ impl Default for Relation {
     }
 }
 
-/// Equality is value equality: the code mirror is derived state and the
-/// generation stamp and consistency witness are lifecycle metadata, so none
+/// Equality is value equality: the code mirror and its dictionary are
+/// derived state and the consistency witness is lifecycle metadata, so none
 /// of them participates.
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
@@ -77,15 +78,27 @@ impl PartialEq for Relation {
 impl Eq for Relation {}
 
 impl Relation {
-    /// Creates an empty relation with the given schema.
+    /// Creates an empty relation with the given schema. Its first coded
+    /// row gives it a dictionary of its own; use [`Relation::new_in`] to
+    /// build straight into a database's dictionary instead.
     pub fn new(schema: Schema) -> Self {
         Relation {
             schema,
             data: Vec::new(),
             codes: Vec::new(),
-            generation: dict::current_generation(),
+            dict: None,
             sorted_by: None,
             witness: None,
+        }
+    }
+
+    /// Creates an empty relation whose rows are encoded in `dict` (for
+    /// example [`crate::Database::dictionary`], so registering the relation
+    /// needs no re-encoding).
+    pub fn new_in(schema: Schema, dict: &Arc<Dictionary>) -> Self {
+        Relation {
+            dict: Some(Arc::clone(dict)),
+            ..Relation::new(schema)
         }
     }
 
@@ -175,60 +188,78 @@ impl Relation {
         &self.codes
     }
 
-    /// The dictionary generation the code mirror was encoded against.
+    /// The dictionary that issued this relation's codes (`None` while it
+    /// holds no coded row).
     #[inline]
-    pub fn generation(&self) -> Generation {
-        self.generation
+    pub fn dictionary(&self) -> Option<&Arc<Dictionary>> {
+        self.dict.as_ref()
     }
 
-    /// Whether the code mirror is valid against the current dictionary
-    /// generation. Relations without dictionary-encoded rows (empty, or
-    /// arity 0, whose sentinel codes never touch the dictionary) are
-    /// trivially current.
-    #[inline]
-    pub fn is_current(&self) -> bool {
-        self.arity() == 0 || self.codes.is_empty() || self.generation == dict::current_generation()
-    }
-
-    /// Errors with [`DataError::StaleGeneration`] unless the mirror is
-    /// current (see [`Relation::is_current`]).
-    pub fn verify_current(&self) -> Result<()> {
-        if self.is_current() {
-            Ok(())
-        } else {
-            Err(DataError::StaleGeneration {
-                relation: self.generation,
-                dictionary: dict::current_generation(),
-            })
+    /// Whether the codes of `self` and `other` are comparable: they share
+    /// one dictionary, or one of them holds no codes at all.
+    pub fn shares_dictionary_with(&self, other: &Relation) -> bool {
+        match (&self.dict, &other.dict) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || !self.is_coded() || !other.is_coded(),
+            _ => true,
         }
     }
 
-    /// Re-encodes the code mirror against the current dictionary generation,
-    /// re-interning every value. After a sweep this is how a stale relation
-    /// (one whose values were not in the live set) becomes usable again.
-    pub fn rehydrate(&mut self) -> Result<()> {
-        rae_faults::fail_point!("relation/rehydrate", |site| Err(DataError::FaultInjected {
-            site
-        }));
-        // Record the generation before interning: if a sweep lands mid-way,
-        // the stamp stays behind the new generation and the relation reads
-        // as stale rather than silently mixed.
-        let generation = dict::current_generation();
-        if self.arity() != 0 {
-            for (slot, value) in self.data.iter().enumerate() {
-                self.codes[slot] = dict::intern(value)?;
-            }
+    /// Whether any stored value carries a dictionary code (arity-0 rows are
+    /// sentinels and carry none).
+    #[inline]
+    fn is_coded(&self) -> bool {
+        self.arity() != 0 && !self.data.is_empty()
+    }
+
+    /// Re-encodes the code mirror in `dict` (interning every value) and
+    /// makes `dict` this relation's dictionary. A no-op when `dict` already
+    /// is. On error the relation is unchanged. Values, row order, the sort
+    /// fingerprint and the consistency witness are unaffected.
+    pub fn encode_into(&mut self, dict: &Arc<Dictionary>) -> Result<()> {
+        if self.dict.as_ref().is_some_and(|d| Arc::ptr_eq(d, dict)) {
+            return Ok(());
         }
-        self.generation = generation;
+        if self.is_coded() {
+            self.codes = self
+                .data
+                .iter()
+                .map(|v| dict.intern(v))
+                .collect::<Result<_>>()?;
+        }
+        self.dict = Some(Arc::clone(dict));
         Ok(())
     }
 
-    /// Re-stamps the generation without re-encoding. Only sound when every
-    /// value of this relation was in the live set of the sweep that produced
-    /// `generation` (survivor codes are never remapped) — the database
-    /// lifecycle driver guarantees exactly that.
-    pub(crate) fn stamp_generation(&mut self, generation: Generation) {
-        self.generation = generation;
+    /// `self` with codes comparable to `other`'s: borrowed when they
+    /// already share a dictionary, else a copy re-encoded in `other`'s.
+    pub fn encoded_like(&self, other: &Relation) -> Result<Cow<'_, Relation>> {
+        match &other.dict {
+            Some(dict) if !self.shares_dictionary_with(other) => {
+                let mut copy = self.clone();
+                copy.encode_into(dict)?;
+                Ok(Cow::Owned(copy))
+            }
+            _ => Ok(Cow::Borrowed(self)),
+        }
+    }
+
+    /// Puts every relation of `relations` on one dictionary, so their codes
+    /// are comparable: the dictionary of the relation with the most values
+    /// is kept and the others are re-encoded in it. A no-op when they
+    /// already share one.
+    pub fn share_dictionary(relations: &mut [Relation]) -> Result<()> {
+        let Some(dict) = relations
+            .iter()
+            .filter(|r| r.is_coded())
+            .max_by_key(|r| r.data.len())
+            .and_then(|r| r.dict.clone())
+        else {
+            return Ok(());
+        };
+        for rel in relations.iter_mut().filter(|r| r.is_coded()) {
+            rel.encode_into(&dict)?;
+        }
+        Ok(())
     }
 
     /// Stamps one fresh consistency witness on every relation of
@@ -240,7 +271,7 @@ impl Relation {
     ///
     /// The witness survives exactly the operations that keep a consistent
     /// set consistent: `clone`, [`Relation::sort_dedup`],
-    /// [`Relation::sort_by_key_then_row`], [`Relation::rehydrate`], and
+    /// [`Relation::sort_by_key_then_row`], [`Relation::encode_into`], and
     /// [`Relation::select_project`] with no selection and no renamed
     /// column (a projection of a consistent set is consistent under any
     /// join tree of the projected bags; DESIGN.md §3). Adding rows
@@ -271,17 +302,6 @@ impl Relation {
         self.witness = None;
     }
 
-    /// Iterator over every stored value (row-major). Arity-0 relations
-    /// yield nothing: their storage holds sentinels, not dictionary values.
-    pub fn values(&self) -> impl Iterator<Item = &Value> + '_ {
-        let take = if self.arity() == 0 {
-            0
-        } else {
-            self.data.len()
-        };
-        self.data[..take].iter()
-    }
-
     /// Appends a row, validating arity.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.arity() {
@@ -298,22 +318,10 @@ impl Relation {
             self.data.push(Value::Int(0));
             self.codes.push(0);
         } else {
-            let current = dict::current_generation();
-            if self.codes.is_empty() {
-                // First coded row (re)binds the relation to the current
-                // generation.
-                self.generation = current;
-            } else if self.generation != current {
-                // Mixing codes from two generations would make the mirror
-                // internally inconsistent; the caller must rehydrate first.
-                return Err(DataError::StaleGeneration {
-                    relation: self.generation,
-                    dictionary: current,
-                });
-            }
+            let dict = self.dict.get_or_insert_with(Default::default);
             let start = self.codes.len();
             for v in &row {
-                match dict::intern(v) {
+                match dict.intern(v) {
                     Ok(c) => self.codes.push(c),
                     Err(e) => {
                         self.codes.truncate(start);
@@ -572,8 +580,8 @@ impl Relation {
     /// projects them onto `cols` (in that order) under `attrs`. No dedup.
     ///
     /// Values are cloned and codes copied from the mirror; nothing is
-    /// re-interned. The result carries this relation's generation, so
-    /// `const_codes` must be codes of that generation. Filtering keeps row
+    /// re-interned. The result shares this relation's dictionary, so
+    /// `const_codes` must be codes of that dictionary. Filtering keeps row
     /// order: a schema-prefix projection of a relation in full-row order is
     /// itself in full-row order and keeps that fingerprint, which turns a
     /// following [`Relation::sort_dedup`] into one linear dedup pass. A
@@ -624,6 +632,7 @@ impl Relation {
                 .zip(attrs.attrs())
                 .all(|(&c, a)| self.schema.attrs().get(c) == Some(a));
         let mut out = Relation::new(attrs);
+        out.dict.clone_from(&self.dict);
         if plain {
             out.witness.clone_from(&self.witness);
         }
@@ -657,15 +666,14 @@ impl Relation {
                 out.codes.push(row_codes[c]);
             }
         }
-        // Copied codes carry the source's generation, not the current one.
-        out.generation = self.generation;
         if width > 0 && Self::is_schema_prefix(cols) && self.is_sorted_by(&[]) {
             out.sorted_by = Some(Box::from(&[][..]));
         }
         Ok(out)
     }
 
-    /// Set intersection with another relation over the same schema.
+    /// Set intersection with another relation over the same schema. An
+    /// operand from another dictionary is re-encoded in this one's first.
     pub fn intersect(&self, other: &Relation) -> Result<Relation> {
         if self.schema != other.schema {
             return Err(DataError::ArityMismatch {
@@ -674,21 +682,12 @@ impl Relation {
                 actual: other.arity(),
             });
         }
-        // Code equality only means value equality within one generation.
-        if self.arity() != 0
-            && !self.is_empty()
-            && !other.is_empty()
-            && self.generation != other.generation
-        {
-            return Err(DataError::GenerationMismatch {
-                left: self.generation,
-                right: other.generation,
-            });
-        }
+        // Code equality only means value equality within one dictionary.
+        let other = other.encoded_like(self)?;
         let (small, large) = if self.len() <= other.len() {
-            (self, other)
+            (self, &*other)
         } else {
-            (other, self)
+            (&*other, self)
         };
         // Membership over dictionary codes: u32-slice hashing, and the probe
         // side borrows straight from the code mirror.
@@ -696,7 +695,7 @@ impl Relation {
             (0..small.len()).map(|i| small.row_codes(i)).collect();
         let mut out = Relation::new(self.schema.clone());
         // Output codes are copied from the operands' mirrors.
-        out.generation = large.generation;
+        out.dict.clone_from(&large.dict);
         let mut seen: crate::FxHashSet<&[ValueCode]> = crate::FxHashSet::default();
         for i in 0..large.len() {
             let codes = large.row_codes(i);
@@ -893,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn witness_survives_clone_sort_rehydrate_and_plain_projection() {
+    fn witness_survives_clone_sort_reencode_and_plain_projection() {
         let (mut a, b) = marked_pair();
         assert!(share(&a, &b));
         assert!(share(&a.clone(), &b));
@@ -901,7 +900,7 @@ mod tests {
         assert!(share(&a, &b));
         a.sort_by_key_then_row(&[1]);
         assert!(share(&a, &b));
-        a.rehydrate().unwrap();
+        a.encode_into(&Arc::new(Dictionary::new())).unwrap();
         assert!(share(&a, &b));
         // Same names, any column order, no selection.
         let p = a
@@ -932,7 +931,7 @@ mod tests {
         assert!(!share(&kept, &b));
         let i = a.intersect(&a).unwrap();
         assert!(!share(&i, &b));
-        let one = dict::code_of(&Value::Int(1)).unwrap();
+        let one = a.dictionary().unwrap().code_of(&Value::Int(1)).unwrap();
         let schema = || Schema::new(["x", "y"]).unwrap();
         let selected = a
             .select_project(&[(1, one)], &[], &[0, 1], schema())

@@ -95,7 +95,7 @@ impl SortScratch {
         );
 
         // Pass 1: dense ids. Within one relation a code always denotes one
-        // value (the mirror is encoded in a single generation), so mapping
+        // value (the mirror is encoded in a single dictionary), so mapping
         // codes — not values — to dense ids is sound and hashes only u32s.
         let SortScratch {
             dense_of_code,
@@ -249,10 +249,8 @@ mod tests {
             .iter()
             .flat_map(|r| r.iter().map(|&v| Value::Int(v)))
             .collect();
-        let codes: Vec<ValueCode> = data
-            .iter()
-            .map(|v| crate::dict::intern(v).unwrap())
-            .collect();
+        let dict = crate::Dictionary::new();
+        let codes: Vec<ValueCode> = data.iter().map(|v| dict.intern(v).unwrap()).collect();
         let mut scratch = SortScratch::default();
         scratch
             .rank_sort_permutation(&data, &codes, arity, key_cols)
@@ -304,10 +302,8 @@ mod tests {
             Value::str("a"),
             Value::Int(-3),
         ];
-        let codes: Vec<ValueCode> = data
-            .iter()
-            .map(|v| crate::dict::intern(v).unwrap())
-            .collect();
+        let dict = crate::Dictionary::new();
+        let codes: Vec<ValueCode> = data.iter().map(|v| dict.intern(v).unwrap()).collect();
         let mut scratch = SortScratch::default();
         let perm = scratch.rank_sort_permutation(&data, &codes, 1, &[]);
         let sorted: Vec<&Value> = perm.iter().map(|&i| &data[i as usize]).collect();

@@ -11,12 +11,14 @@
 //! [`Database`](crate::Database) and run through the same queries as the
 //! synthetic generator. [`write_tbl`] produces the same format.
 
+use crate::dict::Dictionary;
 use crate::error::DataError;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 /// Declared type of a `.tbl` column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,13 +29,20 @@ pub enum ColumnType {
     Text,
 }
 
-/// Parses dbgen-style pipe-separated text into a relation.
+/// Parses dbgen-style pipe-separated text into a relation encoded in
+/// `dict` (typically the target [`Database`](crate::Database)'s
+/// dictionary, so registering it re-encodes nothing).
 ///
 /// * one row per non-empty line,
 /// * fields separated by `|`, with an optional trailing `|`,
 /// * `types.len()` must equal the schema arity; extra fields in a line are
 ///   an error, missing ones too.
-pub fn read_tbl(reader: impl BufRead, schema: Schema, types: &[ColumnType]) -> Result<Relation> {
+pub fn read_tbl(
+    reader: impl BufRead,
+    schema: Schema,
+    types: &[ColumnType],
+    dict: &Arc<Dictionary>,
+) -> Result<Relation> {
     if types.len() != schema.arity() {
         return Err(DataError::ArityMismatch {
             context: "read_tbl column types".into(),
@@ -41,7 +50,7 @@ pub fn read_tbl(reader: impl BufRead, schema: Schema, types: &[ColumnType]) -> R
             actual: types.len(),
         });
     }
-    let mut rel = Relation::new(schema);
+    let mut rel = Relation::new_in(schema, dict);
     for (line_no, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| DataError::ArityMismatch {
             context: format!("I/O error reading line {}: {e}", line_no + 1),
@@ -113,6 +122,7 @@ mod tests {
             input.as_bytes(),
             nation_schema(),
             &[ColumnType::Int, ColumnType::Text, ColumnType::Int],
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(rel.len(), 2);
@@ -127,6 +137,7 @@ mod tests {
             input.as_bytes(),
             nation_schema(),
             &[ColumnType::Int, ColumnType::Text, ColumnType::Int],
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(rel.len(), 2);
@@ -139,6 +150,7 @@ mod tests {
             input.as_bytes(),
             nation_schema(),
             &[ColumnType::Int, ColumnType::Text, ColumnType::Int],
+            &Arc::default(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("line 1"));
@@ -151,13 +163,15 @@ mod tests {
             input.as_bytes(),
             nation_schema(),
             &[ColumnType::Int, ColumnType::Text, ColumnType::Int],
+            &Arc::default(),
         )
         .is_err());
     }
 
     #[test]
     fn rejects_type_arity_mismatch() {
-        assert!(read_tbl("".as_bytes(), nation_schema(), &[ColumnType::Int]).is_err());
+        let dict = Arc::default();
+        assert!(read_tbl("".as_bytes(), nation_schema(), &[ColumnType::Int], &dict).is_err());
     }
 
     #[test]
@@ -176,6 +190,7 @@ mod tests {
             buffer.as_slice(),
             nation_schema(),
             &[ColumnType::Int, ColumnType::Text, ColumnType::Int],
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(back, rel);
@@ -188,6 +203,7 @@ mod tests {
             input.as_bytes(),
             nation_schema(),
             &[ColumnType::Int, ColumnType::Text, ColumnType::Int],
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(rel.row(0)[1], Value::str("SAUDI ARABIA"));

@@ -1,17 +1,13 @@
-//! Generational-dictionary semantics: sweeps, code recycling, relation
-//! staleness, rehydration, and the database lifecycle driver.
+//! One dictionary per database: compaction under churn, relations that
+//! keep an old dictionary alive, re-encoding where relations from two
+//! dictionaries meet, and derived relations inheriting their source's
+//! dictionary.
 //!
-//! Every test here may advance the process-wide dictionary generation, so
-//! the whole file serializes behind one mutex. This binary is its own
-//! process; the append-only unit tests inside `rae-data` never sweep.
+//! Every test owns its databases and dictionaries, so the tests run in
+//! parallel.
 
-use rae_data::{dict, DataError, Database, Relation, Schema, Value};
-use std::sync::{Mutex, MutexGuard};
-
-fn serialized() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use rae_data::{dict, Database, Dictionary, Relation, Schema, Value};
+use std::sync::Arc;
 
 fn rel_of(attrs: &[&str], rows: &[&[Value]]) -> Relation {
     Relation::from_rows(
@@ -21,257 +17,188 @@ fn rel_of(attrs: &[&str], rows: &[&[Value]]) -> Relation {
     .unwrap()
 }
 
-/// Distinct value namespaces per test so sweeps cannot cross-talk even if
-/// the serialization were ever relaxed.
 fn vals(prefix: &str, n: usize) -> Vec<Value> {
     (0..n)
         .map(|i| Value::str(format!("{prefix}-{i}")))
         .collect()
 }
 
-#[test]
-fn sweep_frees_dead_codes_and_keeps_live_ones() {
-    let _guard = serialized();
-    let live = vals("gen-live", 50);
-    let dead = vals("gen-dead", 50);
-    let live_codes: Vec<u32> = live.iter().map(|v| dict::intern(v).unwrap()).collect();
-    for v in &dead {
-        dict::intern(v).unwrap();
-    }
-    let before = dict::current_generation();
-    let after = dict::advance_generation(live.iter());
-    assert_eq!(after, before + 1);
-    assert_eq!(dict::current_generation(), after);
-    // Survivors keep their exact codes; the dead are gone.
-    for (v, &code) in live.iter().zip(&live_codes) {
-        assert_eq!(dict::code_of(v), Some(code), "live value remapped");
-    }
-    for v in &dead {
-        assert_eq!(dict::code_of(v), None, "dead value survived the sweep");
-    }
+fn column(values: &[Value]) -> Relation {
+    rel_of(
+        &["a"],
+        &values.iter().map(std::slice::from_ref).collect::<Vec<_>>(),
+    )
 }
 
-#[test]
-fn freed_codes_are_recycled_not_minted_fresh() {
-    let _guard = serialized();
-    let cohort_a = vals("recycle-a", 200);
-    for v in &cohort_a {
-        dict::intern(v).unwrap();
-    }
-    dict::advance_generation(cohort_a.iter());
-    let high_water = dict::allocated_slot_count();
-
-    // Free cohort A, ingest same-sized cohort B: slots must be reused.
-    dict::advance_generation(std::iter::empty());
-    assert!(dict::free_slot_count() >= 200);
-    let cohort_b = vals("recycle-b", 200);
-    for v in &cohort_b {
-        dict::intern(v).unwrap();
-    }
-    assert!(
-        dict::allocated_slot_count() <= high_water,
-        "cohort B minted fresh slots instead of recycling: {} > {high_water}",
-        dict::allocated_slot_count()
-    );
-    // And recycled codes resolve to the *new* values only.
-    for v in &cohort_a {
-        assert_eq!(dict::code_of(v), None);
-    }
-    for v in &cohort_b {
-        assert!(dict::code_of(v).is_some());
-    }
-}
-
-#[test]
-fn relation_staleness_is_detected_and_rehydration_repairs_it() {
-    let _guard = serialized();
-    let v = vals("rel-stale", 4);
-    let mut rel = rel_of(
-        &["x", "y"],
-        &[&[v[0].clone(), v[1].clone()], &[v[2].clone(), v[3].clone()]],
-    );
-    assert!(rel.is_current());
-    let built_at = rel.generation();
-
-    // Sweep WITHOUT this relation's values: it must read as stale.
-    dict::advance_generation(std::iter::empty());
-    assert!(!rel.is_current());
-    match rel.verify_current() {
-        Err(DataError::StaleGeneration {
-            relation,
-            dictionary,
-        }) => {
-            assert_eq!(relation, built_at);
-            assert_eq!(dictionary, dict::current_generation());
-        }
-        other => panic!("expected StaleGeneration, got {other:?}"),
-    }
-
-    // Mutation on a stale mirror is refused, not silently mixed.
-    assert!(matches!(
-        rel.push_row(vec![v[0].clone(), v[1].clone()]),
-        Err(DataError::StaleGeneration { .. })
-    ));
-
-    // Rehydration re-encodes against the current generation.
-    rel.rehydrate().unwrap();
-    assert!(rel.is_current());
-    assert_eq!(rel.generation(), dict::current_generation());
-    rel.push_row(vec![v[0].clone(), v[1].clone()]).unwrap();
-    assert_eq!(rel.len(), 3);
-    // The mirror matches a fresh encoding of the same values.
+/// Every code of `rel` names its value in `rel`'s own dictionary.
+fn assert_codes_match_values(rel: &Relation) {
+    let dict = rel.dictionary().expect("a coded relation has a dictionary");
     for i in 0..rel.len() {
         for (value, &code) in rel.row(i).iter().zip(rel.row_codes(i)) {
-            assert_eq!(dict::code_of(value), Some(code));
+            assert_eq!(dict.code_of(value), Some(code));
         }
     }
 }
 
 #[test]
-fn database_advance_generation_keeps_own_relations_current() {
-    let _guard = serialized();
-    let keep = vals("db-keep", 6);
-    let drop_ = vals("db-drop", 6);
+fn compaction_keeps_live_values_and_drops_dead_ones() {
+    let live = vals("live", 50);
+    let dead = vals("dead", 200);
     let mut db = Database::new();
-    db.add_relation(
-        "keep",
-        rel_of(
-            &["a"],
-            &[&[keep[0].clone()], &[keep[1].clone()], &[keep[2].clone()]],
-        ),
-    )
-    .unwrap();
-    db.add_relation(
-        "victim",
-        rel_of(&["a"], &[&[drop_[0].clone()], &[drop_[1].clone()]]),
-    )
-    .unwrap();
+    db.add_relation("live", column(&live)).unwrap();
+    db.add_relation("dead", column(&dead)).unwrap();
+    assert_eq!(db.dictionary().len(), 250);
 
-    db.remove_relation("victim").unwrap();
-    let generation = db.advance_generation().unwrap();
-    assert_eq!(generation, dict::current_generation());
+    db.remove_relation("dead").unwrap();
+    let old = Arc::clone(db.dictionary());
+    db.compact_dictionary().unwrap();
 
-    // Kept relation: current, codes intact, values resolvable.
-    let kept = db.relation("keep").unwrap();
-    assert!(kept.is_current());
-    assert_eq!(kept.generation(), generation);
-    for i in 0..kept.len() {
-        assert_eq!(dict::code_of(&kept.row(i)[0]), Some(kept.row_codes(i)[0]));
+    assert!(!Arc::ptr_eq(&old, db.dictionary()));
+    assert_eq!(db.dictionary().len(), live.len());
+    for v in &dead {
+        assert_eq!(db.dictionary().code_of(v), None, "dead value survived");
     }
-    // Dropped relation's exclusive values are reclaimed.
-    assert_eq!(dict::code_of(&drop_[0]), None);
-    assert_eq!(dict::code_of(&drop_[1]), None);
-    // Unused names still error.
-    assert!(matches!(
-        db.remove_relation("victim"),
-        Err(DataError::UnknownRelation(_))
-    ));
+    let kept = db.relation("live").unwrap();
+    assert!(Arc::ptr_eq(kept.dictionary().unwrap(), db.dictionary()));
+    assert_eq!(kept, &column(&live));
+    assert_codes_match_values(kept);
+    // The old dictionary is untouched: nothing is ever recycled.
+    assert_eq!(old.len(), 250);
 }
 
 #[test]
-fn advance_generation_rehydrates_stale_members_first() {
-    let _guard = serialized();
-    let v = vals("db-rehydrate", 4);
+fn compaction_leaves_held_relations_and_clones_valid() {
+    let values = vals("held", 40);
     let mut db = Database::new();
-    db.add_relation("r", rel_of(&["a"], &[&[v[0].clone()], &[v[1].clone()]]))
-        .unwrap();
-    // An outside sweep stales the database's relation.
-    dict::advance_generation(std::iter::empty());
-    assert!(!db.relation("r").unwrap().is_current());
+    db.add_relation("r", column(&values)).unwrap();
+    let held = db.relation("r").unwrap().clone();
+    let snapshot = db.clone();
 
-    // The lifecycle driver must repair it, not bake stale codes into the
-    // live set.
-    db.advance_generation().unwrap();
-    let r = db.relation("r").unwrap();
-    assert!(r.is_current());
-    for i in 0..r.len() {
-        assert_eq!(dict::code_of(&r.row(i)[0]), Some(r.row_codes(i)[0]));
-    }
-}
+    db.remove_relation("r").unwrap();
+    db.compact_dictionary().unwrap();
+    db.add_relation("s", column(&vals("after", 40))).unwrap();
 
-#[test]
-fn cross_generation_intersect_is_refused() {
-    let _guard = serialized();
-    let v = vals("gen-mismatch", 3);
-    let old = rel_of(&["x"], &[&[v[0].clone()], &[v[1].clone()]]);
-    dict::advance_generation(v.iter());
-    // `old` survived the sweep value-wise, but a *new* relation encoded now
-    // carries a newer stamp; combining the two mirrors is refused.
-    let new = rel_of(&["x"], &[&[v[1].clone()], &[v[2].clone()]]);
-    assert_ne!(old.generation(), new.generation());
-    assert!(matches!(
-        old.intersect(&new),
-        Err(DataError::GenerationMismatch { .. })
+    // The clones keep the old dictionary alive, and its codes still name
+    // their values.
+    assert!(Arc::ptr_eq(
+        held.dictionary().unwrap(),
+        snapshot.dictionary()
     ));
-    // Same-generation intersect works after rehydration.
-    let mut old = old;
-    old.rehydrate().unwrap();
-    let i = old.intersect(&new).unwrap();
-    assert_eq!(i.len(), 1);
-    assert!(i.contains_row(&[v[1].clone()]));
+    assert!(!Arc::ptr_eq(held.dictionary().unwrap(), db.dictionary()));
+    assert_codes_match_values(&held);
+    assert_eq!(snapshot.relation("r").unwrap(), &held);
+    // Re-registering the held relation re-encodes it in the live dictionary.
+    db.add_relation("r", held.clone()).unwrap();
+    let back = db.relation("r").unwrap();
+    assert!(Arc::ptr_eq(back.dictionary().unwrap(), db.dictionary()));
+    assert_eq!(back, &held);
+    assert_codes_match_values(back);
 }
 
 #[test]
-fn project_propagates_the_source_generation() {
-    let _guard = serialized();
-    let v = vals("gen-project", 4);
+fn relations_from_two_dictionaries_intersect_by_value() {
+    let shared = vals("both", 8);
+    let mut left = shared.clone();
+    left.extend(vals("left-only", 8));
+    let mut right = vals("right-only", 16);
+    right.extend(shared.iter().cloned());
+    let (a, b) = (column(&left), column(&right));
+    assert!(!a.shares_dictionary_with(&b));
+
+    for (x, y) in [(&a, &b), (&b, &a)] {
+        let mut both = x.intersect(y).unwrap();
+        both.sort_dedup();
+        let mut expected = column(&shared);
+        expected.sort_dedup();
+        assert_eq!(both, expected);
+        assert!(Arc::ptr_eq(
+            both.dictionary().unwrap(),
+            x.dictionary().unwrap()
+        ));
+        assert_codes_match_values(&both);
+    }
+
+    let mut rels = [a.clone(), b.clone()];
+    Relation::share_dictionary(&mut rels).unwrap();
+    assert!(rels[0].shares_dictionary_with(&rels[1]));
+    assert_eq!(rels, [a, b], "re-encoding changes no value");
+    assert_codes_match_values(&rels[0]);
+    assert_codes_match_values(&rels[1]);
+}
+
+#[test]
+fn derived_relations_share_the_source_dictionary() {
+    let v = vals("derived", 6);
     let rel = rel_of(
-        &["x", "y"],
+        &["a", "b"],
         &[&[v[0].clone(), v[1].clone()], &[v[2].clone(), v[3].clone()]],
     );
-    dict::advance_generation(std::iter::empty());
-    // Projection copies stale codes, so it must carry the stale stamp.
-    let p = rel.project(&[0], Schema::new(["x"]).unwrap()).unwrap();
-    assert_eq!(p.generation(), rel.generation());
-    assert!(!p.is_current());
+    let dict = rel.dictionary().unwrap();
+    let p = rel.project(&[1], Schema::new(["b"]).unwrap()).unwrap();
+    assert!(Arc::ptr_eq(p.dictionary().unwrap(), dict));
+    assert_codes_match_values(&p);
+    let code = dict.code_of(&v[0]).unwrap();
+    let selected = rel
+        .select_project(&[(0, code)], &[], &[1], Schema::new(["b"]).unwrap())
+        .unwrap();
+    assert_eq!(selected.len(), 1);
+    assert!(Arc::ptr_eq(selected.dictionary().unwrap(), dict));
+
+    let mut db = Database::new();
+    db.add_relation("r", rel.clone()).unwrap();
+    db.derive_selection("r", "r_first", |row| row[0] == v[0])
+        .unwrap();
+    let derived = db.relation("r_first").unwrap();
+    assert!(Arc::ptr_eq(derived.dictionary().unwrap(), db.dictionary()));
 }
 
 #[test]
-fn empty_and_arity_zero_relations_are_always_current() {
-    let _guard = serialized();
-    let empty = Relation::with_attrs(["a", "b"]).unwrap();
+fn empty_and_arity_zero_relations_hold_no_dictionary() {
+    assert!(Relation::default().dictionary().is_none());
     let mut nullary = Relation::with_attrs(Vec::<&str>::new()).unwrap();
     nullary.push_row(vec![]).unwrap();
-    dict::advance_generation(std::iter::empty());
-    assert!(empty.is_current(), "empty relation has no codes to stale");
-    assert!(nullary.is_current(), "arity-0 codes are sentinels");
-    assert!(empty.verify_current().is_ok());
-    assert!(nullary.verify_current().is_ok());
-    // An empty relation accepts rows again and rebinds to the new
-    // generation.
-    let mut empty = empty;
-    empty
-        .push_row(vec![Value::str("gen-empty-rebind"), Value::Int(1)])
-        .unwrap();
-    assert!(empty.is_current());
+    assert!(nullary.dictionary().is_none(), "arity-0 rows are sentinels");
+    let mut empty = Relation::with_attrs(["a", "b"]).unwrap();
+    assert!(empty.dictionary().is_none());
+    assert!(empty.shares_dictionary_with(&column(&vals("any", 2))));
+
+    // The first coded row brings a dictionary of its own …
+    empty.push_row(vec![Value::Int(1), Value::Int(2)]).unwrap();
+    assert_eq!(empty.dictionary().unwrap().len(), 2);
+    // … unless the relation was built into one.
+    let target = Arc::new(Dictionary::new());
+    let mut into = Relation::new_in(Schema::new(["a"]).unwrap(), &target);
+    into.push_row(vec![Value::Int(9)]).unwrap();
+    assert!(Arc::ptr_eq(into.dictionary().unwrap(), &target));
+    assert_eq!(target.len(), 1);
+}
+
+#[test]
+fn process_counters_cover_every_live_dictionary() {
+    // Other tests intern and drop concurrently, but a live dictionary's
+    // values are always part of the process-wide count.
+    let dict = Dictionary::new();
+    dict.intern_all(&vals("counted", 500), 1).unwrap();
+    assert!(dict::interned_count() >= 500);
+    assert!(dict::allocated_slot_count() >= 500);
 }
 
 #[test]
 fn bounded_growth_across_many_drop_reingest_cycles() {
-    let _guard = serialized();
-    let mut high_water_after_warmup = 0usize;
+    let mut db = Database::new();
+    db.add_relation("dim", column(&vals("dim", 100))).unwrap();
+    let mut high_water = 0usize;
     for cycle in 0..12 {
-        let cohort = vals(&format!("bound-{cycle}"), 300);
-        let mut db = Database::new();
-        db.add_relation(
-            "r",
-            rel_of(
-                &["a"],
-                &cohort.iter().map(std::slice::from_ref).collect::<Vec<_>>(),
-            ),
-        )
-        .unwrap();
-        // Drop everything and sweep: next cycle must reuse these slots.
+        db.add_relation("r", column(&vals(&format!("bound-{cycle}"), 300)))
+            .unwrap();
+        high_water = high_water.max(db.dictionary().len());
+        // Drop the cohort and compact: its values leave the dictionary.
         db.remove_relation("r").unwrap();
-        db.advance_generation().unwrap();
-        if cycle == 1 {
-            high_water_after_warmup = dict::allocated_slot_count();
-        }
+        db.compact_dictionary().unwrap();
+        assert_eq!(db.dictionary().len(), 100, "cycle {cycle}");
     }
-    let final_slots = dict::allocated_slot_count();
-    assert!(
-        final_slots <= high_water_after_warmup + 300,
-        "slot high-water mark grew with cycle count: warm {high_water_after_warmup}, \
-         final {final_slots}"
+    assert_eq!(
+        high_water, 400,
+        "the dictionary holds the dimension and at most one cohort"
     );
 }

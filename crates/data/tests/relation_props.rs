@@ -126,6 +126,7 @@ proptest! {
             buffer.as_slice(),
             Schema::new(["a", "b"]).unwrap(),
             &[ColumnType::Int, ColumnType::Int],
+            &Default::default(),
         )
         .unwrap();
         prop_assert_eq!(back, rel);

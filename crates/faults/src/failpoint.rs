@@ -28,7 +28,7 @@ pub enum FaultKind {
 ///
 /// ```ignore
 /// // Panic-only site (no error channel at this point in the code):
-/// fail_point!("dict/sweep");
+/// fail_point!("dict/shard_write");
 /// // Site with an error channel: the closure's return value becomes the
 /// // enclosing function's return value when an Error-kind fault fires.
 /// fail_point!("dict/intern", |site| Err(DataError::FaultInjected { site }));
@@ -131,8 +131,6 @@ mod imp {
     pub const ALL_SITES: &[&str] = &[
         "dict/intern",
         "dict/shard_write",
-        "dict/sweep",
-        "relation/rehydrate",
         "sort/scratch",
         "build/spawn",
         "build/node",

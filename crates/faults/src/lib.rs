@@ -18,14 +18,14 @@
 //!    and records the event, so chaos tests can observe it.
 //! 3. **Retry** ([`retry`]): every workspace error classifies itself as
 //!    transient or permanent ([`Transient`]), and
-//!    [`retry::with_backoff`] drives the canonical
-//!    stale-generation → rehydrate → rebuild loop.
+//!    [`retry::with_backoff`] drives the canonical retry of a build or
+//!    publish that an injected fault or a worker panic failed.
 //!
 //! ## Failpoint naming convention
 //!
 //! Sites are `"<area>/<operation>"`, lower-case, stable across releases:
-//! `dict/intern`, `dict/shard_write`, `dict/sweep`, `relation/rehydrate`,
-//! `sort/scratch`, `build/spawn`, `build/node`, `build/weights`,
+//! `dict/intern`, `dict/shard_write`, `sort/scratch`, `build/spawn`,
+//! `build/node`, `build/weights`,
 //! `yannakakis/reduce`, `ranked/leapfrog`, `sampler/attempt`,
 //! `serve/apply`, `serve/publish`, `serve/fold`, `store/write`,
 //! `store/fsync`, `store/torn`, `build/weighted_blocks`,

@@ -6,13 +6,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Classifies an error as transient (retrying the same operation can
-/// succeed — injected faults, stale generations) or
+/// succeed — injected faults, worker panics, serving backpressure) or
 /// permanent (schema errors, capacity exhaustion; retrying is futile).
 ///
 /// Every error type in the workspace taxonomy implements this, so callers
 /// can drive one generic retry loop ([`with_backoff`]) across the whole
-/// stack — the canonical use is the stale-generation → rehydrate → rebuild
-/// cycle of churn workloads.
+/// stack — the canonical use is retrying a build or a fold that a
+/// transient fault failed, as churn workloads do.
 pub trait Transient {
     /// True when retrying the failed operation can succeed.
     fn is_transient(&self) -> bool;
@@ -30,8 +30,8 @@ pub struct RetryPolicy {
     pub max_delay: Duration,
     /// Decorrelate concurrent retriers by drawing each sleep uniformly
     /// from `[base_delay, min(max_delay, 3 · previous_sleep)]` ("decorrelated
-    /// jitter"). Without it, N readers that fail on the same event — e.g. a
-    /// generation sweep invalidating every held snapshot at once — sleep the
+    /// jitter"). Without it, N writers that fail on the same event — e.g.
+    /// backpressure rejecting every batch until the next fold — sleep the
     /// identical `base_delay · 2^k` schedule and re-collide on every retry,
     /// a thundering herd against the writer. Off only for tests that need a
     /// reproducible sleep sequence.
@@ -114,7 +114,7 @@ impl Iterator for BackoffSchedule {
 /// Runs `op` until it succeeds, it fails permanently, or `policy` attempts
 /// are exhausted; sleeps a jittered, bounded backoff between transient
 /// failures (see [`BackoffSchedule`]). `op` receives the 0-based attempt
-/// number (so a retry can rehydrate/rebuild before trying again).
+/// number (so a retry can rebuild its inputs before trying again).
 pub fn with_backoff<T, E, F>(policy: &RetryPolicy, op: F) -> Result<T, E>
 where
     E: Transient,

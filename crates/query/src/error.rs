@@ -184,8 +184,8 @@ impl From<DataError> for QueryError {
 impl rae_faults::Transient for QueryError {
     fn is_transient(&self) -> bool {
         match self {
-            // Data-layer failures carry their own classification (stale
-            // generations and injected faults are retryable).
+            // Data-layer failures carry their own classification (injected
+            // faults and worker panics are retryable).
             QueryError::Data(e) => e.is_transient(),
             // Everything else is structural: the query text or shape is
             // wrong and will stay wrong on retry.

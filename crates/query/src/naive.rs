@@ -11,7 +11,7 @@ use rae_data::{Database, FxHashMap, Relation, Schema, Symbol, Value};
 /// Evaluates a CQ by exhaustive backtracking over atom matches.
 ///
 /// Returns the answer *set* as a relation over the head variables, sorted
-/// lexicographically.
+/// lexicographically and encoded in `db`'s dictionary.
 pub fn naive_eval(cq: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
     for atom in cq.body() {
         let rel = db.relation(&atom.relation)?;
@@ -25,7 +25,7 @@ pub fn naive_eval(cq: &ConjunctiveQuery, db: &Database) -> Result<Relation> {
     }
 
     let schema = Schema::new(cq.head().iter().cloned())?;
-    let mut out = Relation::new(schema);
+    let mut out = Relation::new_in(schema, db.dictionary());
     let mut binding: FxHashMap<Symbol, Value> = FxHashMap::default();
     search(cq, db, 0, &mut binding, &mut out)?;
     out.sort_dedup();
@@ -86,7 +86,7 @@ fn undo(binding: &mut FxHashMap<Symbol, Value>, added: &[Symbol]) {
 /// Evaluates a UCQ as the set union of its disjuncts' answers.
 pub fn naive_eval_union(ucq: &UnionQuery, db: &Database) -> Result<Relation> {
     let schema = Schema::new(ucq.head().iter().cloned())?;
-    let mut out = Relation::new(schema);
+    let mut out = Relation::new_in(schema, db.dictionary());
     for d in ucq.disjuncts() {
         let part = naive_eval(d, db)?;
         for row in part.rows() {

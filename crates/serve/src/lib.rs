@@ -29,9 +29,10 @@
 //!   unpublish the old snapshot — readers keep serving the previous epoch.
 //!
 //! A snapshot reads no shared state: each member index holds ranks into
-//! its own sorted value table, so a fold's dictionary sweep (which only
-//! bounds the dictionary's memory under churn) cannot change what an old
-//! snapshot serves, and readers may hold one for as long as they like.
+//! its own sorted value table, and no dictionary: each fold builds over a
+//! database (and dictionary) of its own and drops it afterwards, which
+//! cannot change what an old snapshot serves, so readers may hold one for
+//! as long as they like.
 //!
 //! The delta fast path applies to **full, self-join-free** CQs (every
 //! variable free, no repeated relation symbols/variables, no constants) —

@@ -23,7 +23,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// across reader threads via `Arc`.
 ///
 /// A snapshot reads nothing outside itself: every member index holds ranks
-/// into its own value table, so dictionary sweeps by later folds cannot
+/// into its own value table and no dictionary, so later folds cannot
 /// change what a held snapshot serves.
 #[derive(Debug)]
 pub struct Snapshot {

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //!   apply(batch)*  →  publish()  →  …  →  fold_now() / begin_fold()+poll_fold()
-//!   (admission)       (base ⊎ delta ∖ T)     (rebuild base, sweep dict, reset delta)
+//!   (admission)       (base ⊎ delta ∖ T)     (rebuild base, reset delta)
 //! ```
 //!
 //! `publish` never touches the base index: it re-derives the delta
@@ -36,6 +36,20 @@ use std::time::Duration;
 
 /// Relation name of the materialized delta member inside a publish.
 const DELTA_REL: &str = "__serve_delta";
+
+/// Registers `rows` under `name`, encoded straight in `db`'s dictionary.
+fn add_rows(
+    db: &mut Database,
+    name: Symbol,
+    schema: Schema,
+    rows: impl IntoIterator<Item = Vec<Value>>,
+) -> Result<()> {
+    let mut rel = Relation::new_in(schema, db.dictionary());
+    for row in rows {
+        rel.push_row(row)?;
+    }
+    Ok(db.add_relation(name, rel)?)
+}
 
 /// What a completed fold did, handed to the [`ServeWriter::on_fold`]
 /// callback after the folded snapshot is published (and, when fold
@@ -187,7 +201,7 @@ impl RelState {
 /// frozen copy `X` of the current rows; the writer diffs its live state
 /// against `X` at integration time, so no replay log is needed.
 struct FoldJob {
-    handle: JoinHandle<Result<(Database, OrderedCqIndex)>>,
+    handle: JoinHandle<Result<OrderedCqIndex>>,
     /// Per-slot row sets the worker is building from.
     x: Vec<FxHashSet<Vec<Value>>>,
 }
@@ -215,7 +229,7 @@ pub struct ServeWriter {
     rel_of: FxHashMap<Symbol, usize>,
     /// Body atom → relation slot.
     atom_rel: Vec<usize>,
-    /// The shared base index of the current fold generation.
+    /// The shared base index of the latest fold.
     base: Arc<OrderedCqIndex>,
     /// Seeded-join universe: base rows plus every row inserted since the
     /// last fold (superset of current; exact filters run on the results).
@@ -485,9 +499,8 @@ impl ServeWriter {
         } else {
             let head: Vec<Symbol> = self.query.head().to_vec();
             let schema = Schema::new(head.iter().cloned())?;
-            let rel = Relation::from_rows(schema, delta_answers)?;
             let mut ddb = Database::new();
-            ddb.add_relation(DELTA_REL, rel)?;
+            add_rows(&mut ddb, DELTA_REL.into(), schema, delta_answers)?;
             let dcq = ConjunctiveQuery::new(
                 "__serve_delta_q",
                 head.iter().cloned(),
@@ -549,23 +562,19 @@ impl ServeWriter {
     fn fold_db(&self) -> Result<Database> {
         let mut db = Database::new();
         for rel in &self.rels {
-            db.add_relation(
-                rel.name.clone(),
-                Relation::from_rows(rel.schema.clone(), rel.current_rows().cloned())?,
-            )?;
+            let rows = rel.current_rows().cloned();
+            add_rows(&mut db, rel.name.clone(), rel.schema.clone(), rows)?;
         }
         Ok(db)
     }
 
     /// Synchronously folds the pending delta into a fresh base: rebuilds
-    /// the database from the current rows, advances the dictionary
-    /// generation with those rows as the live set (held snapshots read no
-    /// dictionary, so the sweep only bounds its memory), rebuilds the base
-    /// index, clears the pending state, and publishes the folded snapshot.
+    /// a database (and its dictionary) from the current rows, rebuilds the
+    /// base index over it, drops both, clears the pending state, and
+    /// publishes the folded snapshot.
     pub fn fold_now(&mut self) -> Result<u64> {
         fail_point!("serve/fold", |site| Err(ServeError::FaultInjected { site }));
-        let mut db = self.fold_db()?;
-        db.advance_generation()?;
+        let db = self.fold_db()?;
         let idx = OrderedCqIndex::build(&self.query, &db, &self.order)?;
         self.install_fold(Arc::new(idx), false)
     }
@@ -600,14 +609,13 @@ impl ServeWriter {
         let order = self.order.clone();
         let handle = std::thread::Builder::new()
             .name("rae-serve-fold".into())
-            .spawn(move || -> Result<(Database, OrderedCqIndex)> {
+            .spawn(move || -> Result<OrderedCqIndex> {
                 fail_point!("serve/fold", |site| Err(ServeError::FaultInjected { site }));
                 let mut db = Database::new();
                 for (name, schema, rows) in parts {
-                    db.add_relation(name, Relation::from_rows(schema, rows)?)?;
+                    add_rows(&mut db, name, schema, rows)?;
                 }
-                let idx = OrderedCqIndex::build(&query, &db, &order)?;
-                Ok((db, idx))
+                Ok(OrderedCqIndex::build(&query, &db, &order)?)
             })
             .map_err(|_| ServeError::Invariant("could not spawn the fold worker"))?;
         self.fold = Some(FoldJob { handle, x });
@@ -616,10 +624,10 @@ impl ServeWriter {
 
     /// Integrates a finished background fold (non-blocking): diffs the
     /// live row state against the fold's frozen copy to re-derive the
-    /// pending delta, sweeps the dictionary, swaps the base, and
-    /// publishes. Returns `Ok(false)` while the worker is still running,
-    /// `Ok(true)` once a fold was integrated. A worker failure or panic
-    /// is transient: the old base and snapshot remain in service.
+    /// pending delta, swaps the base, and publishes. Returns `Ok(false)`
+    /// while the worker is still running, `Ok(true)` once a fold was
+    /// integrated. A worker failure or panic is transient: the old base
+    /// and snapshot remain in service.
     pub fn poll_fold(&mut self) -> Result<bool> {
         let done = match &self.fold {
             None => return Ok(false),
@@ -632,7 +640,7 @@ impl ServeWriter {
             Some(job) => job,
             None => return Ok(false),
         };
-        let (mut db, idx) = match job.handle.join() {
+        let idx = match job.handle.join() {
             Err(_) => return Err(ServeError::FoldPanicked),
             Ok(res) => res?,
         };
@@ -645,12 +653,6 @@ impl ServeWriter {
             rel.deleted = x.difference(&current).cloned().collect();
             rel.base = x;
         }
-        // Sweep with the new base as the live set. Rows inserted while the
-        // fold ran are not in X, so their values may be swept; the writer
-        // keeps them as `Value`s and the next publish re-interns them. The
-        // worker's index holds ranks into its own value table, so the sweep
-        // cannot change what it serves (DESIGN.md §14).
-        db.advance_generation()?;
         self.install_fold(Arc::new(idx), true)?;
         Ok(true)
     }

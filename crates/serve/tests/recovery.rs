@@ -4,8 +4,8 @@
 //! newest valid snapshot — falling back past corrupted files, which are
 //! quarantined, never deleted.
 //!
-//! Folds sweep the process-global dictionary generation, so every test
-//! serializes on [`lock`] like the main serving suite.
+//! Every test serves its own database from its own directory, so the tests
+//! run in parallel.
 
 use rae_core::{Col, RankedScratch};
 use rae_data::{Database, Relation, Schema, Symbol, Value};
@@ -14,13 +14,7 @@ use rae_serve::{AdmissionPolicy, Batch, FoldEvent, ServeWriter, ServingIndex};
 use rae_store::ArtifactArchive;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -57,7 +51,6 @@ fn setup() -> (ServeWriter, ServingIndex) {
 
 #[test]
 fn folds_persist_snapshots_and_fire_the_callback() {
-    let _guard = lock();
     let dir = scratch("persist");
     let (mut writer, _index) = setup();
     writer.persist_folds_to(&dir);
@@ -93,7 +86,6 @@ fn folds_persist_snapshots_and_fire_the_callback() {
 
 #[test]
 fn recovery_restores_the_newest_fold_exactly() {
-    let _guard = lock();
     let dir = scratch("recover");
     let (mut writer, index) = setup();
     writer.persist_folds_to(&dir);
@@ -134,7 +126,6 @@ fn recovery_restores_the_newest_fold_exactly() {
 /// probe finds it, so a round trip proves the recovered tables work.
 #[test]
 fn recovered_borrowed_base_round_trips_inverted_access() {
-    let _guard = lock();
     let dir = scratch("borrowed");
     let (mut writer, _index) = setup();
     writer.persist_folds_to(&dir);
@@ -163,7 +154,6 @@ fn recovered_borrowed_base_round_trips_inverted_access() {
 
 #[test]
 fn recovery_falls_back_past_a_corrupted_newest_snapshot() {
-    let _guard = lock();
     let dir = scratch("fallback");
     let (mut writer, _index) = setup();
     writer.persist_folds_to(&dir);
@@ -207,7 +197,6 @@ fn recovery_falls_back_past_a_corrupted_newest_snapshot() {
 /// zero-copy store entry points and through the serving cold start.
 #[test]
 fn recovery_falls_back_past_a_newest_snapshot_that_fails_realization() {
-    let _guard = lock();
     for via in ["recover_dir", "recover_dir_with", "ServingIndex::recover"] {
         let dir = scratch("realize");
         let (mut writer, _index) = setup();
@@ -282,7 +271,6 @@ fn recovery_falls_back_past_a_newest_snapshot_that_fails_realization() {
 /// and through the serving cold start.
 #[test]
 fn recovery_quarantines_a_previous_version_snapshot() {
-    let _guard = lock();
     assert_eq!(rae_store::FORMAT_VERSION, 4, "update the planted version");
     let old_version = 3u32;
     for via in ["recover_dir", "recover_dir_with", "ServingIndex::recover"] {
@@ -350,7 +338,6 @@ fn recovery_quarantines_a_previous_version_snapshot() {
 
 #[test]
 fn recovery_of_an_empty_directory_is_a_structured_error() {
-    let _guard = lock();
     let dir = scratch("nothing");
     let err = ServingIndex::recover(&dir).unwrap_err();
     assert!(

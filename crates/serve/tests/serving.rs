@@ -1,25 +1,19 @@
 //! Integration tests for the serving lifecycle: overlay exactness against
 //! a fold-and-rebuild oracle, concurrent readers under churn, and held
-//! snapshots that keep serving across folds and dictionary sweeps.
+//! snapshots that keep serving across folds after every dictionary their
+//! values were encoded in is gone.
 //!
-//! Publishing folds sweep the **process-global** dictionary generation, so
-//! every test serializes on [`lock`] — concurrent sweeps from parallel
-//! tests would stale each other's relations mid-build.
+//! Every writer builds over databases of its own, so the tests run in
+//! parallel.
 
 use rae_core::{OrderedCqIndex, RankedScratch, Weight};
-use rae_data::{dict, Database, Relation, Schema, Symbol, Value};
+use rae_data::{Database, Relation, Schema, Symbol, Value};
 use rae_query::ConjunctiveQuery;
 use rae_serve::{enumeration_digest, AdmissionPolicy, Batch, ServeError, ServeWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Barrier};
 
 fn iv(vals: &[i64]) -> Vec<Value> {
     vals.iter().map(|&v| Value::Int(v)).collect()
@@ -148,7 +142,6 @@ fn check_snapshot(snap: &rae_serve::Snapshot, cq: &ConjunctiveQuery, m: &Mirror)
 
 #[test]
 fn overlay_matches_rebuild_oracle_through_churn() {
-    let _g = lock();
     let cq = join_query();
     let mut m = Mirror {
         r: vec![iv(&[1, 10]), iv(&[2, 20]), iv(&[3, 30])],
@@ -272,13 +265,11 @@ fn check_delta_at_one_end(delta_o: std::ops::Range<i64>) {
 
 #[test]
 fn delta_answers_all_before_the_base_round_trip() {
-    let _g = lock();
     check_delta_at_one_end(1..5);
 }
 
 #[test]
 fn delta_answers_all_after_the_base_round_trip() {
-    let _g = lock();
     check_delta_at_one_end(50..54);
 }
 
@@ -288,7 +279,6 @@ fn delta_answers_all_after_the_base_round_trip() {
 /// Every live rank translates through the runs to the oracle's answer.
 #[test]
 fn tombstone_runs_translate_every_live_rank() {
-    let _g = lock();
     let cq = join_query();
     let base_r: Vec<[i64; 2]> = (0..64).map(|o| [o, o + 1000]).collect();
     let base_s: Vec<[i64; 2]> = (0..64).flat_map(|o| (0..8).map(move |p| [o, p])).collect();
@@ -336,7 +326,6 @@ fn tombstone_runs_translate_every_live_rank() {
 
 #[test]
 fn randomized_differential_overlay_vs_oracle() {
-    let _g = lock();
     let cq = join_query();
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     let mut m = Mirror {
@@ -411,7 +400,6 @@ fn randomized_differential_overlay_vs_oracle() {
 
 #[test]
 fn backpressure_rejects_oversized_pending_delta() {
-    let _g = lock();
     let db = two_rel_db(&[[1, 10]], &[[1, 100]]);
     let policy = AdmissionPolicy { max_pending_ops: 3 };
     let (mut w, _idx) = ServeWriter::new(join_query(), &db, &order(), policy).unwrap();
@@ -438,7 +426,6 @@ fn backpressure_rejects_oversized_pending_delta() {
 
 #[test]
 fn invalid_batches_are_rejected_atomically() {
-    let _g = lock();
     let db = two_rel_db(&[[1, 10]], &[[1, 100]]);
     let (mut w, idx) =
         ServeWriter::new(join_query(), &db, &order(), AdmissionPolicy::default()).unwrap();
@@ -456,7 +443,6 @@ fn invalid_batches_are_rejected_atomically() {
 
 #[test]
 fn non_full_queries_fall_back_to_rebuild_per_publish() {
-    let _g = lock();
     let cq: ConjunctiveQuery = "Q(o) :- R(o, t), S(o, p)".parse().unwrap();
     let db = two_rel_db(&[[1, 10], [2, 20]], &[[1, 100], [3, 300]]);
     let ord = vec![Symbol::new("o")];
@@ -479,7 +465,6 @@ fn non_full_queries_fall_back_to_rebuild_per_publish() {
 
 #[test]
 fn background_fold_overlaps_with_writes_and_integrates_the_diff() {
-    let _g = lock();
     let cq = join_query();
     let mut m = Mirror {
         r: (0..40i64).map(|o| iv(&[o, o + 1000])).collect(),
@@ -524,13 +509,12 @@ fn background_fold_overlaps_with_writes_and_integrates_the_diff() {
     check_snapshot(&idx.snapshot(), &cq, &m);
 }
 
-/// Seeded multi-threaded churn with a fold (and so a dictionary sweep)
-/// each round while reader threads keep serving an *old held snapshot*.
-/// Snapshots hold ranks into their members' own value tables, so a sweep
-/// that recycles codes underneath them must not change a single answer.
+/// Seeded multi-threaded churn with a fold (and so a fresh database and
+/// dictionary) each round while reader threads keep serving an *old held
+/// snapshot*. Snapshots hold ranks into their members' own value tables,
+/// so folds underneath them must not change a single answer.
 #[test]
 fn held_snapshots_survive_concurrent_folds() {
-    let _g = lock();
     let cq = join_query();
     let r: Vec<[i64; 2]> = (0..30).map(|o| [o, o + 1000]).collect();
     let s: Vec<[i64; 2]> = (0..30).map(|o| [o, o + 500]).collect();
@@ -542,7 +526,7 @@ fn held_snapshots_survive_concurrent_folds() {
     let stop = Arc::new(AtomicBool::new(false));
 
     // Readers hammer the *old* snapshot and the live sequence while the
-    // writer churns and sweeps underneath them.
+    // writer churns and folds underneath them.
     let mut readers = Vec::new();
     for seed in 0..4u64 {
         let stop = Arc::clone(&stop);
@@ -571,10 +555,9 @@ fn held_snapshots_survive_concurrent_folds() {
         }));
     }
 
-    // Writer: delete/insert churn with a fold (= dictionary sweep) each
-    // round. Each deleted row's `t` (`round + 1000`) is used by no other
-    // row, so the fold sweeps a value the old snapshot still serves, and
-    // the next round's fresh strings may recycle its code.
+    // Writer: delete/insert churn with a fold each round. Each deleted
+    // row's `t` (`round + 1000`) is used by no other row, so the fold's
+    // database lacks a value the old snapshot still serves.
     for round in 0..6i64 {
         let mut b = Batch::new();
         b.delete("R", iv(&[round, round + 1000]))
@@ -587,12 +570,7 @@ fn held_snapshots_survive_concurrent_folds() {
                 vec![Value::Int(round + 100), Value::str(format!("p{round}"))],
             );
         w.commit(&b).unwrap();
-        let before = dict::current_generation();
         w.fold_now().unwrap();
-        assert!(
-            dict::current_generation() > before,
-            "fold must advance the generation"
-        );
     }
 
     stop.store(true, Ordering::Relaxed);
@@ -607,7 +585,6 @@ fn held_snapshots_survive_concurrent_folds() {
 
 #[test]
 fn concurrent_readers_see_monotone_epochs_under_churn() {
-    let _g = lock();
     let cq = join_query();
     let r: Vec<[i64; 2]> = (0..20).map(|o| [o, o + 10]).collect();
     let s: Vec<[i64; 2]> = (0..20).map(|o| [o, o + 500]).collect();
@@ -676,11 +653,12 @@ fn concurrent_readers_see_monotone_epochs_under_churn() {
 
 /// Holds an overlay snapshot whose base and delta both hold values the next
 /// fold drops, runs `fold`, and checks that every rank of the held snapshot
-/// still round-trips (access → inverted access) after the fold's dictionary
-/// sweep, with its delta answer and its tombstone intact. Access and
-/// inverted access resolve values through each member's own value table,
-/// so the sweep may free and recycle every code the snapshot's values once
-/// had without changing an answer.
+/// still round-trips (access → inverted access) after the fold, with its
+/// delta answer and its tombstone intact. The source database is dropped
+/// as soon as the writer is built, and every fold and publish builds over
+/// a database of its own that it drops, so no dictionary the snapshot's
+/// values were encoded in outlives the fold: access and inverted access
+/// resolve values through each member's own value table.
 fn held_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
     let cq = join_query();
     let row = |o: i64, tag: &str| vec![Value::Int(o), Value::str(format!("{tag}{o}"))];
@@ -694,6 +672,7 @@ fn held_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
         .unwrap();
     }
     let (mut w, idx) = ServeWriter::new(cq, &db, &order(), AdmissionPolicy::default()).unwrap();
+    drop(db);
 
     // The held overlay: one delta answer (o = 100), one tombstone (o = 0).
     let mut b = Batch::new();
@@ -718,9 +697,7 @@ fn held_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
         .delete("R", row(1, "r"))
         .delete("S", row(1, "s"));
     w.commit(&b).unwrap();
-    let before = dict::current_generation();
     fold(&mut w);
-    assert!(dict::current_generation() > before, "the fold must sweep");
     assert_eq!(idx.snapshot().count(), 18);
 
     assert_eq!(held.count(), answers.len() as Weight);
@@ -741,7 +718,6 @@ fn held_overlay_survives_fold(fold: impl FnOnce(&mut ServeWriter)) {
 
 #[test]
 fn snapshot_held_across_fold_now_round_trips_every_rank() {
-    let _g = lock();
     held_overlay_survives_fold(|w| {
         w.fold_now().unwrap();
     });
@@ -749,29 +725,18 @@ fn snapshot_held_across_fold_now_round_trips_every_rank() {
 
 #[test]
 fn snapshot_held_across_background_fold_round_trips_every_rank() {
-    let _g = lock();
     held_overlay_survives_fold(|w| {
         w.begin_fold().unwrap();
         assert!(w.finish_fold().unwrap());
     });
 }
 
-/// A fold, then a sweep that keeps nothing live: every code the held
-/// snapshot's values ever had is freed, and fresh interns recycle them.
+/// Two folds in a row: the second builds over a fresh database with fresh
+/// codes and drops the first fold's.
 #[test]
-fn snapshot_held_across_empty_live_sweep_round_trips_every_rank() {
-    let _g = lock();
+fn snapshot_held_across_repeated_folds_round_trips_every_rank() {
     held_overlay_survives_fold(|w| {
         w.fold_now().unwrap();
-        dict::advance_generation(std::iter::empty());
-        let freed = dict::free_slot_count();
-        assert!(freed > 0, "the sweep must free the snapshot's codes");
-        for i in 0..freed {
-            dict::intern(&Value::str(format!("recycled-{i}"))).unwrap();
-        }
-        assert!(
-            dict::free_slot_count() < freed,
-            "fresh interns must recycle the freed slots"
-        );
+        w.fold_now().unwrap();
     });
 }

@@ -2,12 +2,13 @@
 //!
 //! Production-scale serving is not one static instance: relations are
 //! dropped and re-ingested with *fresh* values (new order keys, new
-//! customer tags) while dimension tables persist. Under PR 1's append-only
-//! dictionary every cycle leaked its cohort of codes forever; with the
-//! generational dictionary each cycle's sweep
-//! ([`rae_data::Database::advance_generation`]) reclaims the previous
-//! cohort, so the slot high-water mark is bounded by one live cohort —
-//! the property `tests/churn.rs` checks across eleven cycles.
+//! customer tags) while dimension tables persist. The database's
+//! dictionary only grows, so each cycle ends by compacting it
+//! ([`rae_data::Database::compact_dictionary`]): the live relations are
+//! re-encoded in a fresh dictionary and the dropped cohort's values go
+//! with the old one. The dictionary is thus bounded by one live cohort
+//! plus the dimension tables — the property `tests/churn.rs` checks across
+//! eleven cycles.
 //!
 //! Each cycle's cohort is deliberately value-fresh: integer keys are
 //! offset by a per-cycle stride and string tags embed the cycle number, so
@@ -15,12 +16,13 @@
 //! visible immediately.
 //!
 //! Interning is the serial bottleneck of bulk ingest; the cohort's values
-//! are pre-interned through [`rae_data::dict::intern_all`], which
-//! partitions them by dictionary shard and interns disjoint shards on
-//! separate threads (zero writer-lock contention).
+//! are pre-interned into the database's dictionary through
+//! [`rae_data::Dictionary::intern_all`], which partitions them by
+//! dictionary shard and interns disjoint shards on separate threads (zero
+//! writer-lock contention).
 
 use crate::scale::TpchScale;
-use rae_data::{dict, Database, Relation, Result, Schema, Value};
+use rae_data::{Database, Relation, Result, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,15 +62,12 @@ impl Default for ChurnConfig {
 pub struct CycleStats {
     /// Cycle number (0-based).
     pub cycle: usize,
-    /// Dictionary generation after the cycle's sweep + ingest.
-    pub generation: u64,
-    /// Values interned in the current generation (live).
+    /// Values in the database's dictionary after the cycle's ingest.
     pub live_values: usize,
-    /// Slot high-water mark: codes ever minted fresh. Bounded churn means
-    /// this plateaus while cumulative distinct values grow linearly.
+    /// Dictionary high-water mark so far: the most values the database's
+    /// dictionary has held after any cycle. Bounded churn means this
+    /// plateaus while cumulative distinct values grow linearly.
     pub allocated_slots: usize,
-    /// Reclaimed codes currently awaiting reuse.
-    pub free_slots: usize,
     /// Rows ingested this cycle across the churned relations.
     pub rows_ingested: usize,
 }
@@ -90,8 +89,9 @@ pub fn ingest_cycle(db: &mut Database, cycle: usize, cfg: &ChurnConfig) -> Resul
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ (cycle as u64).wrapping_mul(0x9E37_79B9));
     let stride = (cycle as i64 + 1) * 1_000_000_000;
 
-    let mut orders = Relation::new(Schema::new(["co_orderkey", "co_custtag"])?);
-    let mut lineitem = Relation::new(Schema::new(["cl_orderkey", "cl_partkey"])?);
+    let dict = db.dictionary();
+    let mut orders = Relation::new_in(Schema::new(["co_orderkey", "co_custtag"])?, dict);
+    let mut lineitem = Relation::new_in(Schema::new(["cl_orderkey", "cl_partkey"])?, dict);
     let mut order_rows: Vec<(i64, Value)> = Vec::with_capacity(cfg.orders_per_cycle);
     let mut line_rows: Vec<(i64, i64)> = Vec::new();
     for i in 0..cfg.orders_per_cycle {
@@ -117,7 +117,7 @@ pub fn ingest_cycle(db: &mut Database, cycle: usize, cfg: &ChurnConfig) -> Resul
         cohort.push(Value::Int(*o));
         cohort.push(Value::Int(*p));
     }
-    dict::intern_all(&cohort, cfg.threads)?;
+    dict.intern_all(&cohort, cfg.threads)?;
 
     for (o, tag) in order_rows {
         orders.push_row(vec![Value::Int(o), tag])?;
@@ -126,41 +126,39 @@ pub fn ingest_cycle(db: &mut Database, cycle: usize, cfg: &ChurnConfig) -> Resul
         lineitem.push_row(vec![Value::Int(o), Value::Int(p)])?;
     }
     let rows = orders.len() + lineitem.len();
-    db.set_relation("churn_orders", orders);
-    db.set_relation("churn_lineitem", lineitem);
+    db.set_relation("churn_orders", orders)?;
+    db.set_relation("churn_lineitem", lineitem)?;
     Ok(rows)
 }
 
-/// Drops the churned relations (if present) and advances the dictionary
-/// generation, reclaiming the dropped cohort's codes. Returns the new
-/// generation.
-pub fn drop_and_reclaim(db: &mut Database) -> Result<u64> {
+/// Drops the churned relations (if present) and compacts the dictionary,
+/// so the dropped cohort's values leave it.
+pub fn drop_and_reclaim(db: &mut Database) -> Result<()> {
     for name in CHURN_RELATIONS {
         if db.contains(name) {
             db.remove_relation(name)?;
         }
     }
-    db.advance_generation()
+    db.compact_dictionary()
 }
 
 /// Runs `cfg.cycles` drop/re-ingest cycles against `db`, returning per-cycle
 /// dictionary statistics.
 ///
-/// Each cycle: drop the previous cohort, sweep (generation advance), ingest
-/// a fresh cohort. Note the sweep invalidates indexes built in earlier
-/// cycles — `rae-core` detects that via its generation stamp; callers
-/// rebuild per cycle (as `tests/churn.rs` does).
+/// Each cycle: drop the previous cohort, compact the dictionary, ingest a
+/// fresh cohort. Indexes built in earlier cycles keep answering: they hold
+/// ranks into their own value tables, never dictionary codes.
 pub fn run_churn(db: &mut Database, cfg: &ChurnConfig) -> Result<Vec<CycleStats>> {
-    let mut stats = Vec::with_capacity(cfg.cycles);
+    let mut stats: Vec<CycleStats> = Vec::with_capacity(cfg.cycles);
     for cycle in 0..cfg.cycles {
         drop_and_reclaim(db)?;
         let rows_ingested = ingest_cycle(db, cycle, cfg)?;
+        let live_values = db.dictionary().len();
+        let high_water = stats.last().map_or(0, |s| s.allocated_slots);
         stats.push(CycleStats {
             cycle,
-            generation: dict::current_generation(),
-            live_values: dict::interned_count(),
-            allocated_slots: dict::allocated_slot_count(),
-            free_slots: dict::free_slot_count(),
+            live_values,
+            allocated_slots: high_water.max(live_values),
             rows_ingested,
         });
     }

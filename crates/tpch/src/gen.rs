@@ -63,14 +63,17 @@ fn try_generate(scale: &TpchScale, seed: u64, skew: Skew) -> Result<Database> {
     let mut db = Database::new();
 
     // region
-    let mut region = Relation::new(Schema::new(["r_regionkey", "r_name"])?);
+    let mut region = Relation::new_in(Schema::new(["r_regionkey", "r_name"])?, db.dictionary());
     for (key, name) in REGIONS {
         region.push_row(vec![Value::Int(key), Value::str(name)])?;
     }
     db.add_relation("region", region)?;
 
     // nation
-    let mut nation = Relation::new(Schema::new(["n_nationkey", "n_name", "n_regionkey"])?);
+    let mut nation = Relation::new_in(
+        Schema::new(["n_nationkey", "n_name", "n_regionkey"])?,
+        db.dictionary(),
+    );
     for (key, name, region_key) in NATIONS {
         nation.push_row(vec![
             Value::Int(key),
@@ -82,21 +85,23 @@ fn try_generate(scale: &TpchScale, seed: u64, skew: Skew) -> Result<Database> {
 
     // supplier (nation keys stay uniform: a 25-value dimension attribute,
     // and the UCQ experiments select specific nations by name/key)
-    let mut supplier = Relation::new(Schema::new(["s_suppkey", "s_nationkey"])?);
+    let mut supplier =
+        Relation::new_in(Schema::new(["s_suppkey", "s_nationkey"])?, db.dictionary());
     for s in 0..scale.suppliers {
         supplier.push_row(vec![Value::from(s), Value::Int(rng.gen_range(0..25))])?;
     }
     db.add_relation("supplier", supplier)?;
 
     // customer
-    let mut customer = Relation::new(Schema::new(["c_custkey", "c_nationkey"])?);
+    let mut customer =
+        Relation::new_in(Schema::new(["c_custkey", "c_nationkey"])?, db.dictionary());
     for c in 0..scale.customers {
         customer.push_row(vec![Value::from(c), Value::Int(rng.gen_range(0..25))])?;
     }
     db.add_relation("customer", customer)?;
 
     // part
-    let mut part = Relation::new(Schema::new(["p_partkey", "p_size"])?);
+    let mut part = Relation::new_in(Schema::new(["p_partkey", "p_size"])?, db.dictionary());
     for p in 0..scale.parts {
         part.push_row(vec![Value::from(p), Value::Int(rng.gen_range(1..=50))])?;
     }
@@ -107,7 +112,8 @@ fn try_generate(scale: &TpchScale, seed: u64, skew: Skew) -> Result<Database> {
     // few "popular" suppliers carry most parts.
     let n_suppliers = scale.suppliers;
     let mut part_suppliers: Vec<Vec<i64>> = Vec::with_capacity(scale.parts);
-    let mut partsupp = Relation::new(Schema::new(["ps_partkey", "ps_suppkey"])?);
+    let mut partsupp =
+        Relation::new_in(Schema::new(["ps_partkey", "ps_suppkey"])?, db.dictionary());
     for p in 0..scale.parts {
         let mut suppliers_of_part = Vec::with_capacity(4);
         for _ in 0..4usize {
@@ -124,7 +130,7 @@ fn try_generate(scale: &TpchScale, seed: u64, skew: Skew) -> Result<Database> {
     db.add_relation("partsupp", partsupp)?;
 
     // orders
-    let mut orders = Relation::new(Schema::new(["o_orderkey", "o_custkey"])?);
+    let mut orders = Relation::new_in(Schema::new(["o_orderkey", "o_custkey"])?, db.dictionary());
     for o in 0..scale.orders {
         orders.push_row(vec![
             Value::from(o),
@@ -135,12 +141,10 @@ fn try_generate(scale: &TpchScale, seed: u64, skew: Skew) -> Result<Database> {
 
     // lineitem: 1–7 lines per order; supplier drawn from the part's
     // registered suppliers so the L ⋈ PS join behaves like real TPC-H.
-    let mut lineitem = Relation::new(Schema::new([
-        "l_orderkey",
-        "l_linenumber",
-        "l_partkey",
-        "l_suppkey",
-    ])?);
+    let mut lineitem = Relation::new_in(
+        Schema::new(["l_orderkey", "l_linenumber", "l_partkey", "l_suppkey"])?,
+        db.dictionary(),
+    );
     for o in 0..scale.orders {
         let lines = rng.gen_range(1..=7usize);
         for line in 0..lines {

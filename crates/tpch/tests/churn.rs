@@ -1,22 +1,16 @@
-//! Churn lifecycle integration: drop/re-ingest cycles must keep dictionary
-//! memory bounded, keep per-cycle indexes correct, and stale out old ones.
+//! Churn lifecycle integration: drop/re-ingest cycles must keep the
+//! database's dictionary bounded, keep per-cycle indexes correct, and
+//! leave indexes of earlier cycles answering.
 //!
-//! Every test here advances the process-wide dictionary generation, so the
-//! whole file serializes behind one mutex (this binary is its own process;
-//! other test binaries are unaffected).
+//! Each test churns its own database, whose dictionary no other test sees,
+//! so the tests run in parallel.
 
 use rae_core::CqIndex;
-use rae_data::{dict, Value};
+use rae_data::Value;
 use rae_tpch::churn::{
     drop_and_reclaim, ingest_cycle, run_churn, ChurnConfig, CHURN_QUERY, CHURN_RELATIONS,
 };
 use rae_tpch::TpchScale;
-use std::sync::{Mutex, MutexGuard};
-
-fn serialized() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn small_cfg(cycles: usize) -> ChurnConfig {
     ChurnConfig {
@@ -29,39 +23,45 @@ fn small_cfg(cycles: usize) -> ChurnConfig {
 
 #[test]
 fn dictionary_memory_is_bounded_across_ten_plus_cycles() {
-    let _guard = serialized();
     let cfg = small_cfg(11);
     let mut db = rae_tpch::churn::base_database(&TpchScale::tiny(), 7);
     let stats = run_churn(&mut db, &cfg).unwrap();
     assert_eq!(stats.len(), 11);
 
-    // Generations advance once per cycle.
-    for pair in stats.windows(2) {
-        assert_eq!(pair[1].generation, pair[0].generation + 1);
-    }
-    // Boundedness: after the free lists warm up (cycle 1), the slot
-    // high-water mark must plateau — later cycles reuse reclaimed codes
-    // instead of minting fresh ones.
-    let warm = stats[1].allocated_slots;
+    // Boundedness: each cycle compacts the dropped cohort away, so the
+    // dictionary's high-water mark plateaus after the first cycle instead
+    // of growing by a cohort per cycle.
+    let first = stats[0].allocated_slots;
     let last = stats.last().unwrap().allocated_slots;
     assert!(
-        last < warm + warm / 2,
-        "slot high-water mark kept growing: warm {warm}, final {last}"
+        last < first + first / 2,
+        "dictionary high-water mark kept growing: first {first}, final {last}"
     );
     // Meanwhile every cycle really did ingest a fresh cohort.
     let total_rows: usize = stats.iter().map(|s| s.rows_ingested).sum();
     assert!(total_rows > 11 * cfg.orders_per_cycle);
-    // Live values stay near one cohort, far below the cumulative count.
+    // The dictionary holds about one cohort plus the dimension tables,
+    // far below the values ingested over all cycles.
     let live = stats.last().unwrap().live_values;
+    assert_eq!(live, db.dictionary().len());
     assert!(
-        live < 2 * warm,
-        "live values {live} should stay near one cohort ({warm} slots)"
+        live < first + first / 2,
+        "live values {live} should stay near one cohort ({first} after cycle 0)"
+    );
+    let base = rae_tpch::churn::base_database(&TpchScale::tiny(), 7)
+        .dictionary()
+        .len();
+    assert!(stats.iter().all(|s| s.live_values > base));
+    let cohorts: usize = stats.iter().map(|s| s.live_values - base).sum();
+    assert!(
+        (live - base) * 5 < cohorts,
+        "the dictionary holds {} cohort values of {cohorts} ingested",
+        live - base
     );
 }
 
 #[test]
 fn per_cycle_index_matches_naive_evaluation() {
-    let _guard = serialized();
     let cfg = small_cfg(4);
     let mut db = rae_tpch::churn::base_database(&TpchScale::tiny(), 13);
     let query = CHURN_QUERY.parse().unwrap();
@@ -80,8 +80,7 @@ fn per_cycle_index_matches_naive_evaluation() {
 }
 
 #[test]
-fn sweep_leaves_the_previous_cycle_index_answering() {
-    let _guard = serialized();
+fn compaction_leaves_the_previous_cycle_index_answering() {
     let cfg = small_cfg(2);
     let mut db = rae_tpch::churn::base_database(&TpchScale::tiny(), 21);
     let query = CHURN_QUERY.parse().unwrap();
@@ -92,8 +91,8 @@ fn sweep_leaves_the_previous_cycle_index_answering() {
     let answers: Vec<Vec<Value>> = old.enumerate().take(200).collect();
     assert!(!answers.is_empty());
 
-    // Next cycle: drop + sweep + fresh cohort. The sweep recycles the
-    // dropped cohort's codes, which the old index never holds: it keeps
+    // Next cycle: drop + compaction + fresh cohort. The old index holds
+    // ranks into its own value table, never dictionary codes: it keeps
     // serving its own cycle's answers at the same ranks.
     drop_and_reclaim(&mut db).unwrap();
     ingest_cycle(&mut db, 1, &cfg).unwrap();
@@ -108,19 +107,20 @@ fn sweep_leaves_the_previous_cycle_index_answering() {
 
 #[test]
 fn dropped_cohort_values_leave_the_dictionary() {
-    let _guard = serialized();
     let cfg = small_cfg(2);
     let mut db = rae_tpch::churn::base_database(&TpchScale::tiny(), 33);
     drop_and_reclaim(&mut db).unwrap();
     ingest_cycle(&mut db, 0, &cfg).unwrap();
     // A value from cohort 0 (orderkey stride 1e9).
     let cohort0_value = db.relation(CHURN_RELATIONS[0]).unwrap().row(0)[0].clone();
-    assert!(dict::code_of(&cohort0_value).is_some());
+    assert!(db.dictionary().code_of(&cohort0_value).is_some());
+    let before = db.dictionary().len();
 
     drop_and_reclaim(&mut db).unwrap();
     assert_eq!(
-        dict::code_of(&cohort0_value),
+        db.dictionary().code_of(&cohort0_value),
         None,
-        "dropped cohort value should be swept"
+        "dropped cohort value should be compacted away"
     );
+    assert!(db.dictionary().len() < before);
 }

@@ -62,7 +62,7 @@ impl FullAcyclicJoin {
         let mut atoms = Vec::new();
         for i in 0..self.plan.node_count() {
             let name = format!("__node{i}");
-            db.set_relation(name.as_str(), self.relations[i].clone());
+            db.set_relation(name.as_str(), self.relations[i].clone())?;
             atoms.push(Atom::new(name.as_str(), self.plan.bag(i).iter().cloned()));
         }
         if self.head.is_empty() {
@@ -331,7 +331,7 @@ mod tests {
     fn boolean_query_empty() {
         let cq = parse_cq("Q() :- R(x, y), S(y, z), T(z)").unwrap();
         let mut db = db_paths();
-        db.set_relation("T", rel(&["a"], &[&[9999]]));
+        db.set_relation("T", rel(&["a"], &[&[9999]])).unwrap();
         let fj = reduce_to_full_acyclic(&cq, &db).unwrap();
         assert!(fj.materialize().unwrap().is_empty());
     }
@@ -340,7 +340,7 @@ mod tests {
     fn empty_component_empties_everything() {
         // T is in a separate component; making it empty must kill all answers.
         let mut db = db_paths();
-        db.set_relation("T", rel(&["a"], &[]));
+        db.set_relation("T", rel(&["a"], &[])).unwrap();
         let cq = parse_cq("Q(x, u) :- R(x, y), T(u)").unwrap();
         let fj = reduce_to_full_acyclic(&cq, &db).unwrap();
         assert!(fj.materialize().unwrap().is_empty());
@@ -372,10 +372,7 @@ mod tests {
     fn relations_are_globally_consistent_after_pipeline() {
         let cq = parse_cq("Q(x, y) :- R(x, y), S(y, z)").unwrap();
         let fj = reduce_to_full_acyclic(&cq, &db_paths()).unwrap();
-        assert!(crate::reduce::is_globally_consistent(
-            &fj.plan,
-            &fj.relations
-        ));
+        assert!(crate::reduce::is_globally_consistent(&fj.plan, &fj.relations).unwrap());
     }
 
     #[test]

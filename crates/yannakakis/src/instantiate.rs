@@ -3,7 +3,7 @@
 //! dictionary codes.
 
 use crate::Result;
-use rae_data::{dict, Database, Relation, Schema};
+use rae_data::{Database, Relation, Schema};
 use rae_query::{Atom, QueryError, Term};
 
 /// Materializes the sub-relation of `db` matched by `atom`:
@@ -16,12 +16,11 @@ use rae_query::{Atom, QueryError, Term};
 /// * duplicates are removed (set semantics).
 ///
 /// Everything runs on the stored relation's code mirror
-/// ([`Relation::select_project`]): a constant resolves once through
-/// [`dict::code_of`] and is never interned (an unknown constant matches no
-/// row), repeated variables compare codes, and surviving rows are copied
-/// code by code rather than re-interned. A source made stale by another
-/// database's sweep is rehydrated on a copy first, so its codes and the
-/// constants' codes share one generation.
+/// ([`Relation::select_project`]): a constant resolves once through the
+/// stored relation's dictionary and is never interned (an unknown constant
+/// matches no row), repeated variables compare codes, and surviving rows
+/// are copied code by code rather than re-interned, so the result shares
+/// the stored relation's dictionary.
 ///
 /// Self-joins are handled naturally: each atom instantiates its own copy.
 pub fn instantiate_atom(atom: &Atom, db: &Database) -> Result<Relation> {
@@ -47,23 +46,13 @@ pub fn instantiate_atom(atom: &Atom, db: &Database) -> Result<Relation> {
     };
     let cols: Vec<usize> = schema.attrs().iter().map(first_col).collect();
 
-    let rehydrated;
-    let stored = if stored.is_current() {
-        stored
-    } else {
-        let mut copy = stored.clone();
-        copy.rehydrate()?;
-        rehydrated = copy;
-        &rehydrated
-    };
-
     // Constant checks as (column, code) and repeated-variable checks as
     // (first column, other column).
     let mut const_codes = Vec::new();
     let mut eq_cols = Vec::new();
     for (i, t) in atom.terms.iter().enumerate() {
         match t {
-            Term::Const(c) => match dict::code_of(c) {
+            Term::Const(c) => match stored.dictionary().and_then(|d| d.code_of(c)) {
                 Some(code) => const_codes.push((i, code)),
                 None => return Ok(Relation::new(schema)),
             },

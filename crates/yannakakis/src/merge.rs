@@ -38,7 +38,8 @@ thread_local! {
 /// Surviving rows keep their order, so the left relation's sort fingerprint
 /// stays valid; the result equals a hash semijoin's exactly (the
 /// differential test below checks this). When `left` is empty no
-/// right-side work happens at all.
+/// right-side work happens at all. A `right` from another dictionary is
+/// re-encoded in `left`'s first (the only fallible step).
 ///
 /// # Panics
 /// Panics if the column lists have different lengths.
@@ -47,26 +48,27 @@ pub fn merge_semijoin_filter(
     left_cols: &[usize],
     right: &Relation,
     right_cols: &[usize],
-) {
+) -> rae_data::Result<()> {
     assert_eq!(
         left_cols.len(),
         right_cols.len(),
         "semijoin column lists must have equal length"
     );
     if left.is_empty() {
-        return; // nothing can survive; skip building any right-side structure
+        return Ok(()); // nothing can survive; skip building any right-side structure
     }
     if left_cols.is_empty() {
         // Joining on no attributes: keep left iff right is non-empty.
         if right.is_empty() {
             left.retain_rows(|_| false);
         }
-        return;
+        return Ok(());
     }
     if right.is_empty() {
         left.retain_rows(|_| false);
-        return;
+        return Ok(());
     }
+    let right = right.encoded_like(left)?;
     let width = left_cols.len();
     let n = left.len();
     let m = right.len();
@@ -88,7 +90,7 @@ pub fn merge_semijoin_filter(
         // ids by key. Raw code order, not value order: equal codes are equal
         // values, which is all the merge needs.
         project_keys(left, left_cols, left_keys);
-        project_keys(right, right_cols, right_keys);
+        project_keys(&right, right_cols, right_keys);
         left_rows.clear();
         left_rows.extend(0..n as u32);
         right_rows.clear();
@@ -137,6 +139,7 @@ pub fn merge_semijoin_filter(
         }
         left.retain_by_index(mask);
     });
+    Ok(())
 }
 
 /// Writes the `cols` projection of every row's codes into `out` (row-major).
@@ -168,7 +171,7 @@ mod tests {
     fn filters_non_matching_rows() {
         let mut left = rel(&["x", "y"], &[&[1, 10], &[2, 20], &[3, 30]]);
         let right = rel(&["y", "z"], &[&[10, 0], &[30, 0]]);
-        merge_semijoin_filter(&mut left, &[1], &right, &[0]);
+        merge_semijoin_filter(&mut left, &[1], &right, &[0]).unwrap();
         assert_eq!(left.len(), 2);
         assert!(left.contains_row(&[Value::Int(1), Value::Int(10)]));
         assert!(left.contains_row(&[Value::Int(3), Value::Int(30)]));
@@ -178,7 +181,7 @@ mod tests {
     fn empty_right_empties_left() {
         let mut left = rel(&["x"], &[&[1], &[2]]);
         let right = rel(&["x"], &[]);
-        merge_semijoin_filter(&mut left, &[0], &right, &[0]);
+        merge_semijoin_filter(&mut left, &[0], &right, &[0]).unwrap();
         assert!(left.is_empty());
     }
 
@@ -186,7 +189,7 @@ mod tests {
     fn empty_left_is_a_no_op() {
         let mut left = rel(&["x"], &[]);
         let right = rel(&["x"], &[&[1], &[2]]);
-        merge_semijoin_filter(&mut left, &[0], &right, &[0]);
+        merge_semijoin_filter(&mut left, &[0], &right, &[0]).unwrap();
         assert!(left.is_empty());
     }
 
@@ -194,11 +197,11 @@ mod tests {
     fn disjoint_attributes_keep_left_iff_right_nonempty() {
         let mut left = rel(&["x"], &[&[1], &[2]]);
         let right = rel(&["y"], &[&[5]]);
-        merge_semijoin_filter(&mut left, &[], &right, &[]);
+        merge_semijoin_filter(&mut left, &[], &right, &[]).unwrap();
         assert_eq!(left.len(), 2);
 
         let empty_right = rel(&["y"], &[]);
-        merge_semijoin_filter(&mut left, &[], &empty_right, &[]);
+        merge_semijoin_filter(&mut left, &[], &empty_right, &[]).unwrap();
         assert!(left.is_empty());
     }
 
@@ -209,7 +212,7 @@ mod tests {
             &[&[1, 2, 0], &[1, 3, 0], &[2, 2, 0], &[1, 2, 9], &[1, 2, 9]],
         );
         let right = rel(&["a", "b"], &[&[1, 2], &[2, 2], &[1, 2], &[1, 2]]);
-        merge_semijoin_filter(&mut left, &[0, 1], &right, &[0, 1]);
+        merge_semijoin_filter(&mut left, &[0, 1], &right, &[0, 1]).unwrap();
         assert_eq!(left.len(), 4);
         assert!(!left.contains_row(&[Value::Int(1), Value::Int(3), Value::Int(0)]));
     }
@@ -244,7 +247,7 @@ mod tests {
             } else {
                 (&[0, 1], &[0, 1])
             };
-            merge_semijoin_filter(&mut merge_left, lc, &right, rc);
+            merge_semijoin_filter(&mut merge_left, lc, &right, rc).unwrap();
             semijoin_filter(&mut hash_left, lc, &right, rc);
             assert_eq!(merge_left, hash_left, "case {case} diverged");
         }

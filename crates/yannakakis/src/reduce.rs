@@ -14,7 +14,9 @@ use rae_query::TreePlan;
 /// Semijoins cannot carry emptiness between the components of a forest, so
 /// an empty relation anywhere then empties every relation (the join over a
 /// forest is the cross product of its components). Runs in time linear in
-/// the total number of tuples (two semijoins per edge).
+/// the total number of tuples (two semijoins per edge). Relations from
+/// different dictionaries are first put on one
+/// ([`Relation::share_dictionary`]).
 pub fn full_reduce(plan: &TreePlan, rels: &mut [Relation]) -> Result<()> {
     // Chaos site: fails the reduction before it filters anything, so the
     // caller sees a transient error with the relations untouched.
@@ -33,6 +35,8 @@ pub fn full_reduce(plan: &TreePlan, rels: &mut [Relation]) -> Result<()> {
             "relation schema must equal the node bag"
         );
     }
+
+    Relation::share_dictionary(rels)?;
 
     // Shared columns per edge, computed once.
     let shared: Vec<Option<(Vec<usize>, Vec<usize>)>> = (0..plan.node_count())
@@ -59,7 +63,7 @@ pub fn full_reduce(plan: &TreePlan, rels: &mut [Relation]) -> Result<()> {
     for &node in plan.leaf_to_root() {
         if let (Some(p), Some((child_cols, parent_cols))) = (plan.parent(node), &shared[node]) {
             let (child_rel, parent_rel) = borrow_two(rels, node, p);
-            merge_semijoin_filter(parent_rel, parent_cols, child_rel, child_cols);
+            merge_semijoin_filter(parent_rel, parent_cols, child_rel, child_cols)?;
         }
     }
 
@@ -67,7 +71,7 @@ pub fn full_reduce(plan: &TreePlan, rels: &mut [Relation]) -> Result<()> {
     for &node in plan.leaf_to_root().iter().rev() {
         if let (Some(p), Some((child_cols, parent_cols))) = (plan.parent(node), &shared[node]) {
             let (child_rel, parent_rel) = borrow_two(rels, node, p);
-            merge_semijoin_filter(child_rel, child_cols, parent_rel, parent_cols);
+            merge_semijoin_filter(child_rel, child_cols, parent_rel, parent_cols)?;
         }
     }
 
@@ -97,12 +101,16 @@ fn borrow_two(rels: &mut [Relation], a: usize, b: usize) -> (&mut Relation, &mut
 /// copies of the relations; across the components of a forest it also
 /// requires that the relations are all empty or all non-empty. Meant for
 /// tests and assertions: the copies cost a full pass over the data.
-pub fn is_globally_consistent(plan: &TreePlan, rels: &[Relation]) -> bool {
+/// The copies are put on one dictionary ([`Relation::share_dictionary`]);
+/// re-encoding is the only fallible step.
+pub fn is_globally_consistent(plan: &TreePlan, rels: &[Relation]) -> Result<bool> {
     // Components share no attribute, so one empty component leaves the
     // cross product empty and every tuple elsewhere dangling.
     if rels.iter().any(Relation::is_empty) && !rels.iter().all(Relation::is_empty) {
-        return false;
+        return Ok(false);
     }
+    let mut rels = rels.to_vec();
+    Relation::share_dictionary(&mut rels)?;
     for i in 0..plan.node_count() {
         if let Some(p) = plan.parent(i) {
             let child_cols = plan.parent_shared_cols(i);
@@ -114,18 +122,18 @@ pub fn is_globally_consistent(plan: &TreePlan, rels: &[Relation]) -> bool {
             // Every child tuple must have a matching parent tuple and vice
             // versa (pairwise consistency in both directions).
             let mut child = rels[i].clone();
-            merge_semijoin_filter(&mut child, &child_cols, &rels[p], &parent_cols);
+            merge_semijoin_filter(&mut child, &child_cols, &rels[p], &parent_cols)?;
             if child.len() != rels[i].len() {
-                return false;
+                return Ok(false);
             }
             let mut parent = rels[p].clone();
-            merge_semijoin_filter(&mut parent, &parent_cols, &rels[i], &child_cols);
+            merge_semijoin_filter(&mut parent, &parent_cols, &rels[i], &child_cols)?;
             if parent.len() != rels[p].len() {
-                return false;
+                return Ok(false);
             }
         }
     }
-    true
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -165,7 +173,7 @@ mod tests {
         assert_eq!(rels[0].len(), 1);
         assert_eq!(rels[1].len(), 1);
         assert_eq!(rels[2].len(), 1);
-        assert!(is_globally_consistent(&plan, &rels));
+        assert!(is_globally_consistent(&plan, &rels).unwrap());
     }
 
     #[test]
@@ -197,7 +205,7 @@ mod tests {
         full_reduce(&plan, &mut rels).unwrap();
         // v must be 1; w may be 1 or 2.
         assert_eq!(rels[0].len(), 2);
-        assert!(is_globally_consistent(&plan, &rels));
+        assert!(is_globally_consistent(&plan, &rels).unwrap());
     }
 
     #[test]
@@ -209,16 +217,16 @@ mod tests {
         // the empty component still empties the cross product.
         assert!(rels[0].is_empty());
         assert!(rels[1].is_empty());
-        assert!(is_globally_consistent(&plan, &rels));
+        assert!(is_globally_consistent(&plan, &rels).unwrap());
     }
 
     #[test]
     fn forest_with_one_empty_component_is_inconsistent() {
         let plan = TreePlan::new(vec![bag(&["a"]), bag(&["b"])], vec![None, None]).unwrap();
         let rels = vec![rel(&["a"], &[&[1]]), rel(&["b"], &[])];
-        assert!(!is_globally_consistent(&plan, &rels));
+        assert!(!is_globally_consistent(&plan, &rels).unwrap());
         let rels = vec![rel(&["a"], &[&[1]]), rel(&["b"], &[&[2]])];
-        assert!(is_globally_consistent(&plan, &rels));
+        assert!(is_globally_consistent(&plan, &rels).unwrap());
     }
 
     #[test]

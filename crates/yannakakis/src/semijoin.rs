@@ -11,7 +11,8 @@ use rae_data::{CodeKeyMap, Relation};
 /// probes with a borrowed code slice — no per-row key allocation.
 ///
 /// # Panics
-/// Panics if the column lists have different lengths.
+/// Panics if the column lists have different lengths, or if re-encoding a
+/// `right` from another dictionary fails.
 pub fn semijoin_filter(
     left: &mut Relation,
     left_cols: &[usize],
@@ -34,6 +35,7 @@ pub fn semijoin_filter(
         }
         return;
     }
+    let right = right.encoded_like(left).expect("re-encode right operand");
     let width = right_cols.len();
     let mut keys = CodeKeyMap::with_capacity(width, right.len());
     let mut scratch: Vec<u32> = Vec::with_capacity(width);

@@ -1,23 +1,14 @@
 //! Edge cases of code-based atom instantiation, each checked end to end
-//! against naive evaluation: sources made stale by another database's
-//! dictionary sweep, constants the dictionary has never seen, repeated
+//! against naive evaluation: relations encoded in another database's
+//! dictionary, constants the dictionary has never seen, repeated
 //! variables, self-joins and all-constant (arity-0) atoms.
 //!
-//! The dictionary is process-wide and one test sweeps it, another counts
-//! its entries, so the tests of this binary run one at a time.
+//! Every database owns its dictionary, so these tests run in parallel.
 
-use rae_data::{dict, Database, Relation, Schema, Value};
+use rae_data::{Database, Relation, Schema, Value};
 use rae_query::{naive_eval, parser::parse_cq};
 use rae_yannakakis::reduce_to_full_acyclic;
-use std::sync::{Mutex, MutexGuard};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use std::sync::Arc;
 
 fn relation(attrs: &[&str], rows: Vec<Vec<Value>>) -> Relation {
     Relation::from_rows(Schema::new(attrs.iter().copied()).unwrap(), rows).unwrap()
@@ -74,26 +65,19 @@ fn assert_matches_naive(query: &str, db: &Database) -> Relation {
 }
 
 #[test]
-fn sources_made_stale_by_another_databases_sweep_still_reduce() {
-    let _serial = serial();
-    // Values unique to this test, so the sweep below frees their codes.
-    let mut stale = graph_db(7_100_000);
-    let mut other = graph_db(7_200_000);
-    other.advance_generation().unwrap();
-    assert!(
-        !stale.relation("E").unwrap().is_current(),
-        "the other database's sweep must leave this one stale"
-    );
-    // Refill the freed slots with unrelated values, so a stale code that
-    // leaked through would now name a different value.
-    for i in 0..64 {
-        dict::intern(&Value::Int(7_300_000 + i)).unwrap();
+fn relations_from_another_databases_dictionary_still_reduce() {
+    let mut db = graph_db(7_100_000);
+    let other = graph_db(7_200_000);
+    // Built in the other database's dictionary, where these values have
+    // codes that mean other values in `db`'s: registering re-encodes it.
+    let mut f = Relation::new_in(Schema::new(["b"]).unwrap(), other.dictionary());
+    for v in [7_100_002, 7_100_004] {
+        f.push_row(vec![Value::Int(v)]).unwrap();
     }
-    // A relation added after the sweep is current: joining it with the
-    // stale ones needs both sides' codes in one generation.
-    stale
-        .add_relation("F", relation(&["b"], ints(&[&[7_100_002], &[7_100_004]])))
-        .unwrap();
+    db.add_relation("F", f).unwrap();
+    let registered = db.relation("F").unwrap().dictionary().unwrap();
+    assert!(Arc::ptr_eq(registered, db.dictionary()));
+    assert!(!Arc::ptr_eq(db.dictionary(), other.dictionary()));
     let queries = [
         "Q(x, y) :- E(x, y), F(y)",
         "Q(x, y, z) :- E(x, y), E(y, z)",
@@ -102,20 +86,16 @@ fn sources_made_stale_by_another_databases_sweep_still_reduce() {
         "Q(k, n) :- L(k, n, n), E(k, k)",
     ];
     for query in queries {
-        assert!(!assert_matches_naive(query, &stale).is_empty(), "{query}");
+        assert!(!assert_matches_naive(query, &db).is_empty(), "{query}");
     }
-    assert!(
-        !stale.relation("E").unwrap().is_current(),
-        "rehydration works on a copy, never on the stored relation"
-    );
 }
 
 #[test]
 fn a_constant_absent_from_the_dictionary_matches_nothing_and_is_not_interned() {
-    let _serial = serial();
     let db = graph_db(0);
     let absent = Value::str("a constant no relation holds");
-    assert_eq!(dict::code_of(&absent), None);
+    let dict = db.dictionary();
+    assert_eq!(dict.code_of(&absent), None);
     for query in [
         "Q(k, a) :- L(k, \"a constant no relation holds\", a)",
         "Q(x, y) :- E(x, y), L(k, \"a constant no relation holds\", a)",
@@ -123,18 +103,17 @@ fn a_constant_absent_from_the_dictionary_matches_nothing_and_is_not_interned() {
     ] {
         let cq = parse_cq(query).unwrap();
         assert!(naive_eval(&cq, &db).unwrap().is_empty());
-        let before = dict::interned_count();
+        let before = dict.len();
         let fj = reduce_to_full_acyclic(&cq, &db).unwrap();
-        assert_eq!(dict::interned_count(), before, "{query} interned a value");
+        assert_eq!(dict.len(), before, "{query} interned a value");
         assert!(fj.materialize().unwrap().is_empty(), "{query}");
         assert!(fj.relations.iter().all(Relation::is_empty), "{query}");
     }
-    assert_eq!(dict::code_of(&absent), None);
+    assert_eq!(dict.code_of(&absent), None);
 }
 
 #[test]
 fn repeated_variables_compare_codes() {
-    let _serial = serial();
     let db = graph_db(0);
     let loops = assert_matches_naive("Q(x) :- E(x, x)", &db);
     assert_eq!(loops.len(), 2);
@@ -145,7 +124,6 @@ fn repeated_variables_compare_codes() {
 
 #[test]
 fn self_joins_instantiate_each_atom_separately() {
-    let _serial = serial();
     let db = graph_db(0);
     assert_matches_naive("Q(x, y, z) :- E(x, y), E(y, z)", &db);
     assert_matches_naive("Q(x, y) :- E(x, y), E(y, x)", &db);
@@ -155,7 +133,6 @@ fn self_joins_instantiate_each_atom_separately() {
 
 #[test]
 fn all_constant_atoms_gate_the_whole_query() {
-    let _serial = serial();
     let db = graph_db(0);
     let kept = assert_matches_naive("Q(x, y) :- E(x, y), E(3, 3)", &db);
     assert_eq!(kept.len(), 6);

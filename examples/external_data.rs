@@ -27,11 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         BufReader::new(fs::File::open(dir.join("nation.tbl"))?),
         Schema::new(["n_nationkey", "n_name", "n_regionkey"])?,
         &[ColumnType::Int, ColumnType::Text, ColumnType::Int],
+        db.dictionary(),
     )?;
     let supplier = read_tbl(
         BufReader::new(fs::File::open(dir.join("supplier.tbl"))?),
         Schema::new(["s_suppkey", "s_name", "s_nationkey"])?,
         &[ColumnType::Int, ColumnType::Text, ColumnType::Int],
+        db.dictionary(),
     )?;
     println!(
         "loaded {} nations, {} suppliers",

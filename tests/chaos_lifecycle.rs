@@ -6,10 +6,10 @@
 //! 1. **Structured errors only** — every failure observed across the public
 //!    API is a structured workspace error; build entry points never unwind
 //!    (panics convert to `BuildPanicked` at the catch boundary). The only
-//!    places the harness tolerates an unwind are ingest/sweep paths whose
-//!    panic-form failpoints (`dict/sweep`, `dict/shard_write`) model a
-//!    genuinely crashing mutator — and those must leave the dictionary
-//!    recoverable (poison recovery, generation never half-advanced).
+//!    places the harness tolerates an unwind are ingest/compaction paths
+//!    whose panic-form failpoint (`dict/shard_write`) models a genuinely
+//!    crashing mutator — and those must leave the dictionary recoverable
+//!    (poison recovery) and the database unchanged.
 //! 2. **Post-retry identical artifacts** — once a build eventually succeeds
 //!    under chaos, every artifact it exposes equals a fault-free build over
 //!    the same database state, including runs where the build silently
@@ -19,8 +19,8 @@
 //! 4. **Zero-alloc steady state after recovery** — the access hot path is
 //!    still allocation-free once the chaos guard drops.
 //!
-//! Each test serializes behind one mutex: fault schedules and the
-//! dictionary are process-global. Seeds come from `CHAOS_SEEDS`
+//! Each test serializes behind one mutex: fault schedules are
+//! process-global. Seeds come from `CHAOS_SEEDS`
 //! (comma-separated) so CI can widen the sweep without editing the test.
 #![cfg(feature = "failpoints")]
 
@@ -153,7 +153,7 @@ fn churn_config(seed: u64) -> ChurnConfig {
     }
 }
 
-/// The full churn lifecycle (drop → sweep → ingest → build → query) under a
+/// The full churn lifecycle (drop → compact → ingest → build → query) under a
 /// mixed Error/Panic chaos schedule, one run per seed. Checks invariants
 /// 1–4 of the module docs.
 #[test]
@@ -225,9 +225,9 @@ fn chaos_churn_lifecycle_recovers_with_identical_artifacts() {
 
 /// Every build entry point forced to fail — by an Error fault and by a
 /// Panic fault at `build/node` — must return the structured error from its
-/// catch boundary and leave the `Database` and the dictionary observably
-/// unchanged (generation, slot accounting, relation contents), and a retry
-/// after disarming must succeed.
+/// catch boundary and leave the `Database` and its dictionary observably
+/// unchanged (the same dictionary, its value count, relation contents), and
+/// a retry after disarming must succeed.
 #[test]
 fn mid_build_fault_leaves_database_and_dict_unchanged() {
     let _s = serial();
@@ -281,10 +281,8 @@ fn mid_build_fault_leaves_database_and_dict_unchanged() {
     for (name, build) in &builders {
         for kind in [FaultKind::Error, FaultKind::Panic] {
             let snapshot = (
-                rae_data::dict::current_generation(),
-                rae_data::dict::interned_count(),
-                rae_data::dict::allocated_slot_count(),
-                rae_data::dict::free_slot_count(),
+                std::sync::Arc::as_ptr(db.dictionary()),
+                db.dictionary().len(),
                 db.relation("churn_orders").unwrap().len(),
                 db.relation("churn_lineitem").unwrap().len(),
             );
@@ -302,10 +300,8 @@ fn mid_build_fault_leaves_database_and_dict_unchanged() {
                 "{name}: forced-fault build errors are retryable"
             );
             let after = (
-                rae_data::dict::current_generation(),
-                rae_data::dict::interned_count(),
-                rae_data::dict::allocated_slot_count(),
-                rae_data::dict::free_slot_count(),
+                std::sync::Arc::as_ptr(db.dictionary()),
+                db.dictionary().len(),
                 db.relation("churn_orders").unwrap().len(),
                 db.relation("churn_lineitem").unwrap().len(),
             );
@@ -467,43 +463,22 @@ fn with_backoff_absorbs_first_hit_faults() {
 fn shard_lock_poisoning_recovers() {
     let _s = serial();
     let _quiet = QuietPanics::new();
+    let dict = rae_data::Dictionary::new();
     let probe = Value::str("chaos-poison-probe");
     {
         let _g = install(FaultSchedule::new(3).always("dict/shard_write", FaultKind::Panic));
-        let unwound = catch_unwind(AssertUnwindSafe(|| rae_data::dict::intern(&probe))).is_err();
+        let unwound = catch_unwind(AssertUnwindSafe(|| dict.intern(&probe))).is_err();
         assert!(unwound, "the shard-write fault must panic inside intern");
     }
+    assert!(dict.is_empty(), "the panic fired before any insert");
     // Disarmed: the poisoned shard must serve reads and writes again.
-    let code = rae_data::dict::intern(&probe).expect("poisoned shard must recover");
-    assert_eq!(rae_data::dict::code_of(&probe), Some(code));
-    let again = rae_data::dict::intern(&probe).unwrap();
+    let code = dict.intern(&probe).expect("poisoned shard must recover");
+    assert_eq!(dict.code_of(&probe), Some(code));
+    let again = dict.intern(&probe).unwrap();
     assert_eq!(
         code, again,
         "recovered shard must keep a consistent mapping"
     );
-}
-
-/// A sweep killed mid-flight (Panic at `dict/sweep`) must never
-/// half-advance the generation: either the sweep happened entirely (new
-/// generation) or not at all — and a retry completes it.
-#[test]
-fn killed_sweep_never_half_advances_the_generation() {
-    let _s = serial();
-    let _quiet = QuietPanics::new();
-    let cfg = churn_config(13);
-    let mut db = Database::new();
-    churn::ingest_cycle(&mut db, 0, &cfg).unwrap();
-    let before = rae_data::dict::current_generation();
-    {
-        let _g = install(FaultSchedule::new(4).always("dict/sweep", FaultKind::Panic));
-        let unwound = catch_unwind(AssertUnwindSafe(|| db.advance_generation())).is_err();
-        assert!(unwound, "the sweep fault must panic");
-    }
-    // The failpoint sits at the sweep entry: the generation must not have
-    // moved, and the interrupted sweep must be cleanly retryable.
-    assert_eq!(rae_data::dict::current_generation(), before);
-    let after = db.advance_generation().unwrap();
-    assert_eq!(after, before + 1, "retried sweep advances exactly once");
 }
 
 /// Forced degradations (radix→comparison sort, parallel→serial build) must

@@ -81,7 +81,7 @@ fn check_consistent_reduction(cq: &ConjunctiveQuery, db: &Database, expected: &R
     for options in layouts() {
         let fj = reduce_to_full_acyclic_with(cq, db, options).expect("reduces");
         assert!(
-            is_globally_consistent(&fj.plan, &fj.relations),
+            is_globally_consistent(&fj.plan, &fj.relations).unwrap(),
             "{cq} under {options:?} is not globally consistent"
         );
         assert_eq!(

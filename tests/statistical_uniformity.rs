@@ -1,8 +1,8 @@
 //! Statistical uniformity subsystem: chi-squared goodness-of-fit checks
 //! that the four samplers and the random-order enumerators stay
 //! (near-)uniform over the answer set — **including across a dictionary
-//! generation advance**, where recycled codes would turn any code/weight
-//! confusion into a visibly skewed distribution.
+//! compaction**, which re-encodes every relation, so any code/weight
+//! confusion would show as a visibly skewed distribution.
 //!
 //! All tests use fixed seeds (deterministic: a passing seed always passes)
 //! and a Wilson–Hilferty chi-squared critical value at α = 10⁻⁴, so false
@@ -10,19 +10,12 @@
 //! weighting buckets by stale totals, or a Fisher–Yates slot bug — blows
 //! the statistic up by orders of magnitude.
 //!
-//! Tests in this file advance the process-wide dictionary generation and
-//! therefore serialize behind one mutex (this binary is its own process).
+//! Each test churns its own database, so the tests run in parallel.
 
 use rae::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
-
-fn serialized() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Upper chi-squared quantile via the Wilson–Hilferty cube approximation.
 /// `z` is the standard-normal quantile; 3.719 ≈ the 1 − 10⁻⁴ point.
@@ -63,7 +56,7 @@ fn assert_chi2_uniform(label: &str, counts: &BTreeMap<Vec<Value>, usize>, n: usi
 }
 
 /// A skewed two-relation join database over a cycle-unique value namespace
-/// (string payloads so generation sweeps genuinely recycle codes).
+/// (string payloads, so compaction genuinely re-encodes strings).
 fn join_db(tag: &str) -> Database {
     let mut db = Database::new();
     let r: Vec<(i64, i64)> = vec![(1, 1), (2, 1), (3, 2), (4, 3), (5, 3)];
@@ -90,12 +83,12 @@ fn join_db(tag: &str) -> Database {
     db
 }
 
-/// Replaces `S` with a partially fresh cohort and sweeps, so the dictionary
-/// recycles the dropped values' codes — the "after" half of every test.
-/// Join keys stay in `base_tag`'s namespace (so the join survives); the
-/// payload values are fresh under `fresh_tag` (so the sweep recycles the
-/// dropped cohort's codes).
-fn churn_and_advance(db: &mut Database, base_tag: &str, fresh_tag: &str) {
+/// Replaces `S` with a partially fresh cohort and compacts, so every
+/// relation is re-encoded in a fresh dictionary without the dropped values
+/// — the "after" half of every test. Join keys stay in `base_tag`'s
+/// namespace (so the join survives); the payload values are fresh under
+/// `fresh_tag`.
+fn churn_and_compact(db: &mut Database, base_tag: &str, fresh_tag: &str) {
     let key = |v: i64| Value::str(format!("{base_tag}-b{v}"));
     let fresh = |v: i64| Value::str(format!("{fresh_tag}-c{v}"));
     let s2: Vec<(i64, i64)> = vec![(1, 40), (1, 41), (2, 42), (2, 20), (3, 43)];
@@ -109,7 +102,7 @@ fn churn_and_advance(db: &mut Database, base_tag: &str, fresh_tag: &str) {
         .unwrap(),
     )
     .unwrap();
-    db.advance_generation().unwrap();
+    db.compact_dictionary().unwrap();
 }
 
 fn sampler_counts<S: JoinSampler>(
@@ -126,8 +119,7 @@ fn sampler_counts<S: JoinSampler>(
 }
 
 #[test]
-fn samplers_chi_squared_uniform_before_and_after_generation_advance() {
-    let _guard = serialized();
+fn samplers_chi_squared_uniform_before_and_after_compaction() {
     let mut db = join_db("chi-samp");
     let cq: ConjunctiveQuery = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
     let trials = 8_000;
@@ -158,9 +150,9 @@ fn samplers_chi_squared_uniform_before_and_after_generation_advance() {
         );
         if phase == "before" {
             let answers: Vec<Vec<Value>> = idx.enumerate().collect();
-            churn_and_advance(&mut db, "chi-samp", "chi-samp2");
-            // The pre-advance index holds no dictionary codes: the sweep
-            // leaves its answers and ranks unchanged.
+            churn_and_compact(&mut db, "chi-samp", "chi-samp2");
+            // The pre-compaction index holds no dictionary codes: the
+            // compaction leaves its answers and ranks unchanged.
             for (j, answer) in answers.iter().enumerate() {
                 assert_eq!(idx.access(j as u128).as_ref(), Some(answer));
                 assert_eq!(idx.inverted_access(answer), Some(j as u128));
@@ -170,8 +162,7 @@ fn samplers_chi_squared_uniform_before_and_after_generation_advance() {
 }
 
 #[test]
-fn cq_shuffle_chi_squared_uniform_at_a_mid_position_across_generations() {
-    let _guard = serialized();
+fn cq_shuffle_chi_squared_uniform_at_a_mid_position_across_compaction() {
     let mut db = join_db("chi-perm");
     let cq: ConjunctiveQuery = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
     let trials = 6_000;
@@ -193,14 +184,13 @@ fn cq_shuffle_chi_squared_uniform_at_a_mid_position_across_generations() {
         }
         assert_chi2_uniform(&format!("CqShuffle@mid {phase}"), &counts, n);
         if phase == "before" {
-            churn_and_advance(&mut db, "chi-perm", "chi-perm2");
+            churn_and_compact(&mut db, "chi-perm", "chi-perm2");
         }
     }
 }
 
 #[test]
-fn ucq_shuffle_chi_squared_uniform_across_generations() {
-    let _guard = serialized();
+fn ucq_shuffle_chi_squared_uniform_across_compaction() {
     let mut db = join_db("chi-ucq");
     let u: UnionQuery = "Q1(x, y) :- R(x, y). Q2(x, y) :- S(y2, x), R(x, y)."
         .parse()
@@ -223,14 +213,13 @@ fn ucq_shuffle_chi_squared_uniform_across_generations() {
         }
         assert_chi2_uniform(&format!("UcqShuffle {phase}"), &counts, n);
         if phase == "before" {
-            churn_and_advance(&mut db, "chi-ucq", "chi-ucq2");
+            churn_and_compact(&mut db, "chi-ucq", "chi-ucq2");
         }
     }
 }
 
 #[test]
-fn mc_ucq_shuffle_chi_squared_uniform_across_generations() {
-    let _guard = serialized();
+fn mc_ucq_shuffle_chi_squared_uniform_across_compaction() {
     let mut db = join_db("chi-mc");
     let trials = 6_000;
 
@@ -261,14 +250,13 @@ fn mc_ucq_shuffle_chi_squared_uniform_across_generations() {
         }
         assert_chi2_uniform(&format!("McUcqShuffle {phase}"), &counts, n);
         if phase == "before" {
-            churn_and_advance(&mut db, "chi-mc", "chi-mc2");
+            churn_and_compact(&mut db, "chi-mc", "chi-mc2");
         }
     }
 }
 
 #[test]
 fn chi2_critical_values_are_sane() {
-    let _guard = serialized();
     // Spot-check the Wilson–Hilferty approximation against table values
     // (α = 0.0001): χ²(10) ≈ 35.56, χ²(30) ≈ 66.62.
     assert!((chi2_critical(10, 3.719) - 35.56).abs() < 1.5);

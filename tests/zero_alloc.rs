@@ -167,9 +167,7 @@ fn steady_state_answer_paths_do_not_allocate() {
 /// Steady state must survive the relation lifecycle: after dropping and
 /// re-ingesting a relation (fresh values, new index), the SAME scratch must
 /// keep producing answers with zero allocations once the new shape is
-/// warmed. (No generation sweep here — sweeping tests serialize in their
-/// own binaries; append-only growth is what this binary's parallel tests
-/// assume.)
+/// warmed.
 #[test]
 fn rebuild_after_drop_reingest_stays_zero_alloc() {
     let mut db = skewed_db();
@@ -618,8 +616,7 @@ fn borrowed_snapshot_answer_paths_do_not_allocate() {
 /// The served read paths over a caller-owned scratch: ordered access,
 /// inverted access, select and sample perform zero heap allocations on a
 /// folded snapshot (the base alone) and on an overlay snapshot (base ⊎
-/// delta with tombstones). No fold runs here: folds sweep the process-wide
-/// dictionary generation, which this binary's parallel tests must not see.
+/// delta with tombstones).
 #[test]
 fn served_snapshot_paths_do_not_allocate() {
     let q: ConjunctiveQuery = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
