@@ -73,9 +73,9 @@ impl<'a> CqSequential<'a> {
 
     /// Positions the cursor so the next [`CqSequential::next_ref`] returns
     /// answer `j` of the enumeration order, in O(log n) (one access-style
-    /// descent, sharing [`CqIndex::access_into`]'s row location, so
-    /// unit-weight buckets cost no search). Returns `false` (and exhausts
-    /// the cursor) when `j ≥ count()`.
+    /// descent, sharing [`CqIndex::access_into`]'s row location: no search
+    /// in unit-weight buckets, a guided window in large weighted ones).
+    /// Returns `false` (and exhausts the cursor) when `j ≥ count()`.
     ///
     /// This is what lets a ranked/paginated scan start mid-stream and then
     /// proceed with constant delay (see `crate::ordered`).
@@ -104,8 +104,7 @@ impl<'a> CqSequential<'a> {
     /// Algorithm 3 descent, writing rows instead of values).
     fn seek_subtree(&mut self, node: usize, bucket: BucketView, sub: Weight) {
         let index = self.index;
-        let rows = bucket.start as usize..bucket.end as usize;
-        let (row, mut remainder) = index.starts(node).locate(rows, bucket.total, sub);
+        let (row, mut remainder) = index.locate(node, bucket, sub);
         let row = row as u32;
         self.rows[node] = row;
         for (child_pos, &child) in index.plan().children(node).iter().enumerate().rev() {

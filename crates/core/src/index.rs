@@ -31,6 +31,7 @@
 use crate::archive::{Buckets, CqIndexArchive, NodeArchive, Starts};
 use crate::column::Col;
 use crate::error::{catch_build, ensure_u32, CoreError};
+use crate::guide::{Guide, StartWord};
 use crate::renum_cq::CqShuffle;
 use crate::scratch::AccessScratch;
 use crate::value_table::{RankIndex, ValueTable};
@@ -138,6 +139,9 @@ struct NodeIndex {
     /// `startIndex`), compact `u64` or wide `u128` (see
     /// [`crate::archive::Starts`]).
     starts: Starts,
+    /// Derived from `starts`, never archived: the row location of each
+    /// weighted bucket of at least [`crate::guide::GUIDE_MIN_ROWS`] rows.
+    guide: Guide,
     buckets: Buckets,
     /// Bucket id of each row.
     bucket_of_row: Col<u32>,
@@ -539,10 +543,12 @@ impl CqIndex {
     /// reused across calls, so after the first call on a given shape the
     /// routine allocates nothing.
     ///
-    /// Each node's row is an O(log n) search over startIndex, skipped when
-    /// the bucket's total equals its row count: all weights are then 1 and
-    /// sub-answer `k` is row `start + k` (every leaf bucket, and every
-    /// bucket whose rows each have one sub-answer below).
+    /// Each node's row is located by [`Guide::locate`]: none is searched
+    /// when the bucket's total equals its row count (all weights are then 1
+    /// and sub-answer `k` is row `start + k`: every leaf bucket, and every
+    /// bucket whose rows each have one sub-answer below); a large weighted
+    /// bucket reads two guide slots and searches the few rows between
+    /// them; a small one searches its rows. The worst case stays O(log n).
     ///
     /// ```
     /// use rae_core::{AccessScratch, CqIndex};
@@ -591,7 +597,9 @@ impl CqIndex {
             // total here, a child bucket's total below.
             let (b, buckets) = (bucket_id as usize, &nd.buckets);
             let rows = buckets.start[b] as usize..buckets.end[b] as usize;
-            let (row_id, mut remainder) = nd.starts.locate(rows, buckets.total[b], sub_index);
+            let (row_id, mut remainder) =
+                nd.guide
+                    .locate(&nd.starts, rows, buckets.total[b], sub_index);
             debug_assert!(remainder < nd.weights[row_id]);
 
             for (&head_pos, &rank) in nd.bag_to_head.iter().zip(nd.row(row_id)) {
@@ -807,9 +815,13 @@ impl CqIndex {
         self.nodes[node].starts.at(row as usize)
     }
 
-    /// The startIndex column of `node`, for the sequential cursor's seek.
-    pub(crate) fn starts(&self, node: usize) -> &Starts {
-        &self.nodes[node].starts
+    /// The row of `bucket` of `node` owning sub-answer `j`, and `j`'s
+    /// remainder in it: [`CqIndex::access_into`]'s row location, for the
+    /// sequential cursor's seek.
+    pub(crate) fn locate(&self, node: usize, bucket: BucketView, j: Weight) -> (usize, Weight) {
+        let nd = &self.nodes[node];
+        let rows = bucket.start as usize..bucket.end as usize;
+        nd.guide.locate(&nd.starts, rows, bucket.total, j)
     }
 
     /// Whether every per-row artifact table (ranks, weights, starts,
@@ -1148,13 +1160,15 @@ fn build_node(
         .map(|attr| head.iter().position(|h| h == attr).expect("validated"))
         .collect();
 
+    let (starts, buckets) = (Starts::from_weights(starts), Buckets::from_views(&buckets));
     Ok(BuiltNode {
         index: NodeIndex {
             ranks: Col::default(),
             key_cols,
             weights: Col::Owned(weights),
-            starts: Starts::from_weights(starts),
-            buckets: Buckets::from_views(&buckets),
+            guide: Guide::new(&starts, &buckets),
+            starts,
+            buckets,
             bucket_of_row: Col::Owned(bucket_of_row),
             child_buckets: child_buckets.into_iter().map(Col::Owned).collect(),
             bag_to_head,
@@ -1709,11 +1723,12 @@ fn validate_archived_node(
     }
 
     // startIndex prefix sums, bucket totals and maxima, over the layout's
-    // plain slice of bucket-relative starts.
-    match &arch.starts {
+    // plain slice of bucket-relative starts; the same walk over the
+    // buckets derives the guide.
+    let guide = match &arch.starts {
         Starts::Compact(starts) => check_starts(node, starts, weights, bucket_ids, buckets)?,
         Starts::Wide(starts) => check_starts(node, starts, weights, bucket_ids, buckets)?,
-    }
+    };
 
     // Tables move (not copy) into the live node: for a borrowed archive
     // these stay zero-copy views into the snapshot file.
@@ -1722,6 +1737,7 @@ fn validate_archived_node(
         key_cols,
         weights: arch.weights,
         starts: arch.starts,
+        guide,
         buckets: arch.buckets,
         bucket_of_row: arch.bucket_of_row,
         child_buckets: arch.child_buckets,
@@ -1734,14 +1750,15 @@ fn validate_archived_node(
 /// starts whose partition and bucket ids are already validated: each bucket
 /// starts at 0 and every later row at the previous start plus the previous
 /// weight; then each bucket's total is its last start plus its last weight,
-/// and its maximum is the largest weight of its rows.
-fn check_starts<T: Copy + Into<Weight>>(
+/// and its maximum is the largest weight of its rows. Returns the node's
+/// guide, filled in the walk over the buckets.
+fn check_starts<T: StartWord>(
     node: usize,
     starts: &[T],
     weights: &[Weight],
     bucket_ids: &[u32],
     buckets: &Buckets,
-) -> Result<()> {
+) -> Result<Guide> {
     use crate::archive::invalid;
     // Branch-free over the rows; a sum that overflows inside a bucket
     // overflows the bucket total, as in the build.
@@ -1765,6 +1782,7 @@ fn check_starts<T: Copy + Into<Weight>>(
     let (firsts, ends) = (buckets.start.as_slice(), buckets.end.as_slice());
     let bounds = firsts.iter().zip(ends);
     let stored = buckets.total.iter().zip(buckets.max_weight.iter());
+    let mut guide = Guide::default();
     for (bid, ((&first, &end), (&total, &max))) in bounds.zip(stored).enumerate() {
         let (first, last) = (first as usize, end as usize - 1);
         let sum = starts[last]
@@ -1781,8 +1799,9 @@ fn check_starts<T: Copy + Into<Weight>>(
                 "node {node}: bucket {bid} maximum disagrees with its rows"
             )));
         }
+        guide.push_bucket(starts, first..last + 1, total);
     }
-    Ok(())
+    Ok(guide)
 }
 
 #[cfg(test)]
@@ -2241,6 +2260,143 @@ mod tests {
             assert!(cursor.seek(j));
             assert_eq!(cursor.next_ref(), Some(&expected[..]), "seek({j})");
         }
+    }
+
+    /// The chain R(a, b) — S(b, c) — T(c, d), rooted at R, with weighted
+    /// buckets of every size class: R's one bucket (100 rows), and in S
+    /// the buckets b = 0 (40 rows, starting on a chunk boundary), b = 2
+    /// (50 rows, off one) and b = 1 (5 rows, too small for a guide). T's
+    /// c-buckets hold one to three rows.
+    fn weighted_chain_index() -> CqIndex {
+        let bags = [&["a", "b"][..], &["b", "c"], &["c", "d"]]
+            .iter()
+            .map(|bag| syms(bag).into_iter().collect())
+            .collect();
+        let plan = TreePlan::new(bags, vec![None, Some(0), Some(1)]).unwrap();
+        let owned = |rows: Vec<[i64; 2]>| rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>();
+        let r = owned((0..100).map(|a| [a, a % 4]).collect());
+        let s_bounds = [(0, 0..40), (1, 40..45), (2, 45..95), (3, 95..160)];
+        let s = owned(
+            s_bounds
+                .into_iter()
+                .flat_map(|(b, cs)| cs.map(move |c| [b, c]))
+                .collect(),
+        );
+        let t = owned(
+            (0..160)
+                .flat_map(|c| (0..c % 3 + 1).map(move |k| [c, 10 * c + k]))
+                .collect(),
+        );
+        let rel = |attrs: &[&str], rows: &[Vec<i64>]| {
+            rel_int(attrs, &rows.iter().map(Vec::as_slice).collect::<Vec<_>>())
+        };
+        let rels = vec![
+            rel(&["a", "b"], &r),
+            rel(&["b", "c"], &s),
+            rel(&["c", "d"], &t),
+        ];
+        let head = syms(&["a", "b", "c", "d"]);
+        CqIndex::from_parts_with(plan, rels, head, BuildOptions::serial()).unwrap()
+    }
+
+    /// A borrowed view over a copy of `col` (a zero-copy load's column).
+    fn view<T: crate::column::Pod>(col: &Col<T>) -> Col<T> {
+        use crate::column::{pod_bytes, AlignedBytes, StableBytes};
+        let owner: std::sync::Arc<dyn StableBytes> =
+            std::sync::Arc::new(AlignedBytes::copy_from(pod_bytes(col)));
+        Col::borrowed(owner, 0, col.len()).unwrap()
+    }
+
+    /// Asserts that `index` answers `access_into` and `seek` like
+    /// `search_only` (the same index stripped of its guides) at every rank.
+    fn assert_matches_search_only(index: &CqIndex, search_only: &CqIndex, label: &str) {
+        assert_eq!(index.count(), search_only.count());
+        let (mut a, mut b) = (AccessScratch::new(), AccessScratch::new());
+        for j in 0..index.count() {
+            let expected = search_only.access_into(j, &mut b).unwrap().to_vec();
+            assert_eq!(
+                index.access_into(j, &mut a),
+                Some(&expected[..]),
+                "{label} access_into({j})"
+            );
+            let mut cursor = index.sequential();
+            assert!(cursor.seek(j));
+            assert_eq!(cursor.next_ref(), Some(&expected[..]), "{label} seek({j})");
+        }
+    }
+
+    #[test]
+    fn weighted_buckets_are_located_through_the_guide() {
+        let index = weighted_chain_index();
+        // Every weighted bucket of at least `GUIDE_MIN_ROWS` rows has a
+        // guide of at most one slot per row plus the closing one, and
+        // every window between two slots spans at most 2^s + 1 rows.
+        let mut guided = Vec::new();
+        for (node, nd) in index.nodes.iter().enumerate() {
+            for bucket in nd.buckets.iter() {
+                let (rows, total) = (bucket.start as usize..bucket.end as usize, bucket.total);
+                let Some((shift, slots)) = nd.guide.bucket_slots(rows.clone(), total) else {
+                    let small = rows.len() < crate::guide::GUIDE_MIN_ROWS;
+                    assert!(
+                        small || total == rows.len() as Weight,
+                        "node {node} unguided"
+                    );
+                    continue;
+                };
+                guided.push((node, rows.len()));
+                assert!(slots.len() <= rows.len() + 1, "node {node}: too many slots");
+                assert_eq!(slots[0] as usize, rows.start);
+                assert_eq!(*slots.last().unwrap() as usize, rows.end - 1);
+                for pair in slots.windows(2) {
+                    let window = (pair[1] - pair[0]) as usize + 1;
+                    assert!(
+                        window <= (1 << shift) + 1,
+                        "node {node}: window of {window}"
+                    );
+                }
+            }
+        }
+        assert!(
+            guided.iter().any(|&(_, rows)| rows >= 64),
+            "no guided bucket of 64 rows"
+        );
+        assert!(
+            guided.iter().filter(|&&(node, _)| node == 1).count() >= 2,
+            "S should hold two guided buckets: {guided:?}"
+        );
+
+        let mut search_only = weighted_chain_index();
+        for nd in &mut search_only.nodes {
+            nd.guide = Guide::default();
+        }
+        assert_matches_search_only(&index, &search_only, "built");
+
+        // A borrowed load derives the guides from the snapshot's
+        // startIndex columns in its validation walk.
+        let mut archive = index.to_archive();
+        archive.values.ints = view(&archive.values.ints);
+        for n in &mut archive.nodes {
+            n.refs = view(&n.refs);
+            n.weights = view(&n.weights);
+            let Starts::Compact(starts) = &n.starts else {
+                panic!("small starts are compact");
+            };
+            n.starts = Starts::Compact(view(starts));
+            n.buckets = Buckets {
+                start: view(&n.buckets.start),
+                end: view(&n.buckets.end),
+                total: view(&n.buckets.total),
+                max_weight: view(&n.buckets.max_weight),
+            };
+            n.bucket_of_row = view(&n.bucket_of_row);
+            n.child_buckets = n.child_buckets.iter().map(view).collect();
+        }
+        let loaded = CqIndex::from_archive(archive).unwrap();
+        assert!(loaded.storage_is_borrowed());
+        for (built, loaded) in index.nodes.iter().zip(&loaded.nodes) {
+            assert_eq!(built.guide, loaded.guide);
+        }
+        assert_matches_search_only(&loaded, &search_only, "loaded");
     }
 
     #[test]

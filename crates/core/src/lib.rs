@@ -37,6 +37,7 @@ pub mod column;
 pub mod delset;
 pub mod enumerate;
 pub mod error;
+pub mod guide;
 pub mod index;
 pub mod mcucq;
 pub mod ordered;

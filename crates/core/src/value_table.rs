@@ -14,7 +14,7 @@
 //! dictionary.
 
 use crate::column::Col;
-use rae_data::fxhash::FxHasher;
+use rae_data::fxhash::{finalize, FxHasher};
 use rae_data::{Symbol, Value};
 use std::hash::{Hash, Hasher};
 
@@ -132,16 +132,19 @@ impl RankIndex {
     const EMPTY: u32 = u32::MAX;
 
     /// Indexes every rank of `table` (ranks fit `u32` below `EMPTY`: a
-    /// table is checked against the `u32` rank space).
+    /// table is checked against the `u32` rank space), hashing each value
+    /// where the table holds it.
     pub(crate) fn new(table: &ValueTable) -> Self {
         let mut slots = vec![Self::EMPTY; (table.len() * 2).next_power_of_two().max(2)];
         let mask = slots.len() - 1;
-        for rank in 0..table.len() as u32 {
-            let mut at = hash_of(&table.get(rank)) & mask;
+        let ints = table.ints.iter().map(|&i| hash_int(i));
+        let strs = table.strs.iter().map(|s| hash_str(s.as_str()));
+        for (rank, hash) in ints.chain(strs).enumerate() {
+            let mut at = hash & mask;
             while slots[at] != Self::EMPTY {
                 at = (at + 1) & mask;
             }
-            slots[at] = rank;
+            slots[at] = rank as u32;
         }
         RankIndex { slots }
     }
@@ -172,9 +175,29 @@ impl RankIndex {
 
 #[inline]
 fn hash_of(value: &Value) -> usize {
+    match value {
+        Value::Int(i) => hash_int(*i),
+        Value::Str(s) => hash_str(s.as_str()),
+    }
+}
+
+/// Raw Fx of an integer: one multiply by an odd constant, so integers
+/// differing in their low bits (keys, dense ids) keep distinct low bits
+/// and land about one probe each.
+#[inline]
+fn hash_int(i: i64) -> usize {
     let mut h = FxHasher::default();
-    value.hash(&mut h);
+    h.write_i64(i);
     h.finish() as usize
+}
+
+/// Finalized Fx of a string: raw Fx's low bits depend only on the last
+/// word, which same-length strings often share.
+#[inline]
+fn hash_str(s: &str) -> usize {
+    let mut h = FxHasher::default();
+    s.hash(&mut h);
+    finalize(h.finish()) as usize
 }
 
 #[cfg(test)]
@@ -232,6 +255,47 @@ mod tests {
         }
         let empty = ValueTable::default();
         assert_eq!(RankIndex::new(&empty).rank_of(&empty, &Value::Int(0)), None);
+    }
+
+    /// Mean probes per hit over every value of `table`.
+    fn mean_probes(table: &ValueTable) -> f64 {
+        let index = RankIndex::new(table);
+        let mask = index.slots.len() - 1;
+        let total: usize = (0..table.len() as u32)
+            .map(|rank| {
+                let home = hash_of(&table.get(rank)) & mask;
+                let at = (home..)
+                    .position(|at| index.slots[at & mask] == rank)
+                    .unwrap();
+                at + 1
+            })
+            .sum();
+        total as f64 / table.len() as f64
+    }
+
+    #[test]
+    fn same_length_strings_probe_like_a_uniform_hash() {
+        // Same-length strings that differ in a few middle bytes, like the
+        // churn workload's tags: raw Fx's low bits depend on the last word
+        // only, which these strings share in part.
+        let mut strs: Vec<Symbol> = (0..4_000)
+            .map(|i| Symbol::new(format!("ct-0-{i:04}-x")))
+            .collect();
+        strs.sort();
+        let table = ValueTable {
+            ints: Col::Owned(Vec::new()),
+            strs,
+        };
+        // Linear probing at this load (4,000 in 8,192 slots) averages
+        // about 1.5 probes a hit under a uniform hash; raw Fx reads 3.65.
+        let mean = mean_probes(&table);
+        assert!(mean < 2.0, "{mean:.2} probes per hit");
+        // Dense integers stay at one probe each on the raw hash.
+        let ints = ValueTable {
+            ints: Col::Owned((0..3_000).collect()),
+            strs: Vec::new(),
+        };
+        assert_eq!(mean_probes(&ints), 1.0);
     }
 
     #[test]

@@ -30,11 +30,8 @@ fn hash_codes(key: &[ValueCode]) -> u64 {
     for &c in key {
         h = (h.rotate_left(ROTATE) ^ u64::from(c)).wrapping_mul(SEED);
     }
-    // Finalize so that low bits depend on all words (the table masks low
-    // bits; raw Fx leaves them weak).
-    h ^= h >> 32;
-    h = h.wrapping_mul(0xd6e8_feb8_6659_fd93);
-    h ^ (h >> 32)
+    // The table masks low bits, which raw Fx leaves weak.
+    crate::fxhash::finalize(h)
 }
 
 /// A hash map from fixed-width code tuples to `u32` values with

@@ -24,6 +24,15 @@ impl Database {
         Database::default()
     }
 
+    /// Creates an empty database over `dict`: relations already encoded in
+    /// it are registered without re-encoding.
+    pub fn with_dictionary(dict: Arc<Dictionary>) -> Self {
+        Database {
+            relations: FxHashMap::default(),
+            dict,
+        }
+    }
+
     /// The dictionary every relation of this database is encoded in. Build
     /// relations straight into it with [`Relation::new_in`].
     pub fn dictionary(&self) -> &Arc<Dictionary> {

@@ -84,6 +84,17 @@ impl Hasher for FxHasher {
     }
 }
 
+/// Mixes every bit of a raw Fx hash into its low bits. Fx's last step is
+/// a multiply, whose low bits depend only on the low bits of the last
+/// word hashed, so a table that masks the low bits of raw Fx sends keys
+/// differing only in higher bytes (same-length strings, tuples) to few
+/// slots.
+#[inline]
+pub fn finalize(h: u64) -> u64 {
+    let h = (h ^ (h >> 32)).wrapping_mul(0xd6e8_feb8_6659_fd93);
+    h ^ (h >> 32)
+}
+
 /// `BuildHasher` producing [`FxHasher`]s.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 

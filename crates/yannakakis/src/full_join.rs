@@ -58,7 +58,15 @@ impl FullAcyclicJoin {
     /// Exponential output in the worst case — intended for tests and small
     /// examples, not for the enumeration path.
     pub fn materialize(&self) -> Result<Relation> {
-        let mut db = Database::new();
+        // Over the node relations' own dictionary, so registering them
+        // re-encodes nothing (a relation from another is re-encoded).
+        let mut db = self
+            .relations
+            .iter()
+            .find_map(Relation::dictionary)
+            .map_or_else(Database::new, |dict| {
+                Database::with_dictionary(dict.clone())
+            });
         let mut atoms = Vec::new();
         for i in 0..self.plan.node_count() {
             let name = format!("__node{i}");
