@@ -2,9 +2,11 @@
 //!
 //! An archive is the process-independent raw-parts form of an index: the
 //! index's own sorted value table ([`ValueTable`]) plus flat `u32` rank
-//! columns and the precomputed per-row artifact tables (weights, startIndex
-//! prefix sums in the layout the build chose, bucket tables, child-bucket
-//! links), each exactly as the live index holds it. Dictionary codes never
+//! columns and the precomputed per-row artifact tables (startIndex prefix
+//! sums in the layout the build chose, bucket tables, child-bucket links),
+//! each exactly as the live index holds it. No table that another fixes
+//! is stored: a row's weight `w(t)` is the next start in its bucket (or
+//! the bucket total) minus its own start. Dictionary codes never
 //! appear in an archive or in a live index — rows are ranks into the
 //! index's value table, which is what makes the on-disk byte image (and
 //! hence `rae-store`'s `artifact_digest`) stable across processes.
@@ -22,10 +24,11 @@
 //! value is cloned per cell), and re-checks every structural invariant the
 //! access algorithms rely on — forest shape, running intersection, ranks
 //! in range, bucket partition and bucket ids, pAtts key grouping and
-//! distinct bucket keys, startIndex prefix sums, bucket totals and maxima,
-//! weight products over child buckets, and (for ordered layouts)
-//! within-bucket sort order on ranks — surfacing any violation as
-//! [`crate::CoreError::InvalidArchive`] rather than serving wrong answers.
+//! distinct bucket keys, startIndex prefix sums whose derived weights are
+//! the products of the linked child bucket totals, bucket maxima, and
+//! (for ordered layouts) within-bucket sort order on ranks — surfacing any
+//! violation as [`crate::CoreError::InvalidArchive`] rather than serving
+//! wrong answers.
 //! The checks are column-wise passes over plain slices, a few per node. It
 //! builds no lookup table: the inverted-access row tables stay lazy, built
 //! on the first inverted access exactly as after a fresh build.
@@ -227,8 +230,6 @@ pub struct NodeArchive {
     /// Flat row-major ranks into the archive's value table
     /// (`rows × arity`).
     pub refs: Col<u32>,
-    /// Per-row subtree answer count (Algorithm 2's `w(t)`).
-    pub weights: Col<Weight>,
     /// Per-row start index within its bucket.
     pub starts: Starts,
     /// The bucket table (a partition of `0..rows`).

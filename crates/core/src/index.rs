@@ -62,7 +62,7 @@ const MIN_PARALLEL_ROWS: usize = 8192;
 ///
 /// The build is **deterministic** for every configuration: serial and
 /// parallel builds (any thread count, either sort algorithm) produce
-/// byte-identical index artifacts — weights, startIndexes, buckets, row
+/// byte-identical index artifacts — startIndexes, buckets, row
 /// orders, and child-bucket tables. The knobs only trade wall-clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildOptions {
@@ -131,13 +131,12 @@ struct NodeIndex {
     ranks: Col<u32>,
     /// Positions (in the bag) of the attributes shared with the parent.
     key_cols: Vec<usize>,
-    /// Per-row subtree answer count (Algorithm 2's `w(t)`), always ≥ 1.
-    /// Owned for fresh builds; a zero-copy snapshot view after a
-    /// borrowed load (likewise for the other [`Col`]-typed tables).
-    weights: Col<Weight>,
     /// Per-row start index within its bucket (Algorithm 2's
     /// `startIndex`), compact `u64` or wide `u128` (see
-    /// [`crate::archive::Starts`]).
+    /// [`crate::archive::Starts`]). It fixes each row's subtree answer
+    /// count `w(t)` ([`NodeIndex::weight`]), which is therefore not stored.
+    /// Owned for fresh builds; a zero-copy snapshot view after a borrowed
+    /// load (likewise for the other [`Col`]-typed tables).
     starts: Starts,
     /// Derived from `starts`, never archived: the row location of each
     /// weighted bucket of at least [`crate::guide::GUIDE_MIN_ROWS`] rows.
@@ -156,10 +155,22 @@ struct NodeIndex {
 }
 
 impl NodeIndex {
-    /// Number of rows (every row has exactly one weight).
+    /// Number of rows (every row has exactly one bucket id).
     #[inline]
     fn len(&self) -> usize {
-        self.weights.len()
+        self.bucket_of_row.len()
+    }
+
+    /// Algorithm 2's `w(t)` of `row`, always ≥ 1: the next row's start in
+    /// its bucket (the bucket total after its last row) minus its own.
+    fn weight(&self, row: usize) -> Weight {
+        let bucket = self.bucket_of_row[row] as usize;
+        let next = if row + 1 < self.buckets.end[bucket] as usize {
+            self.starts.at(row + 1)
+        } else {
+            self.buckets.total[bucket]
+        };
+        next - self.starts.at(row)
     }
 
     /// The ranks of one row, in bag order.
@@ -600,7 +611,9 @@ impl CqIndex {
             let (row_id, mut remainder) =
                 nd.guide
                     .locate(&nd.starts, rows, buckets.total[b], sub_index);
-            debug_assert!(remainder < nd.weights[row_id]);
+            // Every weight is at least 1, so a zero remainder needs no
+            // weight, and a unit-weight bucket's starts stay unread.
+            debug_assert!(remainder == 0 || remainder < nd.weight(row_id));
 
             for (&head_pos, &rank) in nd.bag_to_head.iter().zip(nd.row(row_id)) {
                 self.values.write(rank, &mut scratch.answer[head_pos]);
@@ -758,9 +771,11 @@ impl CqIndex {
         &self.values
     }
 
-    /// The subtree-answer weight of a row.
+    /// The subtree-answer weight of a row (Algorithm 2's `w(t)`), derived
+    /// from startIndex: the next row's start in its bucket, or the bucket
+    /// total after its last row, minus the row's own start.
     pub fn row_weight(&self, node: usize, row: u32) -> Weight {
-        self.nodes[node].weights[row as usize]
+        self.nodes[node].weight(row as usize)
     }
 
     /// The single bucket of a root node, if the index is non-empty.
@@ -824,7 +839,7 @@ impl CqIndex {
         nd.guide.locate(&nd.starts, rows, bucket.total, j)
     }
 
-    /// Whether every per-row artifact table (ranks, weights, starts,
+    /// Whether every per-row artifact table (ranks, starts,
     /// buckets, bucket ids, child links) and the integer half of the value
     /// table are zero-copy views into a snapshot buffer — true exactly for
     /// indexes reconstructed by the store's borrowed load path.
@@ -833,7 +848,6 @@ impl CqIndex {
             && self.values.ints.is_borrowed()
             && self.nodes.iter().all(|nd| {
                 nd.ranks.is_borrowed()
-                    && nd.weights.is_borrowed()
                     && nd.starts.is_borrowed()
                     && nd.buckets.is_borrowed()
                     && nd.bucket_of_row.is_borrowed()
@@ -1165,7 +1179,6 @@ fn build_node(
         index: NodeIndex {
             ranks: Col::default(),
             key_cols,
-            weights: Col::Owned(weights),
             guide: Guide::new(&starts, &buckets),
             starts,
             buckets,
@@ -1300,7 +1313,6 @@ impl CqIndex {
             .map(|nd| NodeArchive {
                 rows: nd.len() as u32,
                 refs: nd.ranks.clone(),
-                weights: nd.weights.clone(),
                 starts: nd.starts.clone(),
                 buckets: nd.buckets.clone(),
                 bucket_of_row: nd.bucket_of_row.clone(),
@@ -1461,11 +1473,12 @@ impl CqIndex {
 /// value table; the bucket partition; bucket ids (0 at row 0, a step of one
 /// at each bucket start and nowhere else); pAtts key grouping (with the
 /// within-bucket order of an ordered layout) and distinct bucket keys; per
-/// child, the link (bucket id in range, equal shared-attribute ranks); the
-/// Algorithm 2 weight invariant (every row weight is the product of its
-/// matched child bucket totals); startIndex prefix sums; bucket totals and
-/// maxima. Passes after the bucket-id pass read "row `r` starts a bucket"
-/// as `bucket_ids[r] != bucket_ids[r - 1]`.
+/// child, the link (bucket id in range, equal shared-attribute ranks);
+/// then one walk over the buckets checks startIndex against the Algorithm 2
+/// weight invariant (each bucket starts at 0, and every row weight derived
+/// from startIndex and the bucket total is the product of its matched child
+/// bucket totals) and the bucket maxima. Passes after the bucket-id pass
+/// read "row `r` starts a bucket" as `bucket_ids[r] != bucket_ids[r - 1]`.
 fn validate_archived_node(
     plan: &TreePlan,
     node: usize,
@@ -1504,7 +1517,7 @@ fn validate_archived_node(
                 .ok_or_else(|| CoreError::UncoveredHeadAttribute(attr.to_string()))
         })
         .collect::<Result<_>>()?;
-    if arch.weights.len() != rows || arch.starts.len() != rows || arch.bucket_of_row.len() != rows {
+    if arch.starts.len() != rows || arch.bucket_of_row.len() != rows {
         return Err(invalid(format!(
             "node {node}: per-row tables do not match the row count"
         )));
@@ -1564,7 +1577,6 @@ fn validate_archived_node(
     }
     let (first_rows, ends) = (buckets.start.as_slice(), buckets.end.as_slice());
     let bucket_ids = arch.bucket_of_row.as_slice();
-    let weights = arch.weights.as_slice();
 
     // The bucket partition: non-empty, contiguous, covering `0..rows`.
     let mut covered: u32 = 0;
@@ -1668,9 +1680,8 @@ fn validate_archived_node(
         }
     }
 
-    // Per child: every link names a child bucket, that bucket carries the
-    // row's shared-attribute values, and the row weight is the product of
-    // the linked bucket totals (Algorithm 2; 1 at a leaf).
+    // Per child: every link names a child bucket, and that bucket carries
+    // the row's shared-attribute values.
     let mut links: Vec<(&[u32], &[Weight])> = Vec::with_capacity(children.len());
     for ((child_node, ids), pairs) in child_nodes.iter().zip(&arch.child_buckets).zip(&link_cols) {
         let child_nb = child_node.buckets.len();
@@ -1696,12 +1707,15 @@ fn validate_archived_node(
         }
         links.push((ids, child_node.buckets.total.as_slice()));
     }
-    let bad_weight = match links.split_first() {
-        None => weights.iter().position(|&w| w != 1),
-        Some((&(ids, totals), [])) => weights
-            .iter()
-            .zip(ids)
-            .position(|(&w, &id)| w != totals[id as usize]),
+    // startIndex against Algorithm 2: every row's derived weight is the
+    // product of its linked child bucket totals (1 at a leaf). The same
+    // walk over the buckets checks their maxima and derives the guide.
+    let starts = &arch.starts;
+    let guide = match links.split_first() {
+        None => check_starts(node, starts, buckets, |_| 1)?,
+        Some((&(ids, totals), [])) => {
+            check_starts(node, starts, buckets, |r| totals[ids[r] as usize])?
+        }
         Some((&(ids, totals), rest)) => {
             let mut products: Vec<Weight> = ids.iter().map(|&id| totals[id as usize]).collect();
             for &(ids, totals) in rest {
@@ -1711,23 +1725,8 @@ fn validate_archived_node(
                         .ok_or(CoreError::WeightOverflow)?;
                 }
             }
-            weights.iter().zip(&products).position(|(w, p)| w != p)
+            check_starts(node, starts, buckets, |r| products[r])?
         }
-    };
-    if let Some(i) = bad_weight {
-        return Err(invalid(format!(
-            "node {node}: row {i} weight {} does not equal the product of its \
-             child bucket totals",
-            weights[i]
-        )));
-    }
-
-    // startIndex prefix sums, bucket totals and maxima, over the layout's
-    // plain slice of bucket-relative starts; the same walk over the
-    // buckets derives the guide.
-    let guide = match &arch.starts {
-        Starts::Compact(starts) => check_starts(node, starts, weights, bucket_ids, buckets)?,
-        Starts::Wide(starts) => check_starts(node, starts, weights, bucket_ids, buckets)?,
     };
 
     // Tables move (not copy) into the live node: for a borrowed archive
@@ -1735,7 +1734,6 @@ fn validate_archived_node(
     Ok(NodeIndex {
         ranks: arch.refs,
         key_cols,
-        weights: arch.weights,
         starts: arch.starts,
         guide,
         buckets: arch.buckets,
@@ -1746,60 +1744,81 @@ fn validate_archived_node(
     })
 }
 
-/// The startIndex checks of [`validate_archived_node`] over bucket-relative
-/// starts whose partition and bucket ids are already validated: each bucket
-/// starts at 0 and every later row at the previous start plus the previous
-/// weight; then each bucket's total is its last start plus its last weight,
-/// and its maximum is the largest weight of its rows. Returns the node's
-/// guide, filled in the walk over the buckets.
-fn check_starts<T: StartWord>(
+/// The startIndex checks of [`validate_archived_node`] on either layout,
+/// over a bucket partition already validated, with `weight(r)` the weight
+/// Algorithm 2 gives row `r` (the product of its linked child bucket
+/// totals). Each bucket's first start is 0; each row's derived weight —
+/// the next start in its bucket, or the bucket total after its last row,
+/// minus its own start — equals `weight(r)`, a start below its
+/// predecessor being refused, never wrapped; and the bucket maximum is the
+/// largest derived weight. The derived weights then equal what a stored
+/// weight column would have had to hold, so the checks accept exactly the
+/// archives that checking such a column would. Returns the node's guide,
+/// filled in the same walk over the buckets.
+fn check_starts(
+    node: usize,
+    starts: &Starts,
+    buckets: &Buckets,
+    weight: impl Fn(usize) -> Weight,
+) -> Result<Guide> {
+    match starts {
+        Starts::Compact(starts) => check_bucket_starts(node, starts, buckets, weight),
+        Starts::Wide(starts) => check_bucket_starts(node, starts, buckets, weight),
+    }
+}
+
+/// [`check_starts`] over one layout's plain slice of bucket-relative
+/// starts.
+fn check_bucket_starts<T: StartWord>(
     node: usize,
     starts: &[T],
-    weights: &[Weight],
-    bucket_ids: &[u32],
     buckets: &Buckets,
+    weight: impl Fn(usize) -> Weight,
 ) -> Result<Guide> {
     use crate::archive::invalid;
-    // Branch-free over the rows; a sum that overflows inside a bucket
-    // overflows the bucket total, as in the build.
-    let (mut broken, mut overflow) = (starts.first().is_some_and(|&s| s.into() != 0), false);
-    let prev = starts.iter().zip(weights).zip(bucket_ids);
-    let next = starts.iter().skip(1).zip(bucket_ids.iter().skip(1));
-    for (((&prev_start, &w), &prev_id), (&start, &id)) in prev.zip(next) {
-        let (sum, carry) = prev_start.into().overflowing_add(w);
-        let same_bucket = id == prev_id;
-        overflow |= same_bucket & carry;
-        broken |= start.into() != if same_bucket { sum } else { 0 };
-    }
-    if overflow {
-        return Err(CoreError::WeightOverflow);
-    }
-    if broken {
-        return Err(invalid(format!(
-            "node {node}: a startIndex breaks the prefix sum of its bucket"
-        )));
-    }
     let (firsts, ends) = (buckets.start.as_slice(), buckets.end.as_slice());
     let bounds = firsts.iter().zip(ends);
     let stored = buckets.total.iter().zip(buckets.max_weight.iter());
     let mut guide = Guide::default();
     for (bid, ((&first, &end), (&total, &max))) in bounds.zip(stored).enumerate() {
-        let (first, last) = (first as usize, end as usize - 1);
-        let sum = starts[last]
-            .into()
-            .checked_add(weights[last])
-            .ok_or(CoreError::WeightOverflow)?;
-        if total != sum {
+        let rows = first as usize..end as usize;
+        if starts[rows.start].into() != 0 {
+            return Err(invalid(format!(
+                "node {node}: bucket {bid} startIndex does not begin at 0"
+            )));
+        }
+        let mut largest: Weight = 0;
+        for (row, pair) in rows.clone().zip(starts[rows.clone()].windows(2)) {
+            let (start, next) = (pair[0].into(), pair[1].into());
+            let derived = next.checked_sub(start).ok_or_else(|| {
+                invalid(format!(
+                    "node {node}: row {} startIndex {next} is below its predecessor's {start}",
+                    row + 1
+                ))
+            })?;
+            if derived != weight(row) {
+                return Err(invalid(format!(
+                    "node {node}: row {row} weight {derived} (derived from startIndex) does \
+                     not equal the product of its child bucket totals, {}",
+                    weight(row)
+                )));
+            }
+            largest = largest.max(derived);
+        }
+        let last = rows.end - 1;
+        let derived = total.checked_sub(starts[last].into());
+        if derived != Some(weight(last)) {
             return Err(invalid(format!(
                 "node {node}: bucket {bid} total disagrees with its rows"
             )));
         }
-        if Some(max) != weights[first..=last].iter().copied().max() {
+        largest = largest.max(weight(last));
+        if max != largest {
             return Err(invalid(format!(
                 "node {node}: bucket {bid} maximum disagrees with its rows"
             )));
         }
-        guide.push_bucket(starts, first..last + 1, total);
+        guide.push_bucket(starts, rows, total);
     }
     Ok(guide)
 }
@@ -2377,7 +2396,6 @@ mod tests {
         archive.values.ints = view(&archive.values.ints);
         for n in &mut archive.nodes {
             n.refs = view(&n.refs);
-            n.weights = view(&n.weights);
             let Starts::Compact(starts) = &n.starts else {
                 panic!("small starts are compact");
             };

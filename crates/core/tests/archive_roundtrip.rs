@@ -110,28 +110,6 @@ fn ordered_union_round_trip() {
 }
 
 #[test]
-fn tampered_weight_is_refused() {
-    let db = db();
-    let cq = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
-    let idx = CqIndex::build(&cq, &db).unwrap();
-    let mut archive = idx.to_archive();
-    // Inflate one row weight: the Algorithm 2 invariant (weight = product
-    // of child bucket totals) no longer holds.
-    let node = archive
-        .nodes
-        .iter_mut()
-        .find(|n| !n.weights.is_empty())
-        .unwrap();
-    node.weights.to_mut()[0] += 1;
-    match CqIndex::from_archive(archive) {
-        Err(CoreError::InvalidArchive(detail)) => {
-            assert!(detail.contains("weight"), "unexpected detail: {detail}");
-        }
-        other => panic!("expected InvalidArchive, got {other:?}"),
-    }
-}
-
-#[test]
 fn tampered_parent_pointers_are_refused() {
     let db = db();
     let cq = "Q(x, y, z) :- R(x, y), S(y, z)".parse().unwrap();
@@ -267,6 +245,10 @@ fn repeated_head_variable_is_refused() {
 //   buckets, all weights 1;
 // - root `{y, z}`: rows (10,x) (10,y) (20,x) (30,z) in one bucket, weights
 //   2 2 1 1, starts 0 2 4 5, total 6, maximum 2.
+//
+// Weights are not stored: each is the next start in its bucket (or the
+// bucket total) minus the row's own start, so a weight is tampered with
+// through a start.
 
 /// The fixture's archive with its leaf and root node ids.
 fn two_node_archive() -> (CqIndexArchive, usize, usize) {
@@ -280,9 +262,11 @@ fn two_node_archive() -> (CqIndexArchive, usize, usize) {
     assert_eq!(l.buckets.start.as_slice(), &[0, 2, 3]);
     assert_eq!(l.buckets.end.as_slice(), &[2, 3, 4]);
     let r = &archive.nodes[root];
-    assert_eq!(r.weights.as_slice(), &[2, 2, 1, 1]);
     assert_eq!(r.child_buckets[0].as_slice(), &[0, 0, 1, 2]);
     assert!(matches!(r.starts, Starts::Compact(_)));
+    let idx = CqIndex::from_archive(archive.clone()).unwrap();
+    let weights: Vec<_> = (0..4).map(|row| idx.row_weight(root, row)).collect();
+    assert_eq!(weights, [2, 2, 1, 1]);
     (archive, leaf, root)
 }
 
@@ -386,14 +370,45 @@ fn link_key_mismatch_is_refused() {
     });
 }
 
+/// The fixture node's compact starts, for tampering.
+fn compact_starts(n: &mut NodeArchive) -> &mut Vec<u64> {
+    let Starts::Compact(starts) = &mut n.starts else {
+        unreachable!("checked by the fixture")
+    };
+    starts.to_mut()
+}
+
+#[test]
+fn tampered_weight_is_refused() {
+    let (archive, _, root) = two_node_archive();
+    // Root starts 0 2 4 5 become 0 3 4 5: rows 0 and 1 derive weights 3
+    // and 1 where their child products are 2 and 2.
+    assert_refused(archive, root, "row 0 weight 3", |n| {
+        compact_starts(n)[1] += 1;
+    });
+}
+
 #[test]
 fn tampered_start_index_is_refused() {
+    let (archive, leaf, _) = two_node_archive();
+    // The leaf's one-row bucket 1 starts at 1 instead of 0.
+    assert_refused(
+        archive,
+        leaf,
+        "bucket 1 startIndex does not begin at 0",
+        |n| {
+            compact_starts(n)[2] = 1;
+        },
+    );
+}
+
+#[test]
+fn decreasing_start_index_is_refused() {
     let (archive, _, root) = two_node_archive();
-    assert_refused(archive, root, "startIndex breaks the prefix sum", |n| {
-        let Starts::Compact(starts) = &mut n.starts else {
-            unreachable!("checked by the fixture")
-        };
-        starts.to_mut()[1] += 1;
+    // Root starts 0 2 4 5 become 0 2 1 5: row 1's weight would be
+    // negative, and it is refused rather than wrapped.
+    assert_refused(archive, root, "row 2 startIndex 1 is below", |n| {
+        compact_starts(n)[2] = 1;
     });
 }
 

@@ -34,7 +34,6 @@ pub fn borrowed_cq(archive: &CqIndexArchive) -> CqIndexArchive {
             .map(|n| NodeArchive {
                 rows: n.rows,
                 refs: view(&n.refs),
-                weights: view(&n.weights),
                 starts: match &n.starts {
                     Starts::Compact(s) => Starts::Compact(view(s)),
                     Starts::Wide(s) => Starts::Wide(view(s)),

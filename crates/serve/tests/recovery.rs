@@ -190,8 +190,8 @@ fn recovery_falls_back_past_a_corrupted_newest_snapshot() {
 }
 
 /// The newest snapshot passes every checksum but its archive is
-/// semantically invalid (one row weight bumped, so `from_archive` refuses
-/// it). Recovery verifies both files in one scan, fails to realize the
+/// semantically invalid (one bucket total bumped, so the weight derived for
+/// its last row breaks Algorithm 2 and `from_archive` refuses it). Recovery verifies both files in one scan, fails to realize the
 /// winner from its verified bytes, quarantines it, and falls back to the
 /// older snapshot through the full load. Checked through the owned and the
 /// zero-copy store entry points and through the serving cold start.
@@ -212,10 +212,10 @@ fn recovery_falls_back_past_a_newest_snapshot_that_fails_realization() {
         let ArtifactArchive::Ordered(mut bad) = archive else {
             panic!("serving persists ordered bases");
         };
-        let Col::Owned(weights) = &mut bad.index.nodes[0].weights else {
+        let Col::Owned(totals) = &mut bad.index.nodes[0].buckets.total else {
             panic!("the owned decode copies every column");
         };
-        weights[0] += 1;
+        totals[0] += 1;
         let newest_epoch = older_epoch + 1;
         let newest = dir.join(format!("snap-{newest_epoch}.rae"));
         rae_store::save(
@@ -228,7 +228,7 @@ fn recovery_falls_back_past_a_newest_snapshot_that_fails_realization() {
         assert_eq!(rae_store::verify(&newest).unwrap().epoch, newest_epoch);
         assert!(
             rae_store::load(&newest).is_err(),
-            "from_archive must refuse the bumped weight"
+            "from_archive must refuse the bumped total"
         );
 
         let (epoch, digest) = match via {
@@ -264,15 +264,15 @@ fn recovery_falls_back_past_a_newest_snapshot_that_fails_realization() {
 }
 
 /// A snapshot of the previous format version is rebuilt, not migrated:
-/// the newest file in the directory is a checksum-valid v3 snapshot (the
-/// layout before indexes stored their sorted value table), the older one
-/// a v4 snapshot, and recovery must quarantine the v3 file and serve the
-/// v4 one. Checked through the owned and the zero-copy store entry points
-/// and through the serving cold start.
+/// the newest file in the directory is a checksum-valid v4 snapshot (the
+/// layout before the eight-lane section checksum and the derived weight
+/// column), the older one a v5 snapshot, and recovery must quarantine the
+/// v4 file and serve the v5 one. Checked through the owned and the
+/// zero-copy store entry points and through the serving cold start.
 #[test]
 fn recovery_quarantines_a_previous_version_snapshot() {
-    assert_eq!(rae_store::FORMAT_VERSION, 4, "update the planted version");
-    let old_version = 3u32;
+    assert_eq!(rae_store::FORMAT_VERSION, 5, "update the planted version");
+    let old_version = 4u32;
     for via in ["recover_dir", "recover_dir_with", "ServingIndex::recover"] {
         let dir = scratch("version");
         let (mut writer, _index) = setup();
@@ -285,7 +285,7 @@ fn recovery_quarantines_a_previous_version_snapshot() {
         let current = dir.join(format!("snap-{current_epoch}.rae"));
         let (archive, current_meta) = rae_store::load_archive(&current).unwrap();
 
-        // The same index one epoch newer, its header re-stamped as v3 (and
+        // The same index one epoch newer, its header re-stamped as v4 (and
         // a matching header checksum, so the version check is what
         // refuses it).
         let stale_epoch = current_epoch + 1;

@@ -524,12 +524,16 @@ fn held_snapshots_survive_concurrent_folds() {
     let snap0 = idx.snapshot();
     let digest0 = snap0.digest();
     let stop = Arc::new(AtomicBool::new(false));
+    // The churn starts once every reader has checked the old snapshot, so
+    // no reader can miss it however the threads are scheduled.
+    let running = Arc::new(Barrier::new(5));
 
     // Readers hammer the *old* snapshot and the live sequence while the
     // writer churns and folds underneath them.
     let mut readers = Vec::new();
     for seed in 0..4u64 {
         let stop = Arc::clone(&stop);
+        let running = Arc::clone(&running);
         let idx = idx.clone();
         let old = Arc::clone(&snap0);
         readers.push(std::thread::spawn(move || {
@@ -542,6 +546,9 @@ fn held_snapshots_survive_concurrent_folds() {
                 let t = old.ordered_access(k).expect("held snapshot rank");
                 assert_eq!(old.ordered_inverted_access(&t), Some(k));
                 old_checks += 1;
+                if old_checks == 1 {
+                    running.wait();
+                }
                 // Fresh snapshot: internally consistent at every epoch.
                 let snap = reader.refresh();
                 let n = snap.count();
@@ -558,6 +565,7 @@ fn held_snapshots_survive_concurrent_folds() {
     // Writer: delete/insert churn with a fold each round. Each deleted
     // row's `t` (`round + 1000`) is used by no other row, so the fold's
     // database lacks a value the old snapshot still serves.
+    running.wait();
     for round in 0..6i64 {
         let mut b = Batch::new();
         b.delete("R", iv(&[round, round + 1000]))

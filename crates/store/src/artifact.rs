@@ -249,12 +249,6 @@ fn encode_cq(prefix: &str, a: &CqIndexArchive, out: &mut Vec<(String, Vec<u8>)>)
         out.push((format!("{prefix}node{i}/refs"), w.into_bytes()));
 
         let mut w = Writer::new();
-        w.put_len(node.weights.len());
-        w.pad_to_16();
-        w.put_col(&node.weights);
-        out.push((format!("{prefix}node{i}/weights"), w.into_bytes()));
-
-        let mut w = Writer::new();
         match &node.starts {
             Starts::Compact(v) => {
                 w.put_u8(STARTS_COMPACT);
@@ -392,12 +386,6 @@ fn decode_cq(
         let refs: Col<u32> = r.get_col(len)?;
         r.finish_padded()?;
 
-        let name = format!("{prefix}node{i}/weights");
-        let mut r = reader(&name, section(sections, &name)?, owner);
-        let len = r.get_len(16)?;
-        let weights: Col<u128> = r.get_col(len)?;
-        r.finish_padded()?;
-
         let name = format!("{prefix}node{i}/starts");
         let mut r = reader(&name, section(sections, &name)?, owner);
         let starts = match r.get_u8()? {
@@ -453,7 +441,6 @@ fn decode_cq(
         nodes.push(NodeArchive {
             rows,
             refs,
-            weights,
             starts,
             buckets,
             bucket_of_row,
@@ -515,7 +502,6 @@ mod tests {
             nodes: vec![NodeArchive {
                 rows: 2,
                 refs: Col::Owned(vec![0, 1]),
-                weights: Col::Owned(vec![1, 1]),
                 starts: Starts::Compact(Col::Owned(vec![0, 1])),
                 buckets: Buckets::from_cols(
                     Col::Owned(vec![0]),
@@ -559,10 +545,10 @@ mod tests {
         let archive = ArtifactArchive::Cq(tiny_cq_archive());
         let owned = archive.to_sections();
         let mut sections = as_sections(&owned);
-        sections.remove("node0/weights");
+        sections.remove("node0/starts");
         assert!(matches!(
             ArtifactArchive::from_sections(ArtifactKind::Cq, &sections, None),
-            Err(StoreError::Corrupt { section, .. }) if section == "node0/weights"
+            Err(StoreError::Corrupt { section, .. }) if section == "node0/starts"
         ));
     }
 
@@ -590,7 +576,6 @@ mod tests {
         let node = &mut a.nodes[0];
         node.rows = rows;
         node.refs = Col::Owned((0..rows).map(|_| 0).collect());
-        node.weights = Col::Owned(vec![1u128; rows as usize]);
         node.starts = Starts::Compact(Col::Owned((0..rows as u64).collect()));
         node.buckets = Buckets::from_cols(
             Col::Owned(vec![0]),

@@ -170,11 +170,11 @@ mod tests {
         }
         .is_transient());
         let c = StoreError::Corrupt {
-            section: "node0/weights".into(),
+            section: "node0/starts".into(),
             detail: "checksum".into(),
         };
         assert!(!c.is_transient());
-        assert!(c.to_string().contains("node0/weights"));
+        assert!(c.to_string().contains("node0/starts"));
         let v = StoreError::VersionMismatch {
             found: 9,
             supported: 1,

@@ -1,7 +1,7 @@
 //! The on-disk container and the crash-consistent publish protocol
 //! (DESIGN.md §15).
 //!
-//! ## File layout (format v4)
+//! ## File layout (format v5)
 //!
 //! ```text
 //! header  (32 B): magic "RAESTOR1" | version u32 | endian tag u32
@@ -68,8 +68,10 @@ use std::sync::Arc;
 /// (zero-copy loadable); struct-of-arrays bucket tables. v3: every node's
 /// startIndex is stored as built, compact `u64` or wide `u128` prefix sums.
 /// v4: each index stores its sorted value table (an aligned `i64` column,
-/// then the strings), and node rows are ranks into it.
-pub const FORMAT_VERSION: u32 = 4;
+/// then the strings), and node rows are ranks into it. v5: section
+/// payloads are checksummed by the eight-lane [`fnv64_fast`], and nodes no
+/// longer store the per-row weight column (it is derived from startIndex).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// File extension of live snapshot files (`recover_dir` scans for it).
 pub const SNAPSHOT_EXT: &str = "rae";
@@ -99,7 +101,7 @@ pub struct SnapshotMeta {
     pub label: String,
     /// The process-independent identity of the artifact: FNV-1a 64 over
     /// each section's `(name, checksum)` pair in table order, where the
-    /// per-section checksum is the word-folded
+    /// per-section checksum is the eight-lane
     /// [`fnv64_fast`](crate::fnv64_fast) of its payload. Validating the
     /// sections therefore validates the digest in the same single pass.
     pub artifact_digest: u64,
@@ -444,9 +446,11 @@ fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
 }
 
 /// Checksum-validates a snapshot file without decoding it: every section
-/// checksum, the footer/trailer/header sums, and the artifact digest.
+/// checksum, the footer/trailer/header sums, and the artifact digest. The
+/// checksum runs in place over the mapping [`load_borrowed`] uses (or its
+/// aligned read where mapping fails).
 pub fn verify(path: &Path) -> Result<SnapshotMeta, StoreError> {
-    Ok(verify_bytes(&read_file(path)?)?.meta)
+    Ok(verify_bytes(map_or_read(path)?.stable_bytes())?.meta)
 }
 
 /// Builds the name → (payload, absolute offset) view over verified bytes.

@@ -14,9 +14,10 @@
 //! * [`save`] — serialize an index archive into contiguous little-endian
 //!   sections (flat `u32` reference columns, startIndex prefix sums,
 //!   bucket tables, the deduplicated value table), each individually
-//!   checksummed (FNV-1a 64), with a checksummed footer carrying the
-//!   format version, endianness tag, and the whole-artifact digest; then
-//!   publish via temp file → fsync → atomic rename → directory fsync.
+//!   checksummed (the eight-lane FNV-1a 64 fold [`fnv64_fast`]), with a
+//!   checksummed footer carrying the format version, endianness tag, and
+//!   the whole-artifact digest; then publish via temp file → fsync →
+//!   atomic rename → directory fsync.
 //! * [`load`] — validate every checksum and the digest, decode, and run
 //!   the full `from_archive` semantic re-validation before handing out an
 //!   index. Corruption is always a structured [`StoreError`]; a bad file

@@ -62,15 +62,37 @@ fn both_loads(
     (owned, borrowed)
 }
 
+/// Algorithm 2 on every row of every node: the weight the index derives
+/// from its startIndex is the product of the row's child bucket totals.
+fn assert_weights_are_child_products(name: &str, index: &CqIndex) {
+    for node in 0..index.node_count() {
+        let children = index.plan().children(node).len();
+        for row in 0..index.node_len(node) as u32 {
+            let product: u128 = (0..children)
+                .map(|c| index.child_bucket(node, row, c).total)
+                .product();
+            assert_eq!(
+                index.row_weight(node, row),
+                product,
+                "{name}: node {node} row {row} weight"
+            );
+        }
+    }
+}
+
 /// Every-rank agreement over three plain CQ indexes (fresh build, owned
 /// load, borrowed load): count, strided access, inverted access of the
-/// accessed tuples, and seeded random-permutation prefixes.
+/// accessed tuples, and seeded random-permutation prefixes; and every
+/// derived row weight of each is its child product.
 fn assert_cq_agree(name: &str, built: &CqIndex, owned: &CqIndex, borrowed: &CqIndex) {
     assert!(
         borrowed.storage_is_borrowed(),
         "{name}: borrowed index does not serve from snapshot bytes"
     );
     assert!(!owned.storage_is_borrowed());
+    for index in [built, owned, borrowed] {
+        assert_weights_are_child_products(name, index);
+    }
     let n = built.count();
     assert_eq!(owned.count(), n, "{name}: owned count");
     assert_eq!(borrowed.count(), n, "{name}: borrowed count");

@@ -437,6 +437,25 @@ fn wide_starts_round_trip_through_both_load_paths() {
 }
 
 #[test]
+fn verify_accepts_a_valid_file_and_refuses_a_flipped_bit() {
+    let dir = scratch("verify");
+    let path = dir.join(format!("victim.{SNAPSHOT_EXT}"));
+    let saved = save(&path, &small_archive(), 3, "verify").unwrap();
+    let meta = verify(&path).unwrap();
+    assert_eq!(meta.artifact_digest, saved.artifact_digest);
+    assert_eq!((meta.epoch, meta.version), (3, FORMAT_VERSION));
+    let pristine = std::fs::read(&path).unwrap();
+    // One bit of the first section payload, right after the 32-byte header.
+    let mut bytes = pristine.clone();
+    bytes[40] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(verify(&path), Err(StoreError::Corrupt { .. })));
+    std::fs::write(&path, &pristine).unwrap();
+    assert!(verify(&path).is_ok(), "the restored file verifies again");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn corruption_errors_are_structured() {
     // Spot-check that representative corruptions map to the intended
     // variants, not just "some error".
